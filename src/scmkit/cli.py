@@ -3,7 +3,8 @@ and fit indices out.
 
 Exit codes: 0 success, 1 usage or input error, 2 the query is not
 identifiable (FAILURE), 3 the data cannot support the request (zero stratum,
-missing data, degenerate resamples, zero-probability evidence).
+missing data, degenerate resamples, zero-probability evidence, experimental
+inputs that contradict the data).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .estimate import (
     MissingDataPresent,
     TooManyDegenerateResamples,
     bootstrap_interval,
+    empirical_joint,
     load_table,
     plug_in,
 )
@@ -26,7 +28,7 @@ from .fitcheck import fit_indices, render_fit_report
 from .graph import parse_graph
 from .identify import NonIdentifiable, QueryTerm, identify, parse_query
 from .mediation import mediation_effects_data, mediation_effects_scm
-from .pnps import pn_ps_exact, pnps_bounds
+from .pnps import InconsistentInputs, pn_ps_exact, pnps_bounds
 from .recover import (
     NotRecoverable,
     NotRecoverableError,
@@ -35,7 +37,6 @@ from .recover import (
     recoverability,
 )
 from .scm import CounterfactualQuery, ZeroEvidence, counterfactual_query, parse_scm
-from .estimate import empirical_joint
 
 __all__ = ["run", "main"]
 
@@ -46,6 +47,7 @@ EXIT_DATA = 3
 
 _DATA_EXCEPTIONS = (
     ConditioningOnZero,
+    InconsistentInputs,
     MissingDataPresent,
     TooManyDegenerateResamples,
     ZeroEvidence,

@@ -19,9 +19,10 @@ literal domain value.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
+
+from .lexer import NAME_RE, SYM_RE, VALUE_RE, Scanner
 
 __all__ = [
     "Val",
@@ -75,11 +76,6 @@ class UnboundSymbol(EstimandError):
     """A free symbol had no value in the supplied binding."""
 
 
-_VAR_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_SYM_RE = re.compile(r"[a-z][a-z0-9_]*")
-_VALUE_RE = re.compile(r"[A-Za-z0-9_.+-]+")
-
-
 @dataclass(frozen=True)
 class Val:
     """One variable-value reference inside a probability term.
@@ -93,9 +89,9 @@ class Val:
     literal: bool = False
 
     def __post_init__(self):
-        if not _VAR_RE.fullmatch(self.var):
+        if not NAME_RE.fullmatch(self.var):
             raise EstimandError(f"invalid variable name: {self.var!r}")
-        if not self.token or not _VALUE_RE.fullmatch(self.token):
+        if not self.token or not VALUE_RE.fullmatch(self.token):
             raise EstimandError(f"invalid value token: {self.token!r}")
 
     def render(self) -> str:
@@ -103,7 +99,7 @@ class Val:
             not self.literal
             and self.token == self.var.lower()
             and self.token.upper() == self.var
-            and _SYM_RE.fullmatch(self.token)
+            and SYM_RE.fullmatch(self.token)
         ):
             return self.token
         return f"{self.var}={self.token}"
@@ -318,6 +314,8 @@ def _eval(
     if isinstance(e, Sum):
         if e.token in env:
             raise EstimandError(f"symbol {e.token!r} bound twice along one path")
+        if e.var not in table.domains:
+            raise UnboundSymbol(f"variable {e.var} not in the joint table")
         total = 0.0
         for value in table.domains[e.var]:
             env[e.token] = value
@@ -542,37 +540,9 @@ def _render(e: Estimand) -> str:
 # --- parsing -------------------------------------------------------------------
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
+class _Parser(Scanner):
     def error(self, msg: str) -> EstimandParseError:
         return EstimandParseError(msg, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def literal(self, s: str) -> bool:
-        if self.text.startswith(s, self.pos):
-            self.pos += len(s)
-            return True
-        return False
-
-    def expect(self, s: str):
-        if not self.literal(s):
-            raise self.error(f"expected {s!r}")
-
-    def match_re(self, rx: re.Pattern[str], what: str) -> str:
-        m = rx.match(self.text, self.pos)
-        if not m:
-            raise self.error(f"expected {what}")
-        self.pos = m.end()
-        return m.group()
 
     # grammar ------------------------------------------------------------
 
@@ -605,7 +575,7 @@ class _Parser:
             binders: list[str] = []
             while True:
                 self.skip_ws()
-                tok = self.match_re(_SYM_RE, "a bound symbol")
+                tok = self.match_re(SYM_RE, "a bound symbol")
                 if tok in bound or tok in binders:
                     self.pos -= len(tok)
                     raise self.error(f"duplicate bound variable {tok!r}")
@@ -637,7 +607,7 @@ class _Parser:
             self.skip_ws()
             self.expect(")")
             return inner
-        if self.peek() == "1" and not _VALUE_RE.match(self.text, self.pos + 1):
+        if self.peek() == "1" and not VALUE_RE.match(self.text, self.pos + 1):
             self.pos += 1
             return ONE
         raise self.error("expected a probability term, sum, or parenthesis")
@@ -653,15 +623,15 @@ class _Parser:
 
     def assignment(self, bound: frozenset[str]) -> Val:
         start = self.pos
-        name = self.match_re(_VAR_RE, "a variable or symbol")
+        name = self.match_re(NAME_RE, "a variable or symbol")
         self.skip_ws()
         if self.literal("="):
             self.skip_ws()
-            value = self.match_re(_VALUE_RE, "a value token")
+            value = self.match_re(VALUE_RE, "a value token")
             if value in bound:
                 return Val(name, value, literal=False)
             return Val(name, value, literal=True)
-        if not _SYM_RE.fullmatch(name):
+        if not SYM_RE.fullmatch(name):
             self.pos = start
             raise self.error(
                 f"{name!r} needs an explicit '=value' (bare symbols are lowercase)"

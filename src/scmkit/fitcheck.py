@@ -12,8 +12,6 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from scipy.stats import chi2
-
 from .estimate import DataError, Dataset, MissingDataPresent
 from .graph import Admg, CiStatement, testable_implications
 
@@ -90,8 +88,30 @@ def g_squared_ci(
             expected = row_tot[a] * col_tot[b] / total
             if observed > 0:
                 stat += 2.0 * observed * math.log(observed / expected)
-    p = float(chi2.sf(stat, dof)) if dof > 0 else 1.0
+    p = _chi2_sf(stat, dof) if dof > 0 else 1.0
     return stat, dof, p, used, pooled
+
+
+def _chi2_sf(x: float, dof: int) -> float:
+    """Upper tail P(chi-squared with ``dof`` degrees of freedom > x).
+
+    For integer ``dof`` the tail is a finite series in lam = x/2: the Poisson
+    sum over j < dof/2 of e^-lam lam^j / j! for even ``dof``, and for odd
+    ``dof`` erfc(sqrt(lam)) plus the same sum over half-integer powers,
+    e^-lam lam^(j+1/2) / Gamma(j+3/2).  Terms are taken from their
+    logarithms, so none overflows or underflows early at large x.
+    """
+    if x <= 0.0:
+        return 1.0
+    lam = 0.5 * x
+    half = 0.5 * (dof % 2)
+    log_lam = math.log(lam)
+    total = math.erfc(math.sqrt(lam)) if half else 0.0
+    total += sum(
+        math.exp((j + half) * log_lam - lam - math.lgamma(j + half + 1.0))
+        for j in range(dof // 2)
+    )
+    return min(total, 1.0)
 
 
 def fit_indices(

@@ -12,10 +12,11 @@ pure, so instances can be shared freely across threads.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
+
+from .lexer import NAME_RE, Scanner
 
 __all__ = [
     "Admg",
@@ -29,8 +30,6 @@ __all__ = [
     "c_components",
     "testable_implications",
 ]
-
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class GraphError(ValueError):
@@ -82,7 +81,7 @@ class Admg:
 
     def _validate(self) -> None:
         for name in self.nodes:
-            if not _NAME_RE.fullmatch(name):
+            if not NAME_RE.fullmatch(name):
                 raise GraphError(f"invalid node name: {name!r}")
         for a, b in itertools.chain(self.directed, self.bidirected):
             if a == b:
@@ -307,22 +306,31 @@ def parse_graph(text: str) -> Admg:
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue
-        kind, payload = _scan_graph_line(line, lineno)
-        if kind == "var":
-            name = payload[0]
+        s = _LineScanner(line, lineno)
+        s.skip_ws()
+        first = s.match_re(NAME_RE, "a name")
+        s.skip_ws()
+        if first == "var" and NAME_RE.match(line, s.pos):
+            name = s.match_re(NAME_RE, "a name")
+            s.end("declaration")
             if name in declared:
                 raise GraphError(
                     f"line {lineno}: duplicate declaration of {name}"
                     f" (first declared on line {declared[name]})"
                 )
             declared[name] = lineno
+            continue
+        if s.literal("<->"):
+            edges = bidirected
+        elif s.literal("->"):
+            edges = directed
         else:
-            a, op, b = payload
-            if op == "->":
-                directed.append((a, b))
-            else:
-                bidirected.append((a, b))
-            edge_lines.append((lineno, a, b))
+            raise s.error("expected '->' or '<->'")
+        s.skip_ws()
+        second = s.match_re(NAME_RE, "a name")
+        s.end("edge")
+        edges.append((first, second))
+        edge_lines.append((lineno, first, second))
 
     for lineno, a, b in edge_lines:
         for end in (a, b):
@@ -331,48 +339,18 @@ def parse_graph(text: str) -> Admg:
     return Admg(declared, directed, bidirected)
 
 
-def _scan_graph_line(line: str, lineno: int) -> tuple[str, tuple[str, ...]]:
-    pos = 0
+class _LineScanner(Scanner):
+    def __init__(self, line: str, lineno: int):
+        super().__init__(line)
+        self.lineno = lineno
 
-    def err(msg: str) -> GraphError:
-        return GraphError(f"line {lineno}, column {pos + 1}: {msg}")
+    def error(self, msg: str) -> GraphError:
+        return GraphError(f"line {self.lineno}, column {self.pos + 1}: {msg}")
 
-    def skip_ws():
-        nonlocal pos
-        while pos < len(line) and line[pos].isspace():
-            pos += 1
-
-    def ident() -> str:
-        nonlocal pos
-        m = _NAME_RE.match(line, pos)
-        if not m:
-            raise err("expected a name")
-        pos = m.end()
-        return m.group()
-
-    skip_ws()
-    first = ident()
-    skip_ws()
-    if first == "var" and pos < len(line) and _NAME_RE.match(line, pos):
-        name = ident()
-        skip_ws()
-        if pos != len(line):
-            raise err("unexpected text after declaration")
-        return "var", (name,)
-    if line.startswith("<->", pos):
-        op = "<->"
-        pos += 3
-    elif line.startswith("->", pos):
-        op = "->"
-        pos += 2
-    else:
-        raise err("expected '->' or '<->'")
-    skip_ws()
-    second = ident()
-    skip_ws()
-    if pos != len(line):
-        raise err("unexpected text after edge")
-    return "edge", (first, op, second)
+    def end(self, what: str):
+        self.skip_ws()
+        if self.pos != len(self.text):
+            raise self.error(f"unexpected text after {what}")
 
 
 def serialize_graph(g: Admg) -> str:

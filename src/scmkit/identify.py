@@ -12,7 +12,6 @@ observationally but disagree interventionally, certifying each refusal.
 from __future__ import annotations
 
 import itertools
-import re
 import zlib
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
@@ -31,7 +30,8 @@ from .expr import (
     prod_of,
 )
 from .graph import Admg, UnknownVariable, c_components, d_separated
-from .scm import DiscreteScm, EndogenousVar, ExogenousVar, observational_joint
+from .lexer import NAME_RE, SYM_RE, VALUE_RE, Scanner
+from .scm import DiscreteScm, EndogenousVar, ExogenousVar, enumerate_worlds
 
 __all__ = [
     "QueryTerm",
@@ -47,10 +47,6 @@ __all__ = [
     "identify",
     "nonidentifiability_witness",
 ]
-
-_VAR_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_VALUE_RE = re.compile(r"[A-Za-z0-9_.+-]+")
-_SYM_RE = re.compile(r"[a-z][a-z0-9_]*")
 
 
 class QueryError(ValueError):
@@ -122,34 +118,9 @@ def parse_query(text: str) -> CausalQuery:
     return p.parse()
 
 
-class _QueryParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
+class _QueryParser(Scanner):
     def error(self, msg: str) -> QueryError:
         return QueryError(f"column {self.pos + 1}: {msg}")
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def literal(self, s: str) -> bool:
-        if self.text.startswith(s, self.pos):
-            self.pos += len(s)
-            return True
-        return False
-
-    def expect(self, s: str):
-        if not self.literal(s):
-            raise self.error(f"expected {s!r}")
-
-    def match_re(self, rx: re.Pattern[str], what: str) -> str:
-        m = rx.match(self.text, self.pos)
-        if not m:
-            raise self.error(f"expected {what}")
-        self.pos = m.end()
-        return m.group()
 
     def parse(self) -> CausalQuery:
         self.skip_ws()
@@ -185,7 +156,7 @@ class _QueryParser:
 
     def qterm(self, allow_subscript: bool = True) -> QueryTerm:
         self.skip_ws()
-        name = self.match_re(_VAR_RE, "a variable name")
+        name = self.match_re(NAME_RE, "a variable name")
         dos: list[tuple[str, str]] = []
         if name.endswith("_") and self.text.startswith("{", self.pos):
             if not allow_subscript:
@@ -196,11 +167,11 @@ class _QueryParser:
             self.pos += 1
             while True:
                 self.skip_ws()
-                sub_var = self.match_re(_VAR_RE, "a subscript variable")
+                sub_var = self.match_re(NAME_RE, "a subscript variable")
                 self.skip_ws()
                 self.expect("=")
                 self.skip_ws()
-                sub_val = self.match_re(_VALUE_RE, "a subscript value")
+                sub_val = self.match_re(VALUE_RE, "a subscript value")
                 dos.append((sub_var, sub_val))
                 self.skip_ws()
                 if self.literal(","):
@@ -210,7 +181,7 @@ class _QueryParser:
         self.skip_ws()
         if self.literal("="):
             self.skip_ws()
-            value = self.match_re(_VALUE_RE, "a value token")
+            value = self.match_re(VALUE_RE, "a value token")
             return QueryTerm(name, value, literal=True, dos=tuple(dos))
         if name == name.lower():
             return QueryTerm(name.upper(), name, literal=False, dos=tuple(dos))
@@ -374,7 +345,7 @@ def _id(y: frozenset[str], x: frozenset[str], P: _Dist, g: Admg) -> Estimand:
 
 def _fresh(var: str, used: set[str]) -> str:
     base = var.lower()
-    if not _SYM_RE.fullmatch(base):
+    if not SYM_RE.fullmatch(base):
         base = "v"
     if base not in used:
         used.add(base)
@@ -523,13 +494,13 @@ def _witness_via_edge(
 
     # every other bidirected edge stays active as an independent fair coin,
     # so confounding paths through several edges remain expressible
-    edge_exo: dict[tuple[str, str], str] = {}
+    exogenous: dict[str, ExogenousVar] = {}
     incident: dict[str, list[str]] = {v: [] for v in g.nodes}
     for other in sorted(g.bidirected):
         if other == tuple(sorted(edge)):
             continue
         u = f"U_{other[0]}_{other[1]}"
-        edge_exo[other] = u
+        exogenous[u] = ExogenousVar(binary, (0.5, 0.5))
         incident[other[0]].append(u)
         incident[other[1]].append(u)
 
@@ -546,9 +517,6 @@ def _witness_via_edge(
         v: list(itertools.product(binary, repeat=len(assign[v]))) for v in (a, b)
     }
 
-    exogenous: dict[str, ExogenousVar] = {
-        u: ExogenousVar(binary, (0.5, 0.5)) for u in edge_exo.values()
-    }
     fixed_tables: dict[str, dict[tuple[str, ...], str]] = {}
     fixed_parents: dict[str, tuple[str, ...]] = {}
     for v in sorted(g.nodes):
@@ -573,51 +541,50 @@ def _witness_via_edge(
         fixed_tables[v] = table
 
     order = g.topological_order()
-    coin_names = sorted(exogenous)
-    if total_types * 2 ** len(coin_names) > 600_000:
+    if total_types * 2 ** len(exogenous) > 600_000:
         return None
-    obs_keys = list(itertools.product(binary, repeat=len(order)))
-    obs_index = {key: i for i, key in enumerate(obs_keys)}
-    assign_index = {v: {key: i for i, key in enumerate(assign[v])} for v in (a, b)}
+    u_edge = f"U_{a}_{b}"
 
-    def solve(ta: tuple[str, ...], tb: tuple[str, ...], coins: dict[str, str],
-              do: dict[str, str] | None = None) -> dict[str, str]:
-        values: dict[str, str] = dict(coins)
+    def build(q: np.ndarray) -> DiscreteScm:
+        q = np.clip(q, 0.0, None)
+        q = q / q.sum()
+        exo = dict(exogenous)
+        exo[u_edge] = ExogenousVar(
+            tuple(f"t{i}" for i in range(total_types)), tuple(float(p) for p in q)
+        )
+        endogenous: dict[str, EndogenousVar] = {}
+        pair_types = list(itertools.product(types[a], types[b]))
         for v in order:
-            if do and v in do:
-                values[v] = do[v]
-            elif v == a:
-                key = tuple(values[p] for p in inputs[a])
-                values[v] = ta[assign_index[a][key]]
-            elif v == b:
-                key = tuple(values[p] for p in inputs[b])
-                values[v] = tb[assign_index[b][key]]
+            if v in (a, b):
+                parents = inputs[v] + (u_edge,)
+                table: dict[tuple[str, ...], str] = {}
+                for k, key in enumerate(assign[v]):
+                    for i, (ta, tb) in enumerate(pair_types):
+                        table[key + (f"t{i}",)] = (ta if v == a else tb)[k]
+                endogenous[v] = EndogenousVar(parents, table)
             else:
-                values[v] = fixed_tables[v][
-                    tuple(values[p] for p in fixed_parents[v])
-                ]
-        return values
+                endogenous[v] = EndogenousVar(fixed_parents[v], fixed_tables[v])
+        return DiscreteScm(exo, endogenous, endo_domains={v: binary for v in order})
 
-    coin_states = [
-        dict(zip(coin_names, combo))
-        for combo in itertools.product(binary, repeat=len(coin_names))
-    ]
-    coin_w = 1.0 / len(coin_states)
+    n_obs = 2 ** len(order)
 
-    x_dom = binary
-    m_obs = np.zeros((len(obs_keys), total_types))
-    m_do = np.zeros((len(x_dom), total_types))
-    t = 0
-    for ta in types[a]:
-        for tb in types[b]:
-            for coins in coin_states:
-                values = solve(ta, tb, coins)
-                m_obs[obs_index[tuple(values[v] for v in order)], t] += coin_w
-                for k, xv in enumerate(x_dom):
-                    surgered = solve(ta, tb, coins, do={x: xv})
-                    if surgered[y] == "1":
-                        m_do[k, t] += coin_w
-            t += 1
+    def moments(model: DiscreteScm) -> tuple[np.ndarray, np.ndarray]:
+        """Mass of each observable cell, and P(y=1 | do(x)) per x, by type."""
+        weights, (natural, *surgered) = enumerate_worlds(
+            model, [{}] + [{x: xv} for xv in binary]
+        )
+        t = natural[u_edge]
+        obs = np.ravel_multi_index([natural[v] for v in order], (2,) * len(order))
+        m_obs = np.bincount(obs * total_types + t, weights, n_obs * total_types)
+        # binary codes equal their values, so code 1 is y = "1"
+        m_do = [np.bincount(t, weights * (s[y] == 1), total_types) for s in surgered]
+        return m_obs.reshape(n_obs, total_types), np.stack(m_do)
+
+    # under uniform type weights each state weighs its coin assignment's
+    # weight over total_types; all factors are powers of two, so scaling back
+    # by total_types is exact
+    q0 = np.full(total_types, 1.0 / total_types)
+    m_obs, m_do = (total_types * mat for mat in moments(build(q0)))
 
     a_mat = np.vstack([m_obs, np.ones((1, total_types))])
     # null space of the observational-moment map (plus normalization)
@@ -632,7 +599,6 @@ def _witness_via_edge(
     _, _, dvt = np.linalg.svd(d)
     w = null @ dvt[0]
     w /= np.max(np.abs(w))
-    q0 = np.full(total_types, 1.0 / total_types)
     with np.errstate(divide="ignore"):
         t_max = np.min(np.where(np.abs(w) > 1e-12, q0 / np.abs(w), np.inf))
     step = 0.9 * t_max
@@ -641,46 +607,13 @@ def _witness_via_edge(
     if np.max(np.abs(m_do @ (q_hi - q_lo))) < min_gap:
         return None
 
-    def build(q: np.ndarray) -> DiscreteScm:
-        q = np.clip(q, 0.0, None)
-        q = q / q.sum()
-        u_edge = f"U_{a}_{b}"
-        exo = dict(exogenous)
-        exo[u_edge] = ExogenousVar(
-            tuple(f"t{i}" for i in range(total_types)), tuple(float(p) for p in q)
-        )
-        endogenous: dict[str, EndogenousVar] = {}
-        pair_types = list(itertools.product(types[a], types[b]))
-        for v in order:
-            if v in (a, b):
-                parents = inputs[v] + (u_edge,)
-                table: dict[tuple[str, ...], str] = {}
-                for key in itertools.product(binary, repeat=len(inputs[v])):
-                    for i, (ta, tb) in enumerate(pair_types):
-                        resp = ta if v == a else tb
-                        table[key + (f"t{i}",)] = resp[assign_index[v][key]]
-                endogenous[v] = EndogenousVar(parents, table)
-            else:
-                endogenous[v] = EndogenousVar(fixed_parents[v], fixed_tables[v])
-        return DiscreteScm(exo, endogenous, endo_domains={v: binary for v in order})
-
     model_a = build(q_hi)
     model_b = build(q_lo)
-
-    ja = observational_joint(model_a)
-    jb = observational_joint(model_b)
-    obs_gap = 0.0
-    for key in set(ja.mass) | set(jb.mass):
-        obs_gap = max(obs_gap, abs(ja.mass.get(key, 0.0) - jb.mass.get(key, 0.0)))
+    (obs_a, do_a), (obs_b, do_b) = moments(model_a), moments(model_b)
+    obs_gap = float(np.max(np.abs(obs_a.sum(axis=1) - obs_b.sum(axis=1))))
     if obs_gap > 1e-9:
         return None
-    do_gap = 0.0
-    from .scm import intervene
-
-    for xv in x_dom:
-        pa_do = observational_joint(intervene(model_a, {x: xv})).prob({y: "1"})
-        pb_do = observational_joint(intervene(model_b, {x: xv})).prob({y: "1"})
-        do_gap = max(do_gap, abs(pa_do - pb_do))
+    do_gap = float(np.max(np.abs(do_a.sum(axis=1) - do_b.sum(axis=1))))
     if do_gap < min_gap:
         return None
     return WitnessPair(model_a, model_b, obs_gap, do_gap)

@@ -11,10 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from .estimate import Dataset, empirical_joint
 from .expr import ConditioningOnZero, JointTable
 from .graph import Admg
-from .scm import DiscreteScm, ScmError
+from .scm import DiscreteScm, ScmError, enumerate_worlds
 
 __all__ = [
     "MediationReport",
@@ -78,19 +80,18 @@ def mediation_effects_scm(
             raise ScmError(f"value {val!r} not in the domain of {exposure}")
     code = _coding(m.endo_domains[outcome], coding)
 
-    e_y_x1 = e_y_x0 = 0.0
-    e_nested_10 = 0.0  # Y under do(x1), mediator from the x0 world
-    e_nested_01 = 0.0  # Y under do(x0), mediator from the x1 world
-    for exo, w in m.iter_exogenous():
-        world0 = m.solve(exo, do={exposure: x0})
-        world1 = m.solve(exo, do={exposure: x1})
-        e_y_x0 += w * code[world0[outcome]]
-        e_y_x1 += w * code[world1[outcome]]
-        nested10 = m.solve(exo, do={exposure: x1, mediator: world0[mediator]})
-        nested01 = m.solve(exo, do={exposure: x0, mediator: world1[mediator]})
-        e_nested_10 += w * code[nested10[outcome]]
-        e_nested_01 += w * code[nested01[outcome]]
-
+    y_code = np.array([code[v] for v in m.endo_domains[outcome]])
+    weights, (world0, world1) = enumerate_worlds(m, [{exposure: x0}, {exposure: x1}])
+    # the same enumeration again, with the mediator pinned per state to its
+    # value in the opposite exposure world
+    _, (nested10, nested01) = enumerate_worlds(m, [
+        {exposure: x1, mediator: world0[mediator]},
+        {exposure: x0, mediator: world1[mediator]},
+    ])
+    e_y_x0, e_y_x1, e_nested_10, e_nested_01 = (
+        float(weights @ y_code[world[outcome]])
+        for world in (world0, world1, nested10, nested01)
+    )
     te = e_y_x1 - e_y_x0
     nde = e_nested_10 - e_y_x0
     nie = e_nested_01 - e_y_x0

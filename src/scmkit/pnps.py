@@ -14,13 +14,19 @@ from typing import Union
 from .expr import JointTable
 from .scm import DiscreteScm, ScmError, ZeroEvidence, joint_counterfactual
 
-__all__ = ["PnPsResult", "pn_ps_exact", "pnps_bounds", "BoundsError"]
+__all__ = [
+    "PnPsResult", "pn_ps_exact", "pnps_bounds", "BoundsError", "InconsistentInputs",
+]
 
 Bound = tuple[float, float]
 
 
 class BoundsError(ValueError):
     """Invalid inputs to the bounds computation."""
+
+
+class InconsistentInputs(BoundsError):
+    """No model yields both the experimental inputs and the observations."""
 
 
 @dataclass(frozen=True)
@@ -102,6 +108,18 @@ def pnps_bounds(
     p_x1y0 = obs.prob({x: x1, y: y0})
     p_x0y1 = obs.prob({x: x0, y: y1})
     p_x0y0 = obs.prob({x: x0, y: y0})
+    # Tian-Pearl consistency: Y_x = Y wherever X = x, so
+    # P(x, y1) <= P(y1 | do(x)) <= 1 - P(x, y0)
+    for name, p, xv, lo, hi in (
+        ("px1", px1, x1, p_x1y1, 1.0 - p_x1y0),
+        ("px0", px0, x0, p_x0y1, 1.0 - p_x0y0),
+    ):
+        if not lo - 1e-9 <= p <= hi + 1e-9:
+            raise InconsistentInputs(
+                f"{name}={p} is incompatible with the observational table: "
+                f"P({x}={xv},{y}={y1}) <= {name} <= 1 - P({x}={xv},{y}={y0}) "
+                f"requires {lo:.6f} <= {name} <= {hi:.6f}"
+            )
 
     pns_lo = max(0.0, px1 - px0, p_y - px0, px1 - p_y)
     pns_hi = min(px1, 1.0 - px0, p_x1y1 + p_x0y0, px1 - px0 + p_x1y0 + p_x0y1)

@@ -9,14 +9,16 @@ action replaces mechanisms, prediction reads the modified model off.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
 from .expr import JointTable
 from .graph import Admg
+from .lexer import NAME, NAME_RE, VALUE
 
 __all__ = [
     "ExogenousVar",
@@ -36,8 +38,10 @@ __all__ = [
     "latent_projection",
 ]
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_VALUE_RE = re.compile(r"[A-Za-z0-9_.+-]+")
+_EXO_LINE_RE = re.compile(rf"\s*({NAME})\s*\{{(.*)\}}\s*")
+_EXO_ENTRY_RE = re.compile(rf"\s*({VALUE})\s*:\s*([0-9.eE+-]+)\s*")
+_ENDO_LINE_RE = re.compile(rf"\s*({NAME})\s*\(([^)]*)\)\s*\{{(.*)\}}\s*")
+_ENDO_ENTRY_RE = re.compile(rf"\s*\(([^)]*)\)\s*->\s*({VALUE})\s*")
 
 DEFAULT_STATE_CAP = 10_000_000
 
@@ -116,7 +120,7 @@ class DiscreteScm:
 
     def _validate_names(self):
         for name in itertools.chain(self.exogenous, self.endogenous):
-            if not _NAME_RE.fullmatch(name):
+            if not NAME_RE.fullmatch(name):
                 raise ScmError(f"invalid variable name: {name!r}")
         overlap = set(self.exogenous) & set(self.endogenous)
         if overlap:
@@ -181,30 +185,6 @@ class DiscreteScm:
             count *= len(spec.domain)
         return count
 
-    def iter_exogenous(self):
-        """Yield (assignment dict, weight) over all exogenous states."""
-        names = self.exo_names()
-        doms = [self.exogenous[u].domain for u in names]
-        probs = [self.exogenous[u].probs for u in names]
-        for combo in itertools.product(*(range(len(d)) for d in doms)):
-            w = 1.0
-            for p, i in zip(probs, combo):
-                w *= p[i]
-            if w == 0.0:
-                continue
-            yield {u: doms[k][i] for k, (u, i) in enumerate(zip(names, combo))}, w
-
-    def solve(self, exo: Mapping[str, str], do: Mapping[str, str] | None = None) -> dict[str, str]:
-        """Endogenous values for one exogenous state, under optional surgery."""
-        values: dict[str, str] = dict(exo)
-        for v in self.order:
-            if do and v in do:
-                values[v] = do[v]
-                continue
-            spec = self.endogenous[v]
-            values[v] = spec.table[tuple(values[p] for p in spec.parents)]
-        return values
-
     def __repr__(self) -> str:
         return (
             f"DiscreteScm(exogenous={sorted(self.exogenous)}, "
@@ -232,25 +212,79 @@ def _check_endo_assignment(m: DiscreteScm, pairs: Iterable[tuple[str, str]], wha
             raise ScmError(f"{what} value {val!r} not in the domain of {var}")
 
 
+def enumerate_worlds(
+    m: DiscreteScm,
+    surgeries: Sequence[Mapping[str, Union[str, np.ndarray]]],
+    max_states: int | None = None,
+) -> tuple[np.ndarray, list[dict[str, np.ndarray]]]:
+    """Abduction, action and prediction over all exogenous states at once.
+
+    The exogenous states of nonzero weight are enumerated once, as index
+    arrays, and every surgered world is solved over that one abduction, as in
+    a twin network.  Each structural table is evaluated as a lookup table
+    indexed by its parents' codes.  A surgery value is a domain value or a
+    per-state code array.  Returns the state weights and, per surgery, one
+    code array per variable; codes index ``m.endo_domains[v]``, or the
+    exogenous domain for an exogenous variable.
+    """
+    cap = DEFAULT_STATE_CAP if max_states is None else max_states
+    count = m.exo_state_count()
+    if count > cap:
+        raise StateSpaceOverflow(f"{count} exogenous states exceed the cap of {cap}")
+    names = m.exo_names()
+    dims = {v: len(m.parent_domain(v)) for v in itertools.chain(names, m.order)}
+    dtype = np.min_scalar_type(max(dims.values(), default=1) - 1)
+    grid = np.indices([dims[u] for u in names], dtype=dtype).reshape(len(names), count)
+    weights = np.ones(count)
+    for u, codes in zip(names, grid):
+        weights *= np.asarray(m.exogenous[u].probs)[codes]
+    keep = weights != 0.0
+    weights = weights[keep]
+    exo = {u: codes[keep] for u, codes in zip(names, grid)}
+
+    luts: dict[str, np.ndarray] = {}
+    for v in m.order:
+        spec = m.endogenous[v]
+        out = {val: i for i, val in enumerate(m.endo_domains[v])}
+        keys = itertools.product(*(m.parent_domain(p) for p in spec.parents))
+        luts[v] = np.array([out[spec.table[key]] for key in keys], dtype=dtype)
+
+    worlds: list[dict[str, np.ndarray]] = []
+    for surgery in surgeries:
+        codes = dict(exo)
+        for v in m.order:
+            parents = m.endogenous[v].parents
+            val = surgery.get(v)
+            if val is None:
+                cell = np.ravel_multi_index(
+                    [codes[p] for p in parents], [dims[p] for p in parents]
+                )
+                val = luts[v][cell]
+            elif isinstance(val, str):
+                val = m.endo_domains[v].index(val)
+            # constants become read-only per-state views without copies
+            codes[v] = np.broadcast_to(val, weights.shape)
+        worlds.append(codes)
+    return weights, worlds
+
+
 def observational_joint(m: DiscreteScm, max_states: int = DEFAULT_STATE_CAP) -> JointTable:
     """Exact joint over the endogenous variables, by exogenous enumeration."""
-    if m.exo_state_count() > max_states:
-        raise StateSpaceOverflow(
-            f"{m.exo_state_count()} exogenous states exceed the cap of {max_states}"
-        )
-    joint_size = 1
-    for v in m.endogenous:
-        joint_size *= len(m.endo_domains[v])
-    if joint_size > max_states:
+    variables = tuple(sorted(m.endogenous))
+    dims = [len(m.endo_domains[v]) for v in variables]
+    joint_size = math.prod(dims)
+    # refuse before enumerating; an exogenous overflow is reported first
+    if m.exo_state_count() <= max_states < joint_size:
         raise StateSpaceOverflow(
             f"{joint_size} joint states exceed the cap of {max_states}"
         )
-    variables = tuple(sorted(m.endogenous))
-    mass: dict[tuple[str, ...], float] = {}
-    for exo, w in m.iter_exogenous():
-        values = m.solve(exo)
-        key = tuple(values[v] for v in variables)
-        mass[key] = mass.get(key, 0.0) + w
+    weights, (codes,) = enumerate_worlds(m, [{}], max_states)
+    flat = np.zeros(len(weights), dtype=np.intp)
+    for v, size in zip(variables, dims):
+        flat = flat * size + codes[v]
+    _, first, cell = np.unique(flat, return_index=True, return_inverse=True)
+    keys = [tuple(m.endo_domains[v][codes[v][i]] for v in variables) for i in first]
+    mass = dict(zip(keys, np.bincount(cell, weights=weights).tolist()))
     domains = {v: m.endo_domains[v] for v in variables}
     return JointTable(variables, domains, mass)
 
@@ -281,21 +315,21 @@ def joint_counterfactual(
     for do, targets in worlds:
         _check_endo_assignment(m, do.items(), "antecedent")
         _check_endo_assignment(m, targets.items(), "target")
-    num = 0.0
-    den = 0.0
-    for exo, w in m.iter_exogenous():
-        natural = m.solve(exo)
-        if any(natural[v] != val for v, val in evidence.items()):
-            continue
-        den += w
-        ok = True
-        for do, targets in worlds:
-            surgered = m.solve(exo, do=do) if do else natural
-            if any(surgered[v] != val for v, val in targets.items()):
-                ok = False
-                break
-        if ok:
-            num += w
+    weights, (natural, *surgered) = enumerate_worlds(
+        m, [{}] + [do for do, _ in worlds]
+    )
+
+    def holds(codes: dict[str, np.ndarray], assignment: Mapping[str, str]) -> np.ndarray:
+        mask = np.ones(len(weights), dtype=bool)
+        for v, val in assignment.items():
+            mask &= codes[v] == m.endo_domains[v].index(val)
+        return mask
+
+    ok = holds(natural, evidence)
+    den = float(weights[ok].sum())
+    for codes, (_, targets) in zip(surgered, worlds):
+        ok &= holds(codes, targets)
+    num = float(weights[ok].sum())
     if den == 0.0:
         raise ZeroEvidence(f"evidence has probability zero: {evidence}")
     return num / den
@@ -397,14 +431,14 @@ def parse_scm(text: str) -> DiscreteScm:
 
 
 def _parse_exo_line(rest: str) -> tuple[str, ExogenousVar]:
-    m = re.fullmatch(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*\{(.*)\}\s*", rest)
+    m = _EXO_LINE_RE.fullmatch(rest)
     if not m:
         raise ScmError("malformed exogenous declaration")
     name, body = m.group(1), m.group(2)
     domain: list[str] = []
     probs: list[float] = []
     for part in _split_top(body):
-        pm = re.fullmatch(r"\s*([A-Za-z0-9_.+-]+)\s*:\s*([0-9.eE+-]+)\s*", part)
+        pm = _EXO_ENTRY_RE.fullmatch(part)
         if not pm:
             raise ScmError(f"malformed probability entry: {part.strip()!r}")
         domain.append(pm.group(1))
@@ -413,16 +447,14 @@ def _parse_exo_line(rest: str) -> tuple[str, ExogenousVar]:
 
 
 def _parse_endo_line(rest: str) -> tuple[str, EndogenousVar]:
-    m = re.fullmatch(
-        r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*\(([^)]*)\)\s*\{(.*)\}\s*", rest
-    )
+    m = _ENDO_LINE_RE.fullmatch(rest)
     if not m:
         raise ScmError("malformed endogenous declaration")
     name, parents_txt, body = m.group(1), m.group(2), m.group(3)
     parents = tuple(p.strip() for p in parents_txt.split(",") if p.strip())
     table: dict[tuple[str, ...], str] = {}
     for part in _split_top(body):
-        em = re.fullmatch(r"\s*\(([^)]*)\)\s*->\s*([A-Za-z0-9_.+-]+)\s*", part)
+        em = _ENDO_ENTRY_RE.fullmatch(part)
         if not em:
             raise ScmError(f"malformed table entry: {part.strip()!r}")
         key = tuple(t.strip() for t in em.group(1).split(",") if t.strip())

@@ -220,22 +220,55 @@ def _worklist_solve(m: DiscreteScm, exo, do=None):
     return values
 
 
-def brute_counterfactual(m: DiscreteScm, worlds, evidence):
-    """Score every exogenous state against evidence and surgered outcomes.
-
-    Returns None when the evidence has probability zero.
-    """
+def exo_states(m: DiscreteScm):
+    """Yield (assignment, weight) for every exogenous state of nonzero weight."""
     names = list(m.exogenous)
-    num = 0.0
-    den = 0.0
     for combo in itertools.product(*(range(len(m.exogenous[u].domain)) for u in names)):
         w = 1.0
         exo = {}
         for u, i in zip(names, combo):
             w *= m.exogenous[u].probs[i]
             exo[u] = m.exogenous[u].domain[i]
-        if w == 0.0:
-            continue
+        if w != 0.0:
+            yield exo, w
+
+
+def is_monotone(m: DiscreteScm, x="X", y="Y") -> bool:
+    """No exogenous state has Y under do(x=1) below Y under do(x=0)."""
+    return all(
+        _worklist_solve(m, exo, {x: "1"})[y] >= _worklist_solve(m, exo, {x: "0"})[y]
+        for exo, _ in exo_states(m)
+    )
+
+
+def brute_mediation(m: DiscreteScm, exposure, mediator, outcome, x0, x1):
+    """(te, nde, nie, nie_reversed) from nested worlds, one state at a time.
+
+    The outcome is coded by its index in the model's domain, as the default
+    coding of ``mediation_effects_scm`` does.
+    """
+    code = {v: float(i) for i, v in enumerate(m.endo_domains[outcome])}
+    e_x0 = e_x1 = e_10 = e_01 = 0.0
+    for exo, w in exo_states(m):
+        world0 = _worklist_solve(m, exo, {exposure: x0})
+        world1 = _worklist_solve(m, exo, {exposure: x1})
+        nested10 = _worklist_solve(m, exo, {exposure: x1, mediator: world0[mediator]})
+        nested01 = _worklist_solve(m, exo, {exposure: x0, mediator: world1[mediator]})
+        e_x0 += w * code[world0[outcome]]
+        e_x1 += w * code[world1[outcome]]
+        e_10 += w * code[nested10[outcome]]
+        e_01 += w * code[nested01[outcome]]
+    return e_x1 - e_x0, e_10 - e_x0, e_01 - e_x0, e_10 - e_x1
+
+
+def brute_counterfactual(m: DiscreteScm, worlds, evidence):
+    """Score every exogenous state against evidence and surgered outcomes.
+
+    Returns None when the evidence has probability zero.
+    """
+    num = 0.0
+    den = 0.0
+    for exo, w in exo_states(m):
         natural = _worklist_solve(m, exo)
         if any(natural[k] != v for k, v in evidence.items()):
             continue
@@ -255,14 +288,8 @@ def brute_counterfactual(m: DiscreteScm, worlds, evidence):
 
 def brute_marginal(m: DiscreteScm, assignment):
     """P(assignment) by raw exogenous enumeration via the worklist solver."""
-    names = list(m.exogenous)
     total = 0.0
-    for combo in itertools.product(*(range(len(m.exogenous[u].domain)) for u in names)):
-        w = 1.0
-        exo = {}
-        for u, i in zip(names, combo):
-            w *= m.exogenous[u].probs[i]
-            exo[u] = m.exogenous[u].domain[i]
+    for exo, w in exo_states(m):
         values = _worklist_solve(m, exo)
         if all(values[k] == v for k, v in assignment.items()):
             total += w

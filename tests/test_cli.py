@@ -112,6 +112,18 @@ def test_estimate_nonidentifiable_exit_2(tmp_path):
     assert "FAILURE" in err
 
 
+def test_estimate_missing_graph_column_exit_1(tmp_path):
+    csv = tmp_path / "xy.csv"
+    csv.write_text("X,Y\n0,0\n1,1\n0,1\n1,0\n")
+    code, out, err = invoke(
+        "estimate", "--graph", path("backdoor.cg"),
+        "--query", "P(Y=1|do(X=1))", "--data", str(csv),
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: variable Z not in the joint table\n"
+
+
 def test_estimate_bootstrap_deterministic(tmp_path):
     m = gen.scm_for_admg(parse_graph(Path(path("backdoor.cg")).read_text()), gen.rng(101))
     d = sample(m, 600, seed=3)
@@ -241,6 +253,18 @@ def test_pnps_bounds_golden():
         "ps: [1.000000, 1.000000]\n"
         "pns: [1.000000, 1.000000]\n"
     )
+
+
+def test_pnps_bounds_inconsistent_inputs_exit_3(tmp_path):
+    csv = tmp_path / "xy.csv"
+    csv.write_text("X,Y\n0,0\n1,1\n")
+    code, out, err = invoke(
+        "pnps", "--data", str(csv), "--px1", "0.1", "--px0", "0.9",
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: px1=0.1 is incompatible")
+    assert "Traceback" not in err
 
 
 def test_pnps_experiment_file():

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from scmkit.estimate import DataError, MissingDataPresent, load_table
-from scmkit.fitcheck import fit_indices, g_squared_ci, render_fit_report
+from scmkit.fitcheck import _chi2_sf, fit_indices, g_squared_ci, render_fit_report
 from scmkit.graph import parse_graph
 from scmkit.scm import parse_scm, sample
 
@@ -57,9 +57,26 @@ def test_g_squared_hand_computed():
     assert stat == pytest.approx(expected, abs=1e-12)
     assert dof == 1
     assert used == 1 and pooled == 0
-    from scipy.stats import chi2
+    # one degree of freedom: P(chi2 > x) = erfc(sqrt(x / 2))
+    assert p == pytest.approx(math.erfc(math.sqrt(expected / 2)), abs=1e-15)
 
-    assert p == pytest.approx(float(chi2.sf(expected, 1)), abs=1e-15)
+
+def test_chi2_tail_matches_scipy():
+    chi2 = pytest.importorskip("scipy.stats").chi2
+    stats = [0.01 * (400 / 0.01) ** (k / 99) for k in range(100)]
+    for dof in range(1, 121):
+        for x in stats:
+            want = float(chi2.sf(x, dof))
+            assert _chi2_sf(x, dof) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_chi2_tail_edges():
+    assert _chi2_sf(0.0, 3) == 1.0
+    # even dof = 2: P(chi2 > x) = exp(-x / 2)
+    assert _chi2_sf(3.0, 2) == pytest.approx(math.exp(-1.5), rel=1e-15)
+    # far beyond where exp(-x/2) underflows the tail sits near its median
+    assert 0.45 < _chi2_sf(2000.0, 2000) < 0.55
+    assert _chi2_sf(1e5, 4) == 0.0
 
 
 def test_g_squared_pools_small_strata():

@@ -8,7 +8,7 @@ from scmkit.mediation import (
     mediation_effects_data,
     mediation_effects_scm,
 )
-from scmkit.scm import observational_joint, parse_scm, sample
+from scmkit.scm import StateSpaceOverflow, observational_joint, parse_scm, sample
 
 TRIANGLE = parse_graph("var X\nvar M\nvar Y\nX -> M\nM -> Y\nX -> Y\n")
 
@@ -63,6 +63,26 @@ def test_mediated_fraction_undefined_for_null_effect():
     rep = mediation_effects_scm(m, "X", "M", "Y", "0", "1")
     assert rep.te == pytest.approx(0.0, abs=1e-12)
     assert rep.mediated_fraction is None
+
+
+def test_exact_effects_match_nested_world_oracle():
+    r = gen.rng(68)
+    for _ in range(150):
+        m = gen.random_scm(r, n_endo=int(r.integers(3, 6)), n_exo=int(r.integers(1, 5)))
+        x0, x1 = ("0", "1") if r.random() < 0.5 else ("1", "0")
+        rep = mediation_effects_scm(m, "A", "B", "C", x0, x1)
+        want = gen.brute_mediation(m, "A", "B", "C", x0, x1)
+        got = (rep.te, rep.nde, rep.nie, rep.nie_reversed)
+        assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_exact_mode_respects_state_cap(monkeypatch):
+    import scmkit.scm
+
+    monkeypatch.setattr(scmkit.scm, "DEFAULT_STATE_CAP", 7)
+    m = triangle_scm(gen.rng(69))  # 8 exogenous states
+    with pytest.raises(StateSpaceOverflow, match="8 exogenous states exceed the cap of 7"):
+        mediation_effects_scm(m, "X", "M", "Y", "0", "1")
 
 
 # --- data mode --------------------------------------------------------------------

@@ -2,7 +2,7 @@ import pytest
 
 import gen
 from scmkit.expr import JointTable
-from scmkit.pnps import BoundsError, pn_ps_exact, pnps_bounds
+from scmkit.pnps import BoundsError, InconsistentInputs, pn_ps_exact, pnps_bounds
 from scmkit.scm import intervene, observational_joint, parse_scm
 
 
@@ -138,15 +138,7 @@ def test_monotonic_model_pns_equals_risk_difference():
     checked = 0
     while checked < 200:
         m = two_var_scm(r)
-        # monotonicity: no exogenous state with Y(do x1) < Y(do x0)
-        monotone = True
-        for exo, _ in m.iter_exogenous():
-            y1 = m.solve(exo, do={"X": "1"})["Y"]
-            y0 = m.solve(exo, do={"X": "0"})["Y"]
-            if y1 < y0:
-                monotone = False
-                break
-        if not monotone:
+        if not gen.is_monotone(m):
             continue
         _, px1, px0 = obs_and_do(m)
         exact = pn_ps_exact(m, "X", "Y")
@@ -187,3 +179,21 @@ def test_bounds_validate_probabilities():
         pnps_bounds(obs, px1=1.2, px0=0.0)
     with pytest.raises(BoundsError):
         pnps_bounds(obs, px1=0.5, px0=0.5, x="Q")
+
+
+def test_bounds_refuse_inconsistent_experiment():
+    # P(X=1,Y=1) = 0.5 forces px1 >= 0.5 and P(X=0,Y=0) = 0.5 forces
+    # px0 <= 0.5; unchecked, these inputs give pn = ps = pns = (0.0, -0.8)
+    obs = JointTable(
+        ("X", "Y"),
+        {"X": ("0", "1"), "Y": ("0", "1")},
+        {("0", "0"): 0.5, ("1", "1"): 0.5},
+    )
+    with pytest.raises(InconsistentInputs, match="px1=0.1"):
+        pnps_bounds(obs, px1=0.1, px0=0.9)
+    with pytest.raises(InconsistentInputs, match="px0=0.9"):
+        pnps_bounds(obs, px1=0.6, px0=0.9)
+    assert issubclass(InconsistentInputs, BoundsError)
+    # within the 1e-9 slack, boundary inputs still pass
+    res = pnps_bounds(obs, px1=0.5 - 1e-10, px0=0.5 + 1e-10)
+    assert res.pns[0] <= res.pns[1] + 1e-9

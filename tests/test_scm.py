@@ -108,6 +108,23 @@ def test_state_space_cap():
     m = xor_scm()
     with pytest.raises(StateSpaceOverflow):
         observational_joint(m, max_states=3)
+    # one exogenous coin drives three endogenous copies: 2 states, 8 cells
+    m = parse_scm(
+        "exo U {0: 0.5, 1: 0.5}\n"
+        + "".join(f"endo {v} (U) {{(0) -> 0, (1) -> 1}}\n" for v in "XYZ")
+    )
+    with pytest.raises(StateSpaceOverflow, match="8 joint states exceed the cap of 7"):
+        observational_joint(m, max_states=7)
+    with pytest.raises(StateSpaceOverflow, match="2 exogenous states exceed the cap of 1"):
+        observational_joint(m, max_states=1)
+
+
+def test_counterfactual_respects_state_cap(monkeypatch):
+    import scmkit.scm
+
+    monkeypatch.setattr(scmkit.scm, "DEFAULT_STATE_CAP", 3)
+    with pytest.raises(StateSpaceOverflow, match="4 exogenous states exceed the cap of 3"):
+        joint_counterfactual(xor_scm(), [({"X": "1"}, {"Y": "1"})], {"X": "0"})
 
 
 # --- interventions -------------------------------------------------------------------
