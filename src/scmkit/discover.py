@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Protocol
 
-from .estimate import Dataset
+from .estimate import DataError, Dataset
 from .fitcheck import g_squared_ci
 from .graph import Admg, GraphError, d_separated
 
@@ -74,6 +74,8 @@ class DataOracle:
     """Answers independence queries with the G-squared test at level alpha."""
 
     def __init__(self, d: Dataset, alpha: float = 0.05):
+        if not 0 < alpha < 1:
+            raise DataError("alpha must be in (0, 1)")
         self.d = d
         self.alpha = alpha
 

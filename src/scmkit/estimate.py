@@ -12,7 +12,15 @@ from typing import IO, Iterable, Mapping
 
 import numpy as np
 
-from .expr import ConditioningOnZero, Estimand, JointTable, eval_estimand
+from .expr import (
+    Cells,
+    ConditioningOnZero,
+    Estimand,
+    EstimandError,
+    JointTable,
+    eval_estimand,
+    eval_rows,
+)
 
 __all__ = [
     "MISSING_TOKEN",
@@ -28,6 +36,9 @@ __all__ = [
 ]
 
 MISSING_TOKEN = "NA"
+
+# bootstrap replicates evaluated together; bounds memory for any B
+BOOTSTRAP_BLOCK = 256
 
 
 class DataError(ValueError):
@@ -179,8 +190,10 @@ def bootstrap_interval(
     """Percentile bootstrap over row resamples.
 
     Replicate RNG streams are derived from (seed, replicate index), so the
-    interval does not depend on execution order.  Resamples that hit an empty
-    stratum are dropped; more than 10% of them dropped is an error.
+    interval does not depend on execution order.  The resampled count
+    vectors are evaluated together, ``BOOTSTRAP_BLOCK`` replicates at a time,
+    as weight rows over the distinct rows of the data.  Resamples that hit an
+    empty stratum are dropped; more than 10% of them dropped is an error.
     """
     if B < 100:
         raise DataError(f"B={B} is too small; need at least 100 resamples")
@@ -193,27 +206,32 @@ def bootstrap_interval(
     weights = np.array([counts[k] for k in keys], dtype=float)
     pvals = weights / weights.sum()
     n = d.n
-    domains = d.domains
+    cells = Cells(d.columns, d.domains, keys)
 
-    values: list[float] = []
+    values: list[np.ndarray] = []
     dropped = 0
-    for rep in range(B):
-        rng = np.random.default_rng([seed, rep])
-        draw = rng.multinomial(n, pvals)
-        mass = {
-            key: cnt / n for key, cnt in zip(keys, draw) if cnt > 0
-        }
-        table = JointTable(d.columns, domains, mass)
+    for start in range(0, B, BOOTSTRAP_BLOCK):
+        reps = range(start, min(start + BOOTSTRAP_BLOCK, B))
+        draws = np.array(
+            [np.random.default_rng([seed, rep]).multinomial(n, pvals) for rep in reps]
+        )
+        short = np.flatnonzero(draws.sum(axis=1) != n)
+        if short.size:
+            raise EstimandError(f"resample {reps[short[0]]} does not have {n} rows")
         try:
-            values.append(eval_estimand(e, table, binding))
+            block, marked = eval_rows(e, cells, draws / n, binding)
         except ConditioningOnZero:
-            dropped += 1
+            # every replicate of the block hit an empty stratum
+            dropped += len(reps)
+            continue
+        values.append(block[~marked])
+        dropped += int(marked.sum())
     if dropped > 0.10 * B:
         raise TooManyDegenerateResamples(
             f"{dropped} of {B} resamples hit an empty stratum"
         )
     lo_q = (1.0 - level) / 2.0
-    lo, hi = np.quantile(values, [lo_q, 1.0 - lo_q])
+    lo, hi = np.quantile(np.concatenate(values), [lo_q, 1.0 - lo_q])
     # widen if needed so the interval always contains the point estimate
     lo = min(float(lo), point.value)
     hi = max(float(hi), point.value)

@@ -12,7 +12,13 @@ from dataclasses import dataclass
 from typing import Union
 
 from .expr import JointTable
-from .scm import DiscreteScm, ScmError, ZeroEvidence, joint_counterfactual
+from .scm import (
+    DiscreteScm,
+    ScmError,
+    _check_endo_assignment,
+    enumerate_worlds,
+    holds,
+)
 
 __all__ = [
     "PnPsResult", "pn_ps_exact", "pnps_bounds", "BoundsError", "InconsistentInputs",
@@ -62,22 +68,30 @@ def pn_ps_exact(
     for var in (x, y):
         if var not in m.endogenous:
             raise ScmError(f"{var} is not an endogenous variable")
-    notes: list[str] = []
-    pn: float | None
-    ps: float | None
-    try:
-        pn = joint_counterfactual(m, [({x: x0}, {y: y0})], {x: x1, y: y1})
-    except ZeroEvidence:
-        pn = None
-        notes.append(f"PN undefined: P({x}={x1}, {y}={y1}) = 0")
-    try:
-        ps = joint_counterfactual(m, [({x: x1}, {y: y1})], {x: x0, y: y0})
-    except ZeroEvidence:
-        ps = None
-        notes.append(f"PS undefined: P({x}={x0}, {y}={y0}) = 0")
-    pns = joint_counterfactual(
-        m, [({x: x1}, {y: y1}), ({x: x0}, {y: y0})], {}
+    # (evidence, surgery, target, note if the evidence has probability zero)
+    queries = (
+        ({x: x1, y: y1}, {x: x0}, {y: y0}, f"PN undefined: P({x}={x1}, {y}={y1}) = 0"),
+        ({x: x0, y: y0}, {x: x1}, {y: y1}, f"PS undefined: P({x}={x0}, {y}={y0}) = 0"),
     )
+    for evidence, do, target, _ in queries:
+        _check_endo_assignment(m, evidence.items(), "evidence")
+        _check_endo_assignment(m, do.items(), "antecedent")
+        _check_endo_assignment(m, target.items(), "target")
+    # one enumeration: the natural world, do(x0) and do(x1)
+    weights, (natural, *surgered) = enumerate_worlds(m, [{}] + [q[1] for q in queries])
+    outcomes = [holds(m, codes, q[2]) for codes, q in zip(surgered, queries)]
+    values: list[float | None] = []
+    notes: list[str] = []
+    for (evidence, _, _, note), outcome in zip(queries, outcomes):
+        ok = holds(m, natural, evidence)
+        den = float(weights[ok].sum())
+        if den == 0.0:
+            values.append(None)
+            notes.append(note)
+        else:
+            values.append(float(weights[ok & outcome].sum()) / den)
+    pn, ps = values
+    pns = float(weights[outcomes[0] & outcomes[1]].sum()) / float(weights.sum())
     return PnPsResult(pn=pn, ps=ps, pns=pns, mode="exact", notes=tuple(notes))
 
 
@@ -102,6 +116,9 @@ def pnps_bounds(
     for var in (x, y):
         if var not in obs.variables:
             raise BoundsError(f"observational table lacks variable {var}")
+    for label, var, value in (("x1", x, x1), ("x0", x, x0), ("y1", y, y1), ("y0", y, y0)):
+        if value not in obs.domains[var]:
+            raise BoundsError(f"{label} value {value!r} not in the domain of {var}")
 
     p_y = obs.prob({y: y1})
     p_x1y1 = obs.prob({x: x1, y: y1})

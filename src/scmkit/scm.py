@@ -268,6 +268,17 @@ def enumerate_worlds(
     return weights, worlds
 
 
+def holds(
+    m: DiscreteScm, codes: Mapping[str, np.ndarray], assignment: Mapping[str, str]
+) -> np.ndarray:
+    """Per-state mask of one world of :func:`enumerate_worlds` meeting an
+    endogenous assignment."""
+    mask = np.ones(len(next(iter(codes.values()))), dtype=bool)
+    for v, val in assignment.items():
+        mask &= codes[v] == m.endo_domains[v].index(val)
+    return mask
+
+
 def observational_joint(m: DiscreteScm, max_states: int = DEFAULT_STATE_CAP) -> JointTable:
     """Exact joint over the endogenous variables, by exogenous enumeration."""
     variables = tuple(sorted(m.endogenous))
@@ -318,17 +329,10 @@ def joint_counterfactual(
     weights, (natural, *surgered) = enumerate_worlds(
         m, [{}] + [do for do, _ in worlds]
     )
-
-    def holds(codes: dict[str, np.ndarray], assignment: Mapping[str, str]) -> np.ndarray:
-        mask = np.ones(len(weights), dtype=bool)
-        for v, val in assignment.items():
-            mask &= codes[v] == m.endo_domains[v].index(val)
-        return mask
-
-    ok = holds(natural, evidence)
+    ok = holds(m, natural, evidence)
     den = float(weights[ok].sum())
     for codes, (_, targets) in zip(surgered, worlds):
-        ok &= holds(codes, targets)
+        ok &= holds(m, codes, targets)
     num = float(weights[ok].sum())
     if den == 0.0:
         raise ZeroEvidence(f"evidence has probability zero: {evidence}")

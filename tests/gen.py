@@ -8,10 +8,22 @@ the main code paths are checked against genuinely separate logic.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import numpy as np
 
-from scmkit.expr import JointTable, ProbTerm, Product, Quotient, Sum, Val
+from scmkit.expr import (
+    ConditioningOnZero,
+    EstimandError,
+    JointTable,
+    One,
+    ProbTerm,
+    Product,
+    Quotient,
+    Sum,
+    UnboundSymbol,
+    Val,
+)
 from scmkit.graph import Admg, GraphError, d_separated
 from scmkit.scm import DiscreteScm, EndogenousVar, ExogenousVar
 
@@ -342,6 +354,120 @@ def random_estimand(r, variables, depth=3, bound=frozenset()):
         tuple(Val(v, v.lower()) for v in sorted(picked)),
         tuple(Val(v, v.lower()) for v in sorted(given)),
     )
+
+
+def sparse_joint(r, variables, dom_sizes, keep=0.5) -> JointTable:
+    """Like ``random_joint``, but each cell survives with probability ``keep``."""
+    t = random_joint(r, variables, dom_sizes)
+    cells = [k for k in t.mass if r.random() < keep] or [next(iter(t.mass))]
+    total = sum(t.mass[k] for k in cells)
+    return JointTable(t.variables, t.domains, {k: t.mass[k] / total for k in cells})
+
+
+def dict_scan_eval(e, table: JointTable, binding=None) -> float:
+    """Evaluate an estimand one node at a time, scanning the table's mass
+    dictionary once per probability term.
+
+    The behaviour ``eval_estimand`` must keep: the same values, the same
+    exception types, and a ``ConditioningOnZero`` context naming the first
+    zero event in evaluation order.
+    """
+    binding = dict(binding or {})
+    for var in binding:
+        if var not in table.domains:
+            raise UnboundSymbol(f"variable {var} not in the joint table")
+    return _scan(e, table, binding, {})
+
+
+def _scan_resolve(val, binding, env):
+    if val.literal:
+        return val.token
+    if val.token in env:
+        return env[val.token]
+    if val.var in binding:
+        return binding[val.var]
+    raise UnboundSymbol(f"no value bound for symbol {val.token!r} (variable {val.var})")
+
+
+def _scan(e, table, binding, env):
+    if isinstance(e, One):
+        return 1.0
+    if isinstance(e, ProbTerm):
+        want_joint = {
+            table.index(val.var): _scan_resolve(val, binding, env)
+            for val in e.joint + e.given
+        }
+        want_given = {
+            table.index(val.var): _scan_resolve(val, binding, env) for val in e.given
+        }
+        p_all = 0.0
+        p_given = 0.0
+        for key, p in table.mass.items():
+            if all(key[i] == v for i, v in want_given.items()):
+                p_given += p
+                if all(key[i] == v for i, v in want_joint.items()):
+                    p_all += p
+        if e.given:
+            if p_given == 0.0:
+                ctx = ",".join(
+                    f"{v.var}={_scan_resolve(v, binding, env)}" for v in e.given
+                )
+                raise ConditioningOnZero(ctx)
+            return p_all / p_given
+        return p_all
+    if isinstance(e, Sum):
+        if e.token in env:
+            raise EstimandError(f"symbol {e.token!r} bound twice along one path")
+        if e.var not in table.domains:
+            raise UnboundSymbol(f"variable {e.var} not in the joint table")
+        total = 0.0
+        for value in table.domains[e.var]:
+            env[e.token] = value
+            total += _scan(e.body, table, binding, env)
+        del env[e.token]
+        return total
+    if isinstance(e, Product):
+        out = 1.0
+        for f in e.factors:
+            out *= _scan(f, table, binding, env)
+        return out
+    if isinstance(e, Quotient):
+        den = _scan(e.den, table, binding, env)
+        if den == 0.0:
+            raise ConditioningOnZero("quotient denominator is zero")
+        return _scan(e.num, table, binding, env) / den
+    raise EstimandError(f"not an estimand node: {e!r}")
+
+
+def bootstrap_by_replicate(e, d, binding=None, B=1000, level=0.95, seed=0):
+    """Percentile bootstrap one replicate at a time, each resample a fresh
+    ``JointTable`` evaluated by ``dict_scan_eval``, with the replicate seeds
+    of ``bootstrap_interval``.
+
+    Returns (point, low, high, dropped); the interval is None when more than
+    10% of the resamples were dropped.
+    """
+    counts = Counter(d.rows)
+    keys = sorted(counts)
+    weights = np.array([counts[k] for k in keys], dtype=float)
+    pvals = weights / weights.sum()
+    full = JointTable(d.columns, d.domains, {k: counts[k] / d.n for k in counts})
+    point = dict_scan_eval(e, full, binding)
+    values = []
+    dropped = 0
+    for rep in range(B):
+        draw = np.random.default_rng([seed, rep]).multinomial(d.n, pvals)
+        mass = {k: c / d.n for k, c in zip(keys, draw) if c > 0}
+        try:
+            table = JointTable(d.columns, d.domains, mass)
+            values.append(dict_scan_eval(e, table, binding))
+        except ConditioningOnZero:
+            dropped += 1
+    if dropped > 0.10 * B:
+        return point, None, None, dropped
+    lo_q = (1.0 - level) / 2.0
+    lo, hi = np.quantile(values, [lo_q, 1.0 - lo_q])
+    return point, min(float(lo), point), max(float(hi), point), dropped
 
 
 def eval_sum_by_hand(table: JointTable, y, x, z):

@@ -267,6 +267,16 @@ def test_pnps_bounds_inconsistent_inputs_exit_3(tmp_path):
     assert "Traceback" not in err
 
 
+def test_pnps_bounds_value_outside_data_exit_1():
+    for flag, var, px1 in (("--x1", "X", "0.5"), ("--y1", "Y", "0.6")):
+        code, out, err = invoke(
+            "pnps", "--data", path("d8.csv"), flag, "7", "--px1", px1, "--px0", "0.5",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {flag[2:]} value '7' not in the domain of {var}\n"
+
+
 def test_pnps_experiment_file():
     code, out, _ = invoke(
         "pnps", "--data", path("obs_identity.csv"),
@@ -385,6 +395,14 @@ def test_discover_chain_undirected():
     code, out, _ = invoke("discover", "--graph", path("chain.cg"))
     assert code == 0
     assert out == "var X\nvar Y\nvar Z\nX -- Z\nY -- Z\n"
+
+
+def test_discover_data_mode_refuses_alpha_outside_unit_interval():
+    for alpha in ("-1", "0", "1", "5"):
+        code, out, err = invoke("discover", "--data", path("d8.csv"), "--alpha", alpha)
+        assert code == 1
+        assert out == ""
+        assert err == "error: alpha must be in (0, 1)\n"
 
 
 def test_discover_data_mode(tmp_path):

@@ -9,6 +9,7 @@ from scmkit.discover import (
     discover_cpdag,
     render_cpdag,
 )
+from scmkit.estimate import DataError
 from scmkit.graph import parse_graph
 from scmkit.scm import parse_scm, sample
 
@@ -116,6 +117,13 @@ def test_data_oracle_is_deterministic():
     a = discover_cpdag(DataOracle(d, alpha=0.05), ["X", "Y", "Z"])
     b = discover_cpdag(DataOracle(d, alpha=0.05), ["X", "Y", "Z"])
     assert a == b
+
+
+def test_data_oracle_refuses_alpha_outside_unit_interval():
+    d = sample(collider_scm(), 100, seed=1)
+    for alpha in (-1.0, 0.0, 1.0, 5.0):
+        with pytest.raises(DataError, match=r"alpha must be in \(0, 1\)"):
+            DataOracle(d, alpha=alpha)
 
 
 # --- structure and rendering --------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gen
+import scmkit.estimate as estimate_module
 from scmkit.estimate import (
     DataError,
     Dataset,
@@ -245,3 +246,90 @@ def test_dataset_select_projects_columns():
     d = load_table(io.StringIO("X,Y,Z\n0,1,2\n"))
     assert d.select(("Z", "X")).columns == ("Z", "X")
     assert d.select(("Z", "X")).rows == (("2", "0"),)
+
+
+# --- batched bootstrap against one evaluation per replicate ------------------------
+
+FRONT_DOOR = parse_graph(
+    "var W\nvar X\nvar M\nvar Y\nW -> X\nX -> M\nM -> Y\nW -> Y\nX <-> Y\n"
+)
+
+
+def _dataset(columns, codes):
+    return Dataset(tuple(columns), tuple(tuple(str(c) for c in row) for row in codes))
+
+
+def ternary_front_door_data(r, n):
+    """W -> X -> M -> Y, W -> Y, with a hidden cause of X and Y."""
+
+    def noise():
+        return r.choice(3, n, p=[0.6, 0.3, 0.1])
+
+    u = noise()
+    w = noise()
+    x = (w + u + noise()) % 3
+    m = (x + noise()) % 3
+    y = (m + w + u + noise()) % 3
+    return _dataset("WXMY", np.stack([w, x, m, y], axis=1))
+
+
+def sparse_backdoor_data(r, n, rare):
+    """Binary Z, X, Y in which the stratum Z=1, X=1 holds ``rare`` rows."""
+    z = (r.random(n) < 0.3).astype(int)
+    x = np.where(z == 1, 0, r.integers(0, 2, n))
+    x[np.flatnonzero(z == 1)[:rare]] = 1
+    y = (r.random(n) < 0.3 + 0.4 * x).astype(int)
+    return _dataset("ZXY", np.stack([z, x, y], axis=1))
+
+
+def assert_matches_reference(e, d, B, seed, level=0.95):
+    point, lo, hi, dropped = gen.bootstrap_by_replicate(e, d, {}, B, level, seed)
+    est = bootstrap_interval(e, d, {}, B=B, level=level, seed=seed)
+    assert est.value == pytest.approx(point, abs=1e-12)
+    assert est.interval[0] == pytest.approx(lo, abs=1e-12)
+    assert est.interval[1] == pytest.approx(hi, abs=1e-12)
+    return dropped
+
+
+def test_bootstrap_matches_reference_on_ternary_front_door():
+    r = gen.rng(49)
+    d = ternary_front_door_data(r, 3000)
+    for k, query in enumerate(["P(Y=2|do(X=0))", "P(Y=1|do(X=2),W=0)"]):
+        res = identify(FRONT_DOOR, parse_query(query))
+        assert isinstance(res, Identified)
+        assert assert_matches_reference(res.estimand, d, B=100, seed=k) == 0
+
+
+def assert_refusal_matches_reference(e, d, B, seed):
+    _, lo, _, dropped = gen.bootstrap_by_replicate(e, d, {}, B, 0.95, seed)
+    assert lo is None
+    with pytest.raises(TooManyDegenerateResamples) as info:
+        bootstrap_interval(e, d, B=B, seed=seed)
+    assert str(info.value) == f"{dropped} of {B} resamples hit an empty stratum"
+
+
+def test_bootstrap_drops_match_reference():
+    e = identify(BACKDOOR, parse_query("P(Y=1|do(X=1))")).estimand
+    # a few dropped resamples: the rest give the interval
+    d = sparse_backdoor_data(gen.rng(50), 300, rare=4)
+    assert 0 < assert_matches_reference(e, d, B=200, seed=2) <= 20
+    # too many dropped: the refusal names the same count
+    d = sparse_backdoor_data(gen.rng(51), 300, rare=1)
+    assert_refusal_matches_reference(e, d, B=200, seed=3)
+
+
+def test_bootstrap_spans_several_blocks():
+    e = identify(BACKDOOR, parse_query("P(Y=1|do(X=1))")).estimand
+    d = sparse_backdoor_data(gen.rng(52), 400, rare=5)
+    B = 2 * estimate_module.BOOTSTRAP_BLOCK + 37
+    assert assert_matches_reference(e, d, B=B, seed=4) > 0
+
+
+def test_bootstrap_blocks_of_one_replicate(monkeypatch):
+    # every block whose replicates all hit an empty stratum is dropped whole
+    monkeypatch.setattr(estimate_module, "BOOTSTRAP_BLOCK", 1)
+    e = identify(BACKDOOR, parse_query("P(Y=1|do(X=1))")).estimand
+    d = sparse_backdoor_data(gen.rng(50), 300, rare=4)
+    assert assert_matches_reference(e, d, B=200, seed=2) > 0
+    d = sparse_backdoor_data(gen.rng(51), 300, rare=1)
+    assert_refusal_matches_reference(e, d, B=200, seed=3)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import gen
@@ -12,8 +13,10 @@ from scmkit.expr import (
     Quotient,
     Sum,
     UnboundSymbol,
+    Cells,
     Val,
     eval_estimand,
+    eval_rows,
     free_variables,
     parse_estimand,
     render,
@@ -171,6 +174,110 @@ def test_eval_in_unit_interval():
         t = gen.random_joint(r, ["X", "Y", "Z"], [2, 2, 2])
         got = eval_estimand(backdoor_estimand(), t, {"X": "0", "Y": "1"})
         assert -1e-9 <= got <= 1 + 1e-9
+
+
+def _outcome(fn, *args):
+    """('ok', value) or (exception type, message) of one call."""
+    try:
+        return "ok", fn(*args)
+    except (ArithmeticError, EstimandError) as exc:
+        return type(exc), str(exc)
+
+
+def _random_case(r, variables=("X", "Y", "Z")):
+    """A random estimand, a full or sparse joint, and a binding that may
+    name values outside the domain or leave a symbol unbound."""
+    sizes = [int(k) for k in r.integers(1, 4, size=len(variables))]
+    if r.random() < 0.5:
+        t = gen.random_joint(r, list(variables), sizes)
+    else:
+        t = gen.sparse_joint(r, list(variables), sizes)
+    e = gen.random_estimand(r, list(variables), depth=3)
+    binding = {
+        v: str(int(r.integers(0, 4))) for v in variables if r.random() < 0.9
+    }
+    return e, t, binding
+
+
+def test_eval_matches_dict_scan_oracle():
+    r = gen.rng(61)
+    kinds = set()
+    for _ in range(600):
+        e, t, binding = _random_case(r)
+        want = _outcome(gen.dict_scan_eval, e, t, binding)
+        got = _outcome(eval_estimand, e, t, binding)
+        kinds.add(want[0])
+        assert got[0] == want[0]
+        if want[0] == "ok":
+            assert isinstance(got[1], float)
+            assert got[1] == pytest.approx(want[1], abs=1e-12)
+        else:
+            assert got[1] == want[1]
+    assert kinds == {"ok", ConditioningOnZero, UnboundSymbol}
+
+
+def test_eval_rows_matches_one_evaluation_per_row():
+    # rows are sparse tables over one support; a row is marked exactly when
+    # evaluating it alone hits a zero event before any other error
+    r = gen.rng(62)
+    variables = ["X", "Y", "Z"]
+    for _ in range(150):
+        full = gen.random_joint(r, variables, [int(k) for k in r.integers(1, 4, size=3)])
+        keys = list(full.mass)
+        cells = Cells(full.variables, full.domains, keys)
+        weights = r.dirichlet(np.ones(len(keys)), size=int(r.integers(1, 6)))
+        weights[r.random(weights.shape) < 0.4] = 0.0
+        weights[weights.sum(axis=1) == 0.0, 0] = 1.0
+        weights /= weights.sum(axis=1, keepdims=True)
+        e = gen.random_estimand(r, variables, depth=3)
+        binding = {v: str(int(r.integers(0, 3))) for v in variables if r.random() < 0.9}
+        want = [
+            _outcome(
+                gen.dict_scan_eval,
+                e,
+                JointTable(full.variables, full.domains, dict(zip(keys, row))),
+                binding,
+            )
+            for row in weights
+        ]
+        zero = np.array([kind is ConditioningOnZero for kind, _ in want])
+        failed = [w for w in want if w[0] not in ("ok", ConditioningOnZero)]
+        if zero.all():
+            with pytest.raises(ConditioningOnZero):
+                eval_rows(e, cells, weights, binding)
+        elif failed:
+            with pytest.raises(failed[0][0]) as info:
+                eval_rows(e, cells, weights, binding)
+            assert str(info.value) == failed[0][1]
+        else:
+            values, marked = eval_rows(e, cells, weights, binding)
+            assert (marked == zero).all()
+            for value, (kind, expect) in zip(values, want):
+                if kind == "ok":
+                    assert value == pytest.approx(expect, abs=1e-12)
+
+
+def test_eval_single_row_keeps_zero_before_unbound():
+    # the zero event comes first in evaluation order, so it is the refusal
+    t = JointTable(("X", "Y"), {"X": ("0", "1"), "Y": ("0", "1")}, {("0", "0"): 1.0})
+    e = parse_estimand("P(y|X=1) * P(Z=0)")
+    with pytest.raises(ConditioningOnZero, match="X=1$"):
+        eval_estimand(e, t, {"Y": "0"})
+    with pytest.raises(UnboundSymbol):
+        eval_estimand(parse_estimand("P(Z=0) * P(y|X=1)"), t, {"Y": "0"})
+
+
+def test_eval_rows_marks_rows_and_raises_when_all_are_marked():
+    cells = Cells(("X", "Y"), {"X": ("0", "1"), "Y": ("0", "1")},
+                  [("0", "0"), ("1", "1")])
+    e = parse_estimand("P(Y=1|X=1) / P(Y=0)")
+    values, marked = eval_rows(e, cells, np.array([[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]]))
+    assert marked.tolist() == [False, True, True]
+    assert values[0] == pytest.approx(2.0, abs=1e-15)
+    with pytest.raises(ConditioningOnZero, match="quotient denominator is zero"):
+        eval_rows(e, cells, np.array([[0.0, 1.0]]))
+    with pytest.raises(ConditioningOnZero, match="X=1$"):
+        eval_rows(e, cells, np.array([[1.0, 0.0], [1.0, 0.0]]))
 
 
 # --- simplification --------------------------------------------------------------

@@ -2,8 +2,9 @@ import pytest
 
 import gen
 from scmkit.expr import JointTable
+import scmkit.pnps as pnps_module
 from scmkit.pnps import BoundsError, InconsistentInputs, pn_ps_exact, pnps_bounds
-from scmkit.scm import intervene, observational_joint, parse_scm
+from scmkit.scm import ScmError, intervene, observational_joint, parse_scm
 
 
 def identity_scm():
@@ -82,6 +83,36 @@ def test_zero_evidence_reported_individually():
     assert res.ps is None
     assert res.pn is not None
     assert any("PS undefined" in note for note in res.notes)
+
+
+def test_exact_enumerates_once(monkeypatch):
+    calls = []
+    kernel = pnps_module.enumerate_worlds
+
+    def counting(m, surgeries, *args):
+        calls.append(list(surgeries))
+        return kernel(m, surgeries, *args)
+
+    monkeypatch.setattr(pnps_module, "enumerate_worlds", counting)
+    pn_ps_exact(identity_scm(), "X", "Y")
+    assert calls == [[{}, {"X": "0"}, {"X": "1"}]]
+
+
+def test_exact_refuses_unknown_values_in_check_order():
+    m = identity_scm()
+    cases = [
+        ({"x1": "7"}, "evidence value '7' not in the domain of X"),
+        ({"y1": "7"}, "evidence value '7' not in the domain of Y"),
+        ({"x0": "7"}, "antecedent value '7' not in the domain of X"),
+        ({"y0": "7"}, "target value '7' not in the domain of Y"),
+        ({"x0": "7", "y1": "8"}, "evidence value '8' not in the domain of Y"),
+    ]
+    for kwargs, message in cases:
+        with pytest.raises(ScmError) as info:
+            pn_ps_exact(m, "X", "Y", **kwargs)
+        assert str(info.value) == message
+    with pytest.raises(ScmError, match="Q is not an endogenous variable"):
+        pn_ps_exact(m, "Q", "Y", x1="7")
 
 
 # --- bounds mode -----------------------------------------------------------------
@@ -167,6 +198,20 @@ def test_bounds_undefined_when_stratum_empty():
     res = pnps_bounds(obs, px1=0.6, px0=0.5)
     assert res.pn is None
     assert any("PN undefined" in n for n in res.notes)
+
+
+def test_bounds_refuse_values_outside_the_domain():
+    # in the domain but without mass is a note (above); outside it, an error
+    obs = JointTable(
+        ("X", "Y"),
+        {"X": ("0", "1"), "Y": ("0", "1")},
+        {("0", "0"): 0.5, ("1", "1"): 0.5},
+    )
+    for name, var in (("x1", "X"), ("x0", "X"), ("y1", "Y"), ("y0", "Y")):
+        with pytest.raises(BoundsError) as info:
+            pnps_bounds(obs, px1=0.6, px0=0.5, **{name: "7"})
+        assert type(info.value) is BoundsError
+        assert str(info.value) == f"{name} value '7' not in the domain of {var}"
 
 
 def test_bounds_validate_probabilities():
