@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import io
 import os
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, Mapping
@@ -18,8 +17,8 @@ from .expr import (
     Estimand,
     EstimandError,
     JointTable,
-    eval_estimand,
     eval_rows,
+    group_rows,
 )
 
 __all__ = [
@@ -81,16 +80,25 @@ class Dataset:
     @cached_property
     def domains(self) -> dict[str, tuple[str, ...]]:
         """Sorted distinct non-missing tokens per column."""
-        seen: dict[str, set[str]] = {c: set() for c in self.columns}
-        for row in self.rows:
-            for c, cell in zip(self.columns, row):
-                if cell is not None:
-                    seen[c].add(cell)
-        return {c: tuple(sorted(vals)) for c, vals in seen.items()}
+        return {
+            c: tuple(sorted(set(col) - {None}))
+            for c, col in zip(self.columns, zip(*self.rows))
+        }
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """``(n, columns)`` index of each cell in its column's domain; -1 marks
+        a missing cell.  The dtype also holds one past the widest domain."""
+        width = max(map(len, self.domains.values()), default=0)
+        out = np.empty((self.n, len(self.columns)), dtype=np.min_scalar_type(-1 - width))
+        for j, (c, col) in enumerate(zip(self.columns, zip(*self.rows))):
+            lut = {None: -1} | {val: i for i, val in enumerate(self.domains[c])}
+            out[:, j] = [lut[cell] for cell in col]
+        return out
 
     @cached_property
     def has_missing(self) -> bool:
-        return any(cell is None for row in self.rows for cell in row)
+        return bool((self.codes < 0).any())
 
     def column_index(self, name: str) -> int:
         try:
@@ -159,24 +167,31 @@ class Estimate:
                 raise DataError("confidence level must be in (0, 1)")
 
 
-def empirical_joint(d: Dataset) -> JointTable:
-    """Relative frequencies over complete rows; refuses missing data."""
+def _counted_cells(d: Dataset) -> tuple[Cells, np.ndarray]:
+    """The distinct rows of complete data, in sorted order, and their counts."""
     if d.has_missing:
         raise MissingDataPresent(
             "dataset contains missing cells; run recoverability analysis instead"
         )
-    counts = Counter(d.rows)
-    n = d.n
-    mass = {key: c / n for key, c in counts.items()}
-    return JointTable(d.columns, d.domains, mass)
+    group, distinct = group_rows(d.codes)
+    return Cells(d.columns, d.domains, distinct), np.bincount(group)
+
+
+def empirical_joint(d: Dataset) -> JointTable:
+    """Relative frequencies over complete rows; refuses missing data."""
+    cells, counts = _counted_cells(d)
+    doms = [d.domains[c] for c in d.columns]
+    keys = [tuple(dom[i] for dom, i in zip(doms, row)) for row in cells.codes.tolist()]
+    return JointTable(d.columns, d.domains, dict(zip(keys, (counts / d.n).tolist())))
 
 
 def plug_in(
     e: Estimand, d: Dataset, binding: Mapping[str, str] | None = None
 ) -> Estimate:
     """Evaluate the estimand on the empirical joint of the data."""
-    value = eval_estimand(e, empirical_joint(d), binding)
-    return Estimate(value=value, n=d.n)
+    cells, counts = _counted_cells(d)
+    values, _ = eval_rows(e, cells, counts[None, :] / d.n, binding)
+    return Estimate(value=float(values[0]), n=d.n)
 
 
 def bootstrap_interval(
@@ -199,14 +214,10 @@ def bootstrap_interval(
         raise DataError(f"B={B} is too small; need at least 100 resamples")
     if not 0 < level < 1:
         raise DataError("confidence level must be in (0, 1)")
-    point = plug_in(e, d, binding)
-
-    counts = Counter(d.rows)
-    keys = sorted(counts)
-    weights = np.array([counts[k] for k in keys], dtype=float)
-    pvals = weights / weights.sum()
     n = d.n
-    cells = Cells(d.columns, d.domains, keys)
+    cells, counts = _counted_cells(d)
+    point = float(eval_rows(e, cells, counts[None, :] / n, binding)[0][0])
+    pvals = counts / n
 
     values: list[np.ndarray] = []
     dropped = 0
@@ -233,6 +244,6 @@ def bootstrap_interval(
     lo_q = (1.0 - level) / 2.0
     lo, hi = np.quantile(np.concatenate(values), [lo_q, 1.0 - lo_q])
     # widen if needed so the interval always contains the point estimate
-    lo = min(float(lo), point.value)
-    hi = max(float(hi), point.value)
-    return Estimate(value=point.value, n=n, interval=(lo, hi, level))
+    lo = min(float(lo), point)
+    hi = max(float(hi), point)
+    return Estimate(value=point, n=n, interval=(lo, hi, level))

@@ -251,11 +251,24 @@ class JointTable:
 # --- evaluation --------------------------------------------------------------
 
 
+def group_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group of every row of an integer matrix, and the distinct rows in
+    lexicographic order; group ``g`` is distinct row ``g``."""
+    order = np.lexsort(codes.T[::-1]) if codes.shape[1] else np.arange(len(codes))
+    ranked = codes[order]
+    first = np.ones(len(codes), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    group = np.empty_like(order)
+    group[order] = np.cumsum(first) - 1
+    return group, ranked[first]
+
+
 class Cells:
     """A fixed set of distinct cells over ``variables``, as integer codes.
 
     ``codes[k, j]`` is the index of cell ``k``'s value in the domain of
-    ``variables[j]``.  Distributions over the cells are weight rows (see
+    ``variables[j]``; a code past the end of the domain is a value that no
+    estimand token names.  Distributions over the cells are weight rows (see
     :func:`eval_rows`), so memory grows with the number of cells, never with
     the product of the domain sizes.
     """
@@ -264,18 +277,14 @@ class Cells:
         self,
         variables: tuple[str, ...],
         domains: Mapping[str, tuple[str, ...]],
-        keys: Iterable[tuple[str, ...]],
+        codes: np.ndarray,
     ):
         self.variables = variables
         self.domains = domains
         self.value_codes = {
             v: {val: i for i, val in enumerate(domains[v])} for v in variables
         }
-        lookups = [self.value_codes[v] for v in variables]
-        self.codes = np.array(
-            [[lut[val] for lut, val in zip(lookups, key)] for key in keys],
-            dtype=np.intp,
-        ).reshape(-1, len(variables))
+        self.codes = codes
         self._groups: dict[tuple[int, ...], tuple[np.ndarray, int, dict]] = {}
 
     def column(self, var: str) -> int:
@@ -289,11 +298,9 @@ class Cells:
         a map from a code tuple to its group."""
         got = self._groups.get(cols)
         if got is None:
-            uniq, inverse = np.unique(
-                self.codes[:, list(cols)], axis=0, return_inverse=True
-            )
-            lookup = {tuple(row): g for g, row in enumerate(uniq.tolist())}
-            got = (inverse.reshape(-1), len(uniq), lookup)
+            group, distinct = group_rows(self.codes[:, list(cols)])
+            lookup = {tuple(row): g for g, row in enumerate(distinct.tolist())}
+            got = (group, len(distinct), lookup)
             self._groups[cols] = got
         return got
 
@@ -310,7 +317,9 @@ def eval_estimand(
     denominator has zero probability, and :class:`UnboundSymbol` when a free
     symbol has no binding.
     """
-    cells = Cells(table.variables, table.domains, table.mass)
+    doms = [table.domains[v] for v in table.variables]
+    codes = np.array([[d.index(val) for d, val in zip(doms, key)] for key in table.mass])
+    cells = Cells(table.variables, table.domains, codes)
     weights = np.fromiter(table.mass.values(), dtype=float, count=len(table.mass))
     values, _ = eval_rows(e, cells, weights[None, :], binding)
     return float(values[0])

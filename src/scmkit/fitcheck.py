@@ -9,10 +9,12 @@ testable content; the report is then rendered as the literal ``NULL``.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 
+import numpy as np
+
 from .estimate import DataError, Dataset, MissingDataPresent
+from .expr import group_rows
 from .graph import Admg, CiStatement, testable_implications
 
 __all__ = [
@@ -56,40 +58,33 @@ def g_squared_ci(
     Returns (statistic, degrees of freedom, p-value, used strata,
     pooled-out strata).  Degrees of freedom count
     (|dom u| - 1)(|dom v| - 1) per retained stratum, with column domains
-    taken globally.
+    taken globally.  A missing cell in a tested column raises
+    :class:`MissingDataPresent`.
     """
-    iu = d.column_index(u)
-    iv = d.column_index(v)
-    ig = [d.column_index(c) for c in given]
-    strata: dict[tuple, Counter] = defaultdict(Counter)
-    for row in d.rows:
-        strata[tuple(row[i] for i in ig)][(row[iu], row[iv])] += 1
-
+    names = (u, v) + tuple(given)
+    codes = d.codes[:, [d.column_index(c) for c in names]]
+    gaps = [c for c, gap in zip(names, (codes < 0).any(axis=0)) if gap]
+    if gaps:
+        raise MissingDataPresent(
+            f"column {gaps[0]} has missing cells; run recoverability analysis"
+        )
     du = len(d.domains[u])
     dv = len(d.domains[v])
-    per_stratum_dof = (du - 1) * (dv - 1)
-    stat = 0.0
-    dof = 0
-    used = 0
-    pooled = 0
-    for cells in strata.values():
-        total = sum(cells.values())
-        if total < MIN_STRATUM:
-            pooled += 1
-            continue
-        used += 1
-        dof += per_stratum_dof
-        row_tot: Counter = Counter()
-        col_tot: Counter = Counter()
-        for (a, b), c in cells.items():
-            row_tot[a] += c
-            col_tot[b] += c
-        for (a, b), observed in cells.items():
-            expected = row_tot[a] * col_tot[b] / total
-            if observed > 0:
-                stat += 2.0 * observed * math.log(observed / expected)
+    stratum, distinct = group_rows(codes[:, 2:])
+    table = np.bincount(
+        (stratum * du + codes[:, 0]) * dv + codes[:, 1],
+        minlength=len(distinct) * du * dv,
+    ).reshape(len(distinct), du, dv)
+    kept = table[table.sum(axis=(1, 2)) >= MIN_STRATUM]
+    row_tot = kept.sum(axis=2, keepdims=True)
+    col_tot = kept.sum(axis=1, keepdims=True)
+    expected = row_tot * col_tot / row_tot.sum(axis=1, keepdims=True)
+    seen = kept > 0
+    stat = 2.0 * float(np.sum(kept[seen] * np.log(kept[seen] / expected[seen])))
+    used = len(kept)
+    dof = used * (du - 1) * (dv - 1)
     p = _chi2_sf(stat, dof) if dof > 0 else 1.0
-    return stat, dof, p, used, pooled
+    return stat, dof, p, used, len(distinct) - used
 
 
 def _chi2_sf(x: float, dof: int) -> float:
@@ -123,13 +118,11 @@ def fit_indices(
     missing_cols = sorted(set(g.nodes) - set(d.columns))
     if missing_cols:
         raise DataError(f"dataset lacks graph columns: {missing_cols}")
-    graph_cols = [c for c in d.columns if c in g.nodes]
-    for row in d.rows:
-        for c in graph_cols:
-            if row[d.column_index(c)] is None:
-                raise MissingDataPresent(
-                    "missing cells in graph columns; run recoverability analysis"
-                )
+    graph_cols = [j for j, c in enumerate(d.columns) if c in g.nodes]
+    if (d.codes[:, graph_cols] < 0).any():
+        raise MissingDataPresent(
+            "missing cells in graph columns; run recoverability analysis"
+        )
     statements = testable_implications(g)
     cutoff = alpha / len(statements) if (bonferroni and statements) else alpha
     entries = []

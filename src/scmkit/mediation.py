@@ -16,7 +16,7 @@ import numpy as np
 from .estimate import Dataset, empirical_joint
 from .expr import ConditioningOnZero, JointTable
 from .graph import Admg
-from .scm import DiscreteScm, ScmError, enumerate_worlds
+from .scm import DiscreteScm, ScmError, enumerate_worlds, solve_worlds
 
 __all__ = [
     "MediationReport",
@@ -82,9 +82,9 @@ def mediation_effects_scm(
 
     y_code = np.array([code[v] for v in m.endo_domains[outcome]])
     weights, (world0, world1) = enumerate_worlds(m, [{exposure: x0}, {exposure: x1}])
-    # the same enumeration again, with the mediator pinned per state to its
-    # value in the opposite exposure world
-    _, (nested10, nested01) = enumerate_worlds(m, [
+    # the same states again, with the mediator pinned per state to its value
+    # in the opposite exposure world; solving recomputes every endogenous code
+    nested10, nested01 = solve_worlds(m, world0, len(weights), [
         {exposure: x1, mediator: world0[mediator]},
         {exposure: x0, mediator: world1[mediator]},
     ])

@@ -9,12 +9,13 @@ applies, never that recovery is impossible.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Union
 
+import numpy as np
+
 from .estimate import DataError, Dataset, Estimate
-from .expr import Estimand, JointTable, ProbTerm, Sum, Val, eval_estimand, prod_of
+from .expr import Cells, Estimand, ProbTerm, Sum, Val, eval_rows, group_rows, prod_of
 from .graph import Admg, GraphError, d_separated, parse_graph
 
 __all__ = [
@@ -32,7 +33,6 @@ __all__ = [
 
 OBSERVED = "obs"
 MISSING = "miss"
-_NA_PLACEHOLDER = "NA"  # load_table never yields this token; safe filler
 
 
 class NotRecoverableError(ValueError):
@@ -192,8 +192,12 @@ def recoverability(mg: MGraph, target: frozenset[str] | set[str]) -> Recoverabil
             for v in sorted(set(subs) - target, reverse=True):
                 out = Sum(v, v.lower(), out)
             return Recoverable(out, criterion="ordered-factorization")
+        return NotRecoverable("no implemented criterion applies")
 
-    return NotRecoverable("no implemented criterion applies")
+    return NotRecoverable(
+        f"ordered-factorization search skipped: {len(subs)} substantive "
+        "variables exceed its limit of 8"
+    )
 
 
 def _ordered_factors(mg: MGraph, perm: tuple[str, ...]) -> list[Estimand] | None:
@@ -220,47 +224,33 @@ def _ordered_factors(mg: MGraph, perm: tuple[str, ...]) -> list[Estimand] | None
 # --- estimation -------------------------------------------------------------------
 
 
-def _augmented_joint(mg: MGraph, d: Dataset) -> JointTable:
-    """Empirical joint over substantive variables plus indicator columns.
+def _augmented_joint(mg: MGraph, d: Dataset) -> tuple[Cells, np.ndarray]:
+    """Empirical joint over substantive variables plus indicator columns, as
+    cells and their relative frequencies.
 
-    Missing cells become an explicit filler value paired with
-    ``R_v = miss``; estimand terms only ever touch strata with
-    ``R_v = obs``, where the filler has zero mass.
+    A missing cell of ``v`` gets the code ``len(domain of v)``, one past the
+    domain, paired with ``R_v = miss``.  No domain value names that code, so
+    no term and no ``sum_{...}`` ever refers to a missing cell.
     """
-    for v in sorted(mg.substantive):
+    subs = sorted(mg.substantive)
+    for v in subs:
         if v not in d.columns:
             raise DataError(f"dataset lacks column {v}")
-    idx = {v: d.column_index(v) for v in mg.substantive}
-    for v in sorted(mg.substantive - mg.partial):
-        for row in d.rows:
-            if row[idx[v]] is None:
-                raise DataError(
-                    f"column {v} has missing cells but the m-graph declares it "
-                    "fully observed"
-                )
-    variables = tuple(sorted(mg.substantive)) + tuple(
-        mg.indicator(v) for v in sorted(mg.partial)
-    )
-    counts: Counter[tuple[str, ...]] = Counter()
-    for row in d.rows:
-        key = []
-        for v in sorted(mg.substantive):
-            cell = row[idx[v]]
-            key.append(_NA_PLACEHOLDER if cell is None else cell)
-        for v in sorted(mg.partial):
-            key.append(MISSING if row[idx[v]] is None else OBSERVED)
-        counts[tuple(key)] += 1
-    n = d.n
-    domains: dict[str, tuple[str, ...]] = {}
-    for v in sorted(mg.substantive):
-        dom = set(d.domains[v])
-        if v in mg.partial:
-            dom.add(_NA_PLACEHOLDER)
-        domains[v] = tuple(sorted(dom))
-    for v in sorted(mg.partial):
-        domains[mg.indicator(v)] = (MISSING, OBSERVED)
-    mass = {key: c / n for key, c in counts.items()}
-    return JointTable(variables, domains, mass)
+    codes = d.codes[:, [d.column_index(v) for v in subs]]
+    missing = codes < 0
+    for v, col in zip(subs, missing.T):
+        if v not in mg.partial and col.any():
+            raise DataError(
+                f"column {v} has missing cells but the m-graph declares it "
+                "fully observed"
+            )
+    partial = [j for j, v in enumerate(subs) if v in mg.partial]
+    codes = np.where(missing, [len(d.domains[v]) for v in subs], codes)
+    # indicator codes index (MISSING, OBSERVED)
+    group, distinct = group_rows(np.hstack([codes, ~missing[:, partial]]))
+    variables = tuple(subs) + tuple(mg.indicator(subs[j]) for j in partial)
+    domains = {v: d.domains[v] if v in subs else (MISSING, OBSERVED) for v in variables}
+    return Cells(variables, domains, distinct), np.bincount(group) / d.n
 
 
 def recover_estimate(
@@ -275,6 +265,6 @@ def recover_estimate(
     result = recoverability(mg, frozenset(target))
     if isinstance(result, NotRecoverable):
         raise NotRecoverableError(result.reason)
-    table = _augmented_joint(mg, d)
-    value = eval_estimand(result.estimand, table, dict(target))
-    return Estimate(value=value, n=d.n)
+    cells, weights = _augmented_joint(mg, d)
+    values, _ = eval_rows(result.estimand, cells, weights[None, :], dict(target))
+    return Estimate(value=float(values[0]), n=d.n)

@@ -220,28 +220,41 @@ def enumerate_worlds(
     """Abduction, action and prediction over all exogenous states at once.
 
     The exogenous states of nonzero weight are enumerated once, as index
-    arrays, and every surgered world is solved over that one abduction, as in
-    a twin network.  Each structural table is evaluated as a lookup table
-    indexed by its parents' codes.  A surgery value is a domain value or a
-    per-state code array.  Returns the state weights and, per surgery, one
-    code array per variable; codes index ``m.endo_domains[v]``, or the
-    exogenous domain for an exogenous variable.
+    arrays, and every surgered world is solved over that one abduction by
+    :func:`solve_worlds`, as in a twin network.  Returns the state weights
+    and, per surgery, one code array per variable.
     """
     cap = DEFAULT_STATE_CAP if max_states is None else max_states
     count = m.exo_state_count()
     if count > cap:
         raise StateSpaceOverflow(f"{count} exogenous states exceed the cap of {cap}")
     names = m.exo_names()
-    dims = {v: len(m.parent_domain(v)) for v in itertools.chain(names, m.order)}
-    dtype = np.min_scalar_type(max(dims.values(), default=1) - 1)
-    grid = np.indices([dims[u] for u in names], dtype=dtype).reshape(len(names), count)
+    dims = [len(m.exogenous[u].domain) for u in names]
+    dtype = np.min_scalar_type(max(dims, default=1) - 1)
+    grid = np.indices(dims, dtype=dtype).reshape(len(names), count)
     weights = np.ones(count)
     for u, codes in zip(names, grid):
         weights *= np.asarray(m.exogenous[u].probs)[codes]
     keep = weights != 0.0
     weights = weights[keep]
     exo = {u: codes[keep] for u, codes in zip(names, grid)}
+    return weights, solve_worlds(m, exo, len(weights), surgeries)
 
+
+def solve_worlds(
+    m: DiscreteScm,
+    exo_codes: Mapping[str, np.ndarray],
+    size: int,
+    surgeries: Sequence[Mapping[str, Union[str, np.ndarray]]],
+) -> list[dict[str, np.ndarray]]:
+    """Action and prediction over ``size`` exogenous states, given as one
+    domain-code array per exogenous variable.  Each structural table is read
+    as a lookup table indexed by its parents' codes; a surgery value is a
+    domain value or a per-state code array.  Returns, per surgery, one code
+    array per variable, indexing ``m.endo_domains[v]`` or the exogenous domain.
+    """
+    dims = {v: len(m.parent_domain(v)) for v in itertools.chain(m.exo_names(), m.order)}
+    dtype = np.min_scalar_type(max(dims.values(), default=1) - 1)
     luts: dict[str, np.ndarray] = {}
     for v in m.order:
         spec = m.endogenous[v]
@@ -251,7 +264,7 @@ def enumerate_worlds(
 
     worlds: list[dict[str, np.ndarray]] = []
     for surgery in surgeries:
-        codes = dict(exo)
+        codes = dict(exo_codes)
         for v in m.order:
             parents = m.endogenous[v].parents
             val = surgery.get(v)
@@ -263,9 +276,9 @@ def enumerate_worlds(
             elif isinstance(val, str):
                 val = m.endo_domains[v].index(val)
             # constants become read-only per-state views without copies
-            codes[v] = np.broadcast_to(val, weights.shape)
+            codes[v] = np.broadcast_to(val, (size,))
         worlds.append(codes)
-    return weights, worlds
+    return worlds
 
 
 def holds(
@@ -353,24 +366,14 @@ def sample(m: DiscreteScm, n: int, seed: int) -> "Dataset":
     if n < 1:
         raise ScmError("sample size must be at least 1")
     rng = np.random.default_rng(seed)
-    columns: dict[str, list[str]] = {}
-    for u in m.exo_names():
-        spec = m.exogenous[u]
-        idx = rng.choice(len(spec.domain), size=n, p=np.asarray(spec.probs))
-        dom = np.asarray(spec.domain, dtype=object)
-        columns[u] = list(dom[idx])
-    for v in m.order:
-        spec = m.endogenous[v]
-        if not spec.parents:
-            const = spec.table[()]
-            columns[v] = [const] * n
-            continue
-        parent_cols = [columns[p] for p in spec.parents]
-        table = spec.table
-        columns[v] = [table[key] for key in zip(*parent_cols)]
+    exo = {
+        u: rng.choice(len(spec.domain), size=n, p=np.asarray(spec.probs))
+        for u, spec in m.exogenous.items()
+    }
+    (codes,) = solve_worlds(m, exo, n, [{}])
     out_cols = tuple(sorted(m.endogenous))
-    rows = tuple(zip(*(columns[v] for v in out_cols)))
-    return Dataset(out_cols, rows)
+    columns = (np.asarray(m.endo_domains[v], dtype=object)[codes[v]] for v in out_cols)
+    return Dataset(out_cols, tuple(zip(*columns)))
 
 
 def latent_projection(m: DiscreteScm) -> Admg:

@@ -8,7 +8,8 @@ the main code paths are checked against genuinely separate logic.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+import math
+from collections import Counter, defaultdict
 
 import numpy as np
 
@@ -549,3 +550,84 @@ def adjustment_estimand(x: str, y: str, zs) -> "ProbTerm | Sum | Product":
     for z in reversed(zs):
         out = Sum(z, z.lower(), out)
     return out
+
+
+# --- row-scan references for the integer-coded data paths ---------------------
+# (scmkit.estimate and scmkit.fitcheck are imported where used, so that
+# importing this module for the benchmark's input builders loads no more of
+# scmkit than the generators need)
+
+
+def g_squared_by_rows(d, u, v, given):
+    """``g_squared_ci`` as a dict of Counters per stratum, one row at a time."""
+    from scmkit.fitcheck import MIN_STRATUM, _chi2_sf
+
+    iu = d.column_index(u)
+    iv = d.column_index(v)
+    ig = [d.column_index(c) for c in given]
+    strata = defaultdict(Counter)
+    for row in d.rows:
+        strata[tuple(row[i] for i in ig)][(row[iu], row[iv])] += 1
+    per_stratum_dof = (len(d.domains[u]) - 1) * (len(d.domains[v]) - 1)
+    stat = 0.0
+    dof = used = pooled = 0
+    for cells in strata.values():
+        total = sum(cells.values())
+        if total < MIN_STRATUM:
+            pooled += 1
+            continue
+        used += 1
+        dof += per_stratum_dof
+        row_tot = Counter()
+        col_tot = Counter()
+        for (a, b), c in cells.items():
+            row_tot[a] += c
+            col_tot[b] += c
+        for (a, b), observed in cells.items():
+            expected = row_tot[a] * col_tot[b] / total
+            stat += 2.0 * observed * math.log(observed / expected)
+    p = _chi2_sf(stat, dof) if dof > 0 else 1.0
+    return stat, dof, p, used, pooled
+
+
+def sample_by_rows(m: DiscreteScm, n, seed):
+    """``sample`` with each structural table read as a dict, row by row; the
+    exogenous draws are the same ``rng.choice`` calls in the same order."""
+    from scmkit.estimate import Dataset
+
+    r = np.random.default_rng(seed)
+    columns = {}
+    for u in m.exo_names():
+        spec = m.exogenous[u]
+        idx = r.choice(len(spec.domain), size=n, p=np.asarray(spec.probs))
+        columns[u] = [spec.domain[i] for i in idx]
+    for v in m.order:
+        spec = m.endogenous[v]
+        if not spec.parents:
+            columns[v] = [spec.table[()]] * n
+            continue
+        columns[v] = [spec.table[key] for key in zip(*(columns[p] for p in spec.parents))]
+    out_cols = tuple(sorted(m.endogenous))
+    return Dataset(out_cols, tuple(zip(*(columns[v] for v in out_cols))))
+
+
+# --- two-sided missingness: X and Y both partially observed -------------------
+
+TWO_SIDED = "var X\nvar Y\nX -> Y\nmissing X\nmissing Y\nX -> R_Y\n"
+# NA in both columns, so the sum over x meets rows whose X is missing
+TWO_SIDED_ROWS = (
+    [("0", "0")] * 6 + [("0", "1")] * 4 + [("1", "0")] * 3 + [("1", "1")] * 7
+    + [(None, "0")] * 5 + [(None, "1")] * 2 + [("0", None)] * 3
+    + [("1", None)] * 4 + [(None, None)] * 2
+)
+
+
+def two_sided_by_hand(y):
+    """sum_x P(x|R_X=obs) P(y|x,R_X=obs,R_Y=obs) from raw counts."""
+    x_obs = [x for x, _ in TWO_SIDED_ROWS if x is not None]
+    both = [(x, v) for x, v in TWO_SIDED_ROWS if x is not None and v is not None]
+    return sum(
+        x_obs.count(x) / len(x_obs)
+        * both.count((x, y)) / sum(1 for b in both if b[0] == x)
+        for x in ("0", "1")
+    )

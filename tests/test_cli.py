@@ -374,6 +374,21 @@ def test_recover_self_masking_exit_3():
     assert "NOT RECOVERABLE" in err
 
 
+def test_recover_sums_over_partially_observed_variable(tmp_path):
+    graph = tmp_path / "two.cg"
+    graph.write_text(gen.TWO_SIDED)
+    csv = tmp_path / "two.csv"
+    csv.write_text("X,Y\n" + "".join(
+        ",".join("NA" if c is None else c for c in row) + "\n" for row in gen.TWO_SIDED_ROWS
+    ))
+    code, out, err = invoke(
+        "recover", "--graph", str(graph), "--data", str(csv), "--target", "Y=1",
+        "--porcelain",
+    )
+    assert (code, err) == (0, "")
+    assert out == f"{gen.two_sided_by_hand('1'):.6f}\t{len(gen.TWO_SIDED_ROWS)}\n"
+
+
 def test_recover_bad_target_exit_1():
     code, _, err = invoke(
         "recover", "--graph", path("mar.cg"), "--data", path("dmiss.csv"),
@@ -424,6 +439,15 @@ def test_discover_data_mode(tmp_path):
     code, out, _ = invoke("discover", "--data", str(csv), "--alpha", "0.01")
     assert code == 0
     assert "X -> Z" in out and "Y -> Z" in out
+
+
+def test_discover_data_mode_refuses_missing_cells(tmp_path):
+    csv = tmp_path / "na.csv"
+    csv.write_text("X,Y,Z\n0,1,0\n1,NA,1\n0,0,1\n1,1,0\n")
+    code, out, err = invoke("discover", "--data", str(csv))
+    assert code == 3
+    assert out == ""
+    assert err == "error: column Y has missing cells; run recoverability analysis\n"
 
 
 def test_discover_needs_one_mode():

@@ -9,7 +9,7 @@ from scmkit.discover import (
     discover_cpdag,
     render_cpdag,
 )
-from scmkit.estimate import DataError
+from scmkit.estimate import DataError, Dataset, MissingDataPresent
 from scmkit.graph import parse_graph
 from scmkit.scm import parse_scm, sample
 
@@ -127,6 +127,12 @@ def test_data_oracle_refuses_alpha_outside_unit_interval():
 
 
 # --- structure and rendering --------------------------------------------------------
+
+
+def test_data_oracle_refuses_missing_cells():
+    d = Dataset(("X", "Y", "Z"), (("0", "1", "0"), ("1", None, "1"), ("0", "0", "1")))
+    with pytest.raises(MissingDataPresent, match="column Y has missing cells"):
+        discover_cpdag(DataOracle(d), d.columns)
 
 
 def test_cpdag_rejects_conflicting_edges():

@@ -248,6 +248,20 @@ def test_dataset_select_projects_columns():
     assert d.select(("Z", "X")).rows == (("2", "0"),)
 
 
+def test_dataset_codes_index_domains():
+    d = load_table(io.StringIO("X,Y,Z\nb,NA,0\na,1,NA\nc,10,NA\na,NA,0\n"))
+    assert d.domains == {"X": ("a", "b", "c"), "Y": ("1", "10"), "Z": ("0",)}
+    assert d.codes.tolist() == [[1, -1, 0], [0, 0, -1], [2, 1, -1], [0, -1, 0]]
+    for row, codes in zip(d.rows, d.codes.tolist()):
+        for c, cell, code in zip(d.columns, row, codes):
+            assert (cell is None) == (code == -1)
+            assert cell is None or d.domains[c][code] == cell
+    part = d.select(("Z", "X"))
+    assert (part.codes == d.codes[:, [2, 0]]).all()
+    assert part.has_missing
+    assert not d.select(("X",)).has_missing
+
+
 # --- batched bootstrap against one evaluation per replicate ------------------------
 
 FRONT_DOOR = parse_graph(

@@ -224,7 +224,10 @@ def test_eval_rows_matches_one_evaluation_per_row():
     for _ in range(150):
         full = gen.random_joint(r, variables, [int(k) for k in r.integers(1, 4, size=3)])
         keys = list(full.mass)
-        cells = Cells(full.variables, full.domains, keys)
+        codes = np.array(
+            [[full.domains[v].index(val) for v, val in zip(full.variables, key)] for key in keys]
+        )
+        cells = Cells(full.variables, full.domains, codes)
         weights = r.dirichlet(np.ones(len(keys)), size=int(r.integers(1, 6)))
         weights[r.random(weights.shape) < 0.4] = 0.0
         weights[weights.sum(axis=1) == 0.0, 0] = 1.0
@@ -269,7 +272,7 @@ def test_eval_single_row_keeps_zero_before_unbound():
 
 def test_eval_rows_marks_rows_and_raises_when_all_are_marked():
     cells = Cells(("X", "Y"), {"X": ("0", "1"), "Y": ("0", "1")},
-                  [("0", "0"), ("1", "1")])
+                  np.array([[0, 0], [1, 1]]))
     e = parse_estimand("P(Y=1|X=1) / P(Y=0)")
     values, marked = eval_rows(e, cells, np.array([[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]]))
     assert marked.tolist() == [False, True, True]

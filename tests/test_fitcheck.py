@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from scmkit.estimate import DataError, MissingDataPresent, load_table
+import gen
+from scmkit.estimate import DataError, Dataset, MissingDataPresent, load_table
 from scmkit.fitcheck import _chi2_sf, fit_indices, g_squared_ci, render_fit_report
 from scmkit.graph import parse_graph
 from scmkit.scm import parse_scm, sample
@@ -86,6 +87,48 @@ def test_g_squared_pools_small_strata():
     assert used == 1
     assert pooled == 1
     assert dof == 1
+
+
+def test_g_squared_matches_row_scan_reference():
+    # few rows over many strata, so small strata get pooled out
+    r = gen.rng(71)
+    names = ("A", "B", "C", "D")
+    seen_pooled = seen_empty_given = False
+    for _ in range(120):
+        sizes = r.integers(1, 4, size=len(names))
+        n = int(r.integers(1, 300))
+        rows = tuple(
+            tuple(str(int(r.integers(0, k))) for k in sizes) for _ in range(n)
+        )
+        d = Dataset(names, rows)
+        u, v = (str(c) for c in r.choice(names, size=2, replace=False))
+        given = tuple(c for c in names if c not in (u, v) and r.random() < 0.6)
+        stat, dof, p, used, pooled = g_squared_ci(d, u, v, given)
+        want = gen.g_squared_by_rows(d, u, v, given)
+        assert stat == pytest.approx(want[0], rel=1e-12)
+        assert (dof, used, pooled) == (want[1], want[3], want[4])
+        assert p == pytest.approx(want[2], rel=1e-9)
+        seen_pooled |= pooled > 0 and used > 0
+        seen_empty_given |= not given
+    assert seen_pooled and seen_empty_given
+
+
+def test_g_squared_refuses_missing_cells():
+    # X is 30% missing: counted as a category it would be a 3x2 table
+    # reported with one degree of freedom
+    r = gen.rng(72)
+    rows = tuple(
+        (None if r.random() < 0.3 else str(int(r.integers(0, 2))),
+         str(int(r.integers(0, 2))),
+         str(int(r.integers(0, 2))))
+        for _ in range(2000)
+    )
+    d = Dataset(("X", "Y", "Z"), rows)
+    for u, v, given in (("X", "Y", ()), ("Y", "X", ()), ("Y", "Z", ("X",))):
+        with pytest.raises(MissingDataPresent, match="^column X has missing cells"):
+            g_squared_ci(d, u, v, given)
+    stat, dof, _, _, _ = g_squared_ci(d, "Y", "Z", ())  # X is not tested here
+    assert dof == 1 and stat == pytest.approx(gen.g_squared_by_rows(d, "Y", "Z", ())[0])
 
 
 def test_g_squared_zero_when_independent_counts():

@@ -1,6 +1,7 @@
 import pytest
 
 import gen
+import scmkit.mediation as mediation_module
 from scmkit.expr import ConditioningOnZero
 from scmkit.graph import Admg, parse_graph
 from scmkit.mediation import (
@@ -74,6 +75,22 @@ def test_exact_effects_match_nested_world_oracle():
         want = gen.brute_mediation(m, "A", "B", "C", x0, x1)
         got = (rep.te, rep.nde, rep.nie, rep.nie_reversed)
         assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_exact_mode_enumerates_once(monkeypatch):
+    calls = []
+    kernel = mediation_module.enumerate_worlds
+
+    def counting(m, surgeries, *args):
+        calls.append(list(surgeries))
+        return kernel(m, surgeries, *args)
+
+    monkeypatch.setattr(mediation_module, "enumerate_worlds", counting)
+    m = triangle_scm(gen.rng(70))
+    rep = mediation_effects_scm(m, "X", "M", "Y", "0", "1")
+    assert calls == [[{"X": "0"}, {"X": "1"}]]
+    want = gen.brute_mediation(m, "X", "M", "Y", "0", "1")
+    assert (rep.te, rep.nde, rep.nie, rep.nie_reversed) == pytest.approx(want, abs=1e-12)
 
 
 def test_exact_mode_respects_state_cap(monkeypatch):

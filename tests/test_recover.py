@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+import gen
 from scmkit.estimate import Dataset, DataError, load_table, plug_in
 from scmkit.expr import parse_estimand, render
 from scmkit.graph import Admg, GraphError, parse_graph
@@ -234,3 +235,32 @@ def test_recovery_across_mechanisms_and_sizes():
             est = recover_estimate(mg, d_miss, {"Y": "1"})
             errors.append(abs(est.value - truth))
             assert errors[-1] < tol, (name, n)
+
+
+# --- missing cells outside every domain -----------------------------------------
+
+
+def test_sum_over_partially_observed_variable():
+    mg = parse_mgraph(gen.TWO_SIDED)
+    d = Dataset(("X", "Y"), tuple(gen.TWO_SIDED_ROWS))
+    res = recoverability(mg, {"Y"})
+    assert render(res.estimand) == "sum_{x} P(x|R_X=obs) * P(y|x,R_X=obs,R_Y=obs)"
+    for y in ("0", "1"):
+        est = recover_estimate(mg, d, {"Y": y})
+        assert est.value == pytest.approx(gen.two_sided_by_hand(y), abs=1e-12)
+    # a value outside the observed domain carries zero mass
+    assert recover_estimate(mg, d, {"Y": "NA"}).value == 0.0
+
+
+def test_ordered_search_limit_is_reported():
+    # isolated fully observed variables leave criterion (iii) as the only route
+    for extra, recoverable in ((6, True), (7, False)):
+        text = gen.TWO_SIDED + "".join(f"var W{i}\n" for i in range(extra))
+        res = recoverability(parse_mgraph(text), {"X", "Y"})
+        if recoverable:
+            assert res.criterion == "ordered-factorization"
+        else:
+            assert res == NotRecoverable(
+                "ordered-factorization search skipped: 9 substantive variables "
+                "exceed its limit of 8"
+            )

@@ -296,6 +296,20 @@ def test_sample_frequencies_within_four_sigma():
         assert abs(freq - p) <= 4 * sigma
 
 
+def test_sample_matches_row_by_row_reference():
+    r = gen.rng(73)
+    for i in range(80):
+        m = gen.random_scm(r, n_endo=int(r.integers(1, 6)), n_exo=int(r.integers(1, 4)))
+        if i % 2:
+            # pinned variables are parentless structural tables
+            pinned = r.choice(sorted(m.endogenous), size=int(r.integers(1, 3)))
+            m = intervene(m, {str(v): str(int(r.integers(0, 2))) for v in pinned})
+        n = int(r.integers(1, 500))
+        got = sample(m, n, seed=i)
+        want = gen.sample_by_rows(m, n, seed=i)
+        assert (got.columns, got.rows) == (want.columns, want.rows)
+
+
 def test_sample_size_validated():
     with pytest.raises(ScmError):
         sample(xor_scm(), 0, seed=1)
