@@ -268,9 +268,10 @@ class Cells:
 
     ``codes[k, j]`` is the index of cell ``k``'s value in the domain of
     ``variables[j]``; a code past the end of the domain is a value that no
-    estimand token names.  Distributions over the cells are weight rows (see
-    :func:`eval_rows`), so memory grows with the number of cells, never with
-    the product of the domain sizes.
+    estimand token names, and a sum over an empty domain is refused.
+    Distributions over the cells are weight rows (see :func:`eval_rows`), so
+    memory grows with the number of cells, never with the product of the
+    domain sizes.
     """
 
     def __init__(
@@ -426,6 +427,8 @@ class _RowEvaluation:
                 raise EstimandError(f"symbol {e.token!r} bound twice along one path")
             if e.var not in self.cells.domains:
                 raise UnboundSymbol(f"variable {e.var} not in the joint table")
+            if not self.cells.domains[e.var]:
+                raise ConditioningOnZero(f"no observed value of {e.var}")
             total = self.zero
             for value in self.cells.domains[e.var]:
                 env[e.token] = value

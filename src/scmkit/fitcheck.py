@@ -68,23 +68,23 @@ def g_squared_ci(
         raise MissingDataPresent(
             f"column {gaps[0]} has missing cells; run recoverability analysis"
         )
-    du = len(d.domains[u])
-    dv = len(d.domains[v])
-    stratum, distinct = group_rows(codes[:, 2:])
-    table = np.bincount(
-        (stratum * du + codes[:, 0]) * dv + codes[:, 1],
-        minlength=len(distinct) * du * dv,
-    ).reshape(len(distinct), du, dv)
-    kept = table[table.sum(axis=(1, 2)) >= MIN_STRATUM]
-    row_tot = kept.sum(axis=2, keepdims=True)
-    col_tot = kept.sum(axis=1, keepdims=True)
-    expected = row_tot * col_tot / row_tot.sum(axis=1, keepdims=True)
-    seen = kept > 0
-    stat = 2.0 * float(np.sum(kept[seen] * np.log(kept[seen] / expected[seen])))
-    used = len(kept)
-    dof = used * (du - 1) * (dv - 1)
+    stratum, _ = group_rows(codes[:, 2:])
+    size = np.bincount(stratum)
+    large = size >= MIN_STRATUM
+    # counts of the observed (stratum, u, v) cells only, with their row and
+    # column totals, so memory follows n and never |dom u| x |dom v|
+    cell, seen = group_rows(np.column_stack([stratum, codes[:, :2]]))
+    kept = large[seen[:, 0]]
+    observed, seen = np.bincount(cell)[kept], seen[kept]
+    by_u, by_v = group_rows(seen[:, :2])[0], group_rows(seen[:, ::2])[0]
+    row_tot = np.bincount(by_u, weights=observed)[by_u]
+    col_tot = np.bincount(by_v, weights=observed)[by_v]
+    expected = row_tot * col_tot / size[seen[:, 0]]
+    stat = 2.0 * float(np.sum(observed * np.log(observed / expected)))
+    used = int(np.count_nonzero(large))
+    dof = used * (len(d.domains[u]) - 1) * (len(d.domains[v]) - 1)
     p = _chi2_sf(stat, dof) if dof > 0 else 1.0
-    return stat, dof, p, used, len(distinct) - used
+    return stat, dof, p, used, len(size) - used
 
 
 def _chi2_sf(x: float, dof: int) -> float:

@@ -3,7 +3,8 @@
 An m-graph is the causal graph over substantive variables plus one binary
 missingness indicator per partially observed variable.  Three sound criteria
 are implemented, tried in order; a refusal means no implemented criterion
-applies, never that recovery is impossible.
+applies, or the order search was skipped as too large, never that recovery
+is impossible.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
 
 OBSERVED = "obs"
 MISSING = "miss"
+_ORDER_SEARCH_LIMIT = 8  # most substantive variables whose orders are searched
 
 
 class NotRecoverableError(ValueError):
@@ -182,22 +184,22 @@ def recoverability(mg: MGraph, target: frozenset[str] | set[str]) -> Recoverabil
 
     # (iii) ordered factorization over the substantive variables
     subs = sorted(mg.substantive)
-    if len(subs) <= 8:
-        for perm in itertools.permutations(subs):
-            factors = _ordered_factors(mg, perm)
-            if factors is None:
-                continue
-            body = prod_of(factors)
-            out = body
-            for v in sorted(set(subs) - target, reverse=True):
-                out = Sum(v, v.lower(), out)
-            return Recoverable(out, criterion="ordered-factorization")
-        return NotRecoverable("no implemented criterion applies")
+    if len(subs) > _ORDER_SEARCH_LIMIT:
+        return NotRecoverable(
+            f"ordered-factorization search skipped: {len(subs)} substantive "
+            f"variables exceed its limit of {_ORDER_SEARCH_LIMIT}"
+        )
+    for perm in itertools.permutations(subs):
+        factors = _ordered_factors(mg, perm)
+        if factors is None:
+            continue
+        body = prod_of(factors)
+        out = body
+        for v in sorted(set(subs) - target, reverse=True):
+            out = Sum(v, v.lower(), out)
+        return Recoverable(out, criterion="ordered-factorization")
 
-    return NotRecoverable(
-        f"ordered-factorization search skipped: {len(subs)} substantive "
-        "variables exceed its limit of 8"
-    )
+    return NotRecoverable("no implemented criterion applies")
 
 
 def _ordered_factors(mg: MGraph, perm: tuple[str, ...]) -> list[Estimand] | None:
@@ -230,7 +232,8 @@ def _augmented_joint(mg: MGraph, d: Dataset) -> tuple[Cells, np.ndarray]:
 
     A missing cell of ``v`` gets the code ``len(domain of v)``, one past the
     domain, paired with ``R_v = miss``.  No domain value names that code, so
-    no term and no ``sum_{...}`` ever refers to a missing cell.
+    no term and no ``sum_{...}`` ever refers to a missing cell; a column with
+    no observed cell has an empty domain, and a sum over it is refused.
     """
     subs = sorted(mg.substantive)
     for v in subs:

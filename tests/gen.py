@@ -621,6 +621,9 @@ TWO_SIDED_ROWS = (
     + [("1", None)] * 4 + [(None, None)] * 2
 )
 
+# the same m-graph's data with X never observed
+TWO_SIDED_NEVER_X = [(None, "0")] * 5 + [(None, "1")] * 3 + [(None, None)] * 2
+
 
 def two_sided_by_hand(y):
     """sum_x P(x|R_X=obs) P(y|x,R_X=obs,R_Y=obs) from raw counts."""

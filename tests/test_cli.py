@@ -389,6 +389,20 @@ def test_recover_sums_over_partially_observed_variable(tmp_path):
     assert out == f"{gen.two_sided_by_hand('1'):.6f}\t{len(gen.TWO_SIDED_ROWS)}\n"
 
 
+def test_recover_sum_over_never_observed_variable_exit_3(tmp_path):
+    graph = tmp_path / "two.cg"
+    graph.write_text(gen.TWO_SIDED)
+    csv = tmp_path / "never.csv"
+    csv.write_text("X,Y\n" + "".join(
+        f"NA,{'NA' if y is None else y}\n" for _, y in gen.TWO_SIDED_NEVER_X
+    ))
+    code, out, err = invoke(
+        "recover", "--graph", str(graph), "--data", str(csv), "--target", "Y=1"
+    )
+    assert (code, out) == (3, "")
+    assert err == "error: conditioning on a zero-probability event: no observed value of X\n"
+
+
 def test_recover_bad_target_exit_1():
     code, _, err = invoke(
         "recover", "--graph", path("mar.cg"), "--data", path("dmiss.csv"),

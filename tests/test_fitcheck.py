@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import pytest
 
@@ -111,6 +112,30 @@ def test_g_squared_matches_row_scan_reference():
         seen_pooled |= pooled > 0 and used > 0
         seen_empty_given |= not given
     assert seen_pooled and seen_empty_given
+
+
+def test_g_squared_memory_follows_rows_not_domains():
+    # 300 x 300 values over 10 strata: a dense (strata, |u|, |v|) table of
+    # counts would take 7.2 MB for 6000 rows
+    r = gen.rng(73)
+    rows = tuple(
+        (str(int(r.integers(0, 300))), str(int(r.integers(0, 300))),
+         str(int(r.integers(0, 10))))
+        for _ in range(6000)
+    )
+    d = Dataset(("U", "V", "Z"), rows)
+    assert d.codes.shape == (6000, 3)  # encoded before the measurement
+    tracemalloc.start()
+    try:
+        stat, dof, p, used, pooled = g_squared_ci(d, "U", "V", ("Z",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = gen.g_squared_by_rows(d, "U", "V", ("Z",))
+    assert stat == pytest.approx(want[0], rel=1e-12)
+    assert (dof, used, pooled) == (want[1], want[3], want[4])
+    assert dof == 10 * 299 * 299
+    assert peak < 2_000_000
 
 
 def test_g_squared_refuses_missing_cells():

@@ -5,7 +5,7 @@ import pytest
 
 import gen
 from scmkit.estimate import Dataset, DataError, load_table, plug_in
-from scmkit.expr import parse_estimand, render
+from scmkit.expr import ConditioningOnZero, parse_estimand, render
 from scmkit.graph import Admg, GraphError, parse_graph
 from scmkit.recover import (
     MGraph,
@@ -250,6 +250,17 @@ def test_sum_over_partially_observed_variable():
         assert est.value == pytest.approx(gen.two_sided_by_hand(y), abs=1e-12)
     # a value outside the observed domain carries zero mass
     assert recover_estimate(mg, d, {"Y": "NA"}).value == 0.0
+
+
+def test_sum_over_never_observed_variable_is_refused():
+    # X has no observed cell, so its domain is empty: the sum over x must be
+    # a refusal, not an empty sum of 0
+    mg = parse_mgraph(gen.TWO_SIDED)
+    d = Dataset(("X", "Y"), tuple(gen.TWO_SIDED_NEVER_X))
+    for y in ("0", "1"):
+        with pytest.raises(ConditioningOnZero, match="^conditioning on a zero-probability "
+                           "event: no observed value of X$"):
+            recover_estimate(mg, d, {"Y": y})
 
 
 def test_ordered_search_limit_is_reported():
