@@ -5,47 +5,66 @@ in as text, data go in as categorical tables; out come a symbolic estimand
 (or a certified refusal), a plug-in estimate with confidence, and fit
 indices.  Counterfactual, mediation, missing-data and discovery tooling round
 out the engine at desk scale.
+
+The names below are loaded from their home modules on first use, so
+``import scmkit`` loads no submodule and symbolic work never loads numpy.
 """
+
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
 
-from .graph import Admg, CiStatement, c_components, d_separated, parse_graph, serialize_graph, testable_implications
-from .expr import (
-    JointTable,
-    ProbTerm,
-    Sum,
-    Product,
-    Quotient,
-    One,
-    ONE,
-    Val,
-    eval_estimand,
-    parse_estimand,
-    render,
-    simplify,
-)
-from .scm import (
-    CounterfactualQuery,
-    DiscreteScm,
-    EndogenousVar,
-    ExogenousVar,
-    counterfactual_query,
-    intervene,
-    joint_counterfactual,
-    latent_projection,
-    observational_joint,
-    parse_scm,
-    sample,
-    serialize_scm,
-)
-from .identify import (
-    CausalQuery,
-    Identified,
-    NonIdentifiable,
-    QueryTerm,
-    backdoor_sets,
-    identify,
-    nonidentifiability_witness,
-    parse_query,
-    query_layer,
-)
+_EXPORTS = {
+    "graph": (
+        "Admg", "CiStatement", "c_components", "d_separated", "parse_graph",
+        "serialize_graph", "testable_implications",
+    ),
+    "expr": (
+        "JointTable", "ProbTerm", "Sum", "Product", "Quotient", "One", "ONE", "Val",
+        "eval_estimand", "parse_estimand", "render", "simplify",
+    ),
+    "scm": (
+        "CounterfactualQuery", "DiscreteScm", "EndogenousVar", "ExogenousVar",
+        "counterfactual_query", "intervene", "joint_counterfactual",
+        "latent_projection", "observational_joint", "parse_scm", "sample",
+        "serialize_scm",
+    ),
+    "identify": (
+        "CausalQuery", "Identified", "NonIdentifiable", "QueryTerm", "backdoor_sets",
+        "identify", "nonidentifiability_witness", "parse_query", "query_layer",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{home}", __name__), name)
+
+
+def __dir__():
+    return sorted(__all__ + [name for name in globals() if name.startswith("__")])
+
+
+class _Package(types.ModuleType):
+    """The package module, keeping an exported function bound over its
+    same-named submodule.
+
+    Importing ``scmkit.identify`` makes the import system bind that submodule
+    as the package attribute ``identify``; the function ``identify`` is what
+    ``scmkit.identify`` and ``from scmkit import identify`` must give.
+    """
+
+    def __setattr__(self, name, value):
+        if isinstance(value, types.ModuleType) and _HOME.get(name) == name:
+            value = getattr(value, name)
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

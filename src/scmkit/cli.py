@@ -12,31 +12,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from typing import IO
+from typing import IO, TYPE_CHECKING
 
-from .discover import DataOracle, GraphOracle, discover_cpdag, render_cpdag
-from .estimate import (
-    MissingDataPresent,
-    TooManyDegenerateResamples,
-    bootstrap_interval,
-    empirical_joint,
-    load_table,
-    plug_in,
-)
-from .expr import ConditioningOnZero, render, simplify
-from .fitcheck import fit_indices, render_fit_report
-from .graph import parse_graph
-from .identify import NonIdentifiable, QueryTerm, identify, parse_query
-from .mediation import mediation_effects_data, mediation_effects_scm
-from .pnps import InconsistentInputs, pn_ps_exact, pnps_bounds
-from .recover import (
-    NotRecoverable,
-    NotRecoverableError,
-    parse_mgraph,
-    recover_estimate,
-    recoverability,
-)
-from .scm import CounterfactualQuery, ZeroEvidence, counterfactual_query, parse_scm
+if TYPE_CHECKING:
+    from .identify import QueryTerm
 
 __all__ = ["run", "main"]
 
@@ -45,14 +24,25 @@ EXIT_USAGE = 1
 EXIT_FAILURE = 2
 EXIT_DATA = 3
 
+# errors meaning the data cannot support the request, as (module, class);
+# handlers import only the modules their subcommand runs, and a module never
+# imported raised none of its errors
 _DATA_EXCEPTIONS = (
-    ConditioningOnZero,
-    InconsistentInputs,
-    MissingDataPresent,
-    TooManyDegenerateResamples,
-    ZeroEvidence,
-    NotRecoverableError,
+    ("expr", "ConditioningOnZero"),
+    ("pnps", "InconsistentInputs"),
+    ("estimate", "MissingDataPresent"),
+    ("estimate", "TooManyDegenerateResamples"),
+    ("scm", "ZeroEvidence"),
+    ("recover", "NotRecoverableError"),
 )
+
+
+def _is_data_error(exc: Exception) -> bool:
+    for mod, name in _DATA_EXCEPTIONS:
+        home = sys.modules.get(f"{__package__}.{mod}")
+        if home is not None and isinstance(exc, getattr(home, name)):
+            return True
+    return False
 
 
 def _fmt(x: float) -> str:
@@ -158,12 +148,15 @@ def run(argv: list[str], stdout: IO[str] | None = None, stderr: IO[str] | None =
     }[args.command]
     try:
         return handler(args, out, err)
-    except _DATA_EXCEPTIONS as exc:
+    except Exception as exc:
+        if _is_data_error(exc):
+            code = EXIT_DATA
+        elif isinstance(exc, (ValueError, OSError)):
+            code = EXIT_USAGE
+        else:
+            raise
         print(f"error: {exc}", file=err)
-        return EXIT_DATA
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_USAGE
+        return code
 
 
 def main() -> None:
@@ -174,6 +167,10 @@ def main() -> None:
 
 
 def _cmd_identify(args, out, err) -> int:
+    from .expr import render, simplify
+    from .graph import parse_graph
+    from .identify import NonIdentifiable, identify, parse_query
+
     g = parse_graph(_read(args.graph))
     q = parse_query(args.query)
     result = identify(g, q)
@@ -197,6 +194,11 @@ def _require_literal(terms: tuple[QueryTerm, ...]) -> None:
 
 
 def _cmd_estimate(args, out, err) -> int:
+    from .estimate import bootstrap_interval, load_table, plug_in
+    from .expr import render, simplify
+    from .graph import parse_graph
+    from .identify import NonIdentifiable, identify, parse_query
+
     g = parse_graph(_read(args.graph))
     q = parse_query(args.query)
     d = load_table(args.data)
@@ -236,6 +238,10 @@ def _cmd_estimate(args, out, err) -> int:
 
 
 def _cmd_fit(args, out, err) -> int:
+    from .estimate import load_table
+    from .fitcheck import fit_indices, render_fit_report
+    from .graph import parse_graph
+
     g = parse_graph(_read(args.graph))
     d = load_table(args.data)
     report = fit_indices(g, d, alpha=args.alpha, bonferroni=args.bonferroni)
@@ -244,6 +250,9 @@ def _cmd_fit(args, out, err) -> int:
 
 
 def _cmd_counterfactual(args, out, err) -> int:
+    from .identify import parse_query
+    from .scm import CounterfactualQuery, counterfactual_query, parse_scm
+
     m = parse_scm(_read(args.scm))
     q = parse_query(args.query)
     if q.do:
@@ -307,6 +316,9 @@ def _print_pnps(result, out, err, porcelain: bool) -> None:
 
 
 def _cmd_pnps(args, out, err) -> int:
+    from .pnps import pn_ps_exact, pnps_bounds
+    from .scm import parse_scm
+
     if args.scm and not args.data:
         m = parse_scm(_read(args.scm))
         result = pn_ps_exact(
@@ -320,6 +332,8 @@ def _cmd_pnps(args, out, err) -> int:
             px1, px0 = args.px1, args.px0
         else:
             raise ValueError("bounds mode needs --px1/--px0 or --experiment")
+        from .estimate import empirical_joint, load_table
+
         d = load_table(args.data)
         obs = empirical_joint(d.select((args.exposure, args.outcome)))
         result = pnps_bounds(
@@ -333,6 +347,11 @@ def _cmd_pnps(args, out, err) -> int:
 
 
 def _cmd_mediate(args, out, err) -> int:
+    from .estimate import load_table
+    from .graph import parse_graph
+    from .mediation import mediation_effects_data, mediation_effects_scm
+    from .scm import parse_scm
+
     if args.scm and not (args.graph or args.data):
         m = parse_scm(_read(args.scm))
         report = mediation_effects_scm(
@@ -385,6 +404,10 @@ def _parse_target(text: str) -> dict[str, str]:
 
 
 def _cmd_recover(args, out, err) -> int:
+    from .estimate import load_table
+    from .expr import render
+    from .recover import NotRecoverable, parse_mgraph, recover_estimate, recoverability
+
     mg = parse_mgraph(_read(args.graph))
     d = load_table(args.data)
     target = _parse_target(args.target)
@@ -404,11 +427,16 @@ def _cmd_recover(args, out, err) -> int:
 
 
 def _cmd_discover(args, out, err) -> int:
+    from .discover import DataOracle, GraphOracle, discover_cpdag, render_cpdag
+    from .graph import parse_graph
+
     if args.graph and not args.data:
         g = parse_graph(_read(args.graph))
         oracle = GraphOracle(g)
         variables = sorted(g.nodes)
     elif args.data and not args.graph:
+        from .estimate import load_table
+
         d = load_table(args.data)
         oracle = DataOracle(d, alpha=args.alpha)
         variables = list(d.columns)

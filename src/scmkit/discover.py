@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Protocol
+from typing import TYPE_CHECKING, Iterable, Protocol
 
-from .estimate import DataError, Dataset
-from .fitcheck import g_squared_ci
 from .graph import Admg, GraphError, d_separated
+
+if TYPE_CHECKING:
+    from .estimate import Dataset
 
 __all__ = [
     "Cpdag",
@@ -71,15 +72,23 @@ class GraphOracle:
 
 
 class DataOracle:
-    """Answers independence queries with the G-squared test at level alpha."""
+    """Answers independence queries with the G-squared test at level alpha.
+
+    The data layers are imported here, so discovery over a
+    :class:`GraphOracle` loads neither them nor numpy.
+    """
 
     def __init__(self, d: Dataset, alpha: float = 0.05):
+        from .estimate import DataError
+
         if not 0 < alpha < 1:
             raise DataError("alpha must be in (0, 1)")
         self.d = d
         self.alpha = alpha
 
     def independent(self, u: str, v: str, given: tuple[str, ...]) -> bool:
+        from .fitcheck import g_squared_ci
+
         _, _, p, _, _ = g_squared_ci(self.d, u, v, given)
         return p >= self.alpha
 

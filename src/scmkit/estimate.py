@@ -11,15 +11,8 @@ from typing import IO, Iterable, Mapping
 
 import numpy as np
 
-from .expr import (
-    Cells,
-    ConditioningOnZero,
-    Estimand,
-    EstimandError,
-    JointTable,
-    eval_rows,
-    group_rows,
-)
+from .evaluate import Cells, eval_rows, group_rows
+from .expr import ConditioningOnZero, Estimand, EstimandError, JointTable
 
 __all__ = [
     "MISSING_TOKEN",
@@ -214,6 +207,8 @@ def bootstrap_interval(
         raise DataError(f"B={B} is too small; need at least 100 resamples")
     if not 0 < level < 1:
         raise DataError("confidence level must be in (0, 1)")
+    if seed < 0:
+        raise DataError(f"seed={seed} is negative; need a non-negative integer")
     n = d.n
     cells, counts = _counted_cells(d)
     point = float(eval_rows(e, cells, counts[None, :] / n, binding)[0][0])

@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
-import numpy as np
-
 from .lexer import NAME_RE, SYM_RE, VALUE_RE, Scanner
 
 __all__ = [
@@ -251,61 +249,6 @@ class JointTable:
 # --- evaluation --------------------------------------------------------------
 
 
-def group_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group of every row of an integer matrix, and the distinct rows in
-    lexicographic order; group ``g`` is distinct row ``g``."""
-    order = np.lexsort(codes.T[::-1]) if codes.shape[1] else np.arange(len(codes))
-    ranked = codes[order]
-    first = np.ones(len(codes), dtype=bool)
-    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    group = np.empty_like(order)
-    group[order] = np.cumsum(first) - 1
-    return group, ranked[first]
-
-
-class Cells:
-    """A fixed set of distinct cells over ``variables``, as integer codes.
-
-    ``codes[k, j]`` is the index of cell ``k``'s value in the domain of
-    ``variables[j]``; a code past the end of the domain is a value that no
-    estimand token names, and a sum over an empty domain is refused.
-    Distributions over the cells are weight rows (see :func:`eval_rows`), so
-    memory grows with the number of cells, never with the product of the
-    domain sizes.
-    """
-
-    def __init__(
-        self,
-        variables: tuple[str, ...],
-        domains: Mapping[str, tuple[str, ...]],
-        codes: np.ndarray,
-    ):
-        self.variables = variables
-        self.domains = domains
-        self.value_codes = {
-            v: {val: i for i, val in enumerate(domains[v])} for v in variables
-        }
-        self.codes = codes
-        self._groups: dict[tuple[int, ...], tuple[np.ndarray, int, dict]] = {}
-
-    def column(self, var: str) -> int:
-        try:
-            return self.variables.index(var)
-        except ValueError:
-            raise UnboundSymbol(f"variable {var} not in the joint table") from None
-
-    def groups(self, cols: tuple[int, ...]) -> tuple[np.ndarray, int, dict]:
-        """Group of every cell by its codes on ``cols``, the group count, and
-        a map from a code tuple to its group."""
-        got = self._groups.get(cols)
-        if got is None:
-            group, distinct = group_rows(self.codes[:, list(cols)])
-            lookup = {tuple(row): g for g, row in enumerate(distinct.tolist())}
-            got = (group, len(distinct), lookup)
-            self._groups[cols] = got
-        return got
-
-
 def eval_estimand(
     e: Estimand,
     table: JointTable,
@@ -316,135 +259,19 @@ def eval_estimand(
     ``binding`` maps variable names to values for the estimand's free symbols.
     Raises :class:`ConditioningOnZero` when a conditioning event or quotient
     denominator has zero probability, and :class:`UnboundSymbol` when a free
-    symbol has no binding.
+    symbol has no binding.  The numpy evaluator is imported here, so the
+    algebra, parser and renderer load without numpy.
     """
+    import numpy as np
+
+    from .evaluate import Cells, eval_rows
+
     doms = [table.domains[v] for v in table.variables]
     codes = np.array([[d.index(val) for d, val in zip(doms, key)] for key in table.mass])
     cells = Cells(table.variables, table.domains, codes)
     weights = np.fromiter(table.mass.values(), dtype=float, count=len(table.mass))
     values, _ = eval_rows(e, cells, weights[None, :], binding)
     return float(values[0])
-
-
-def eval_rows(
-    e: Estimand,
-    cells: Cells,
-    weights: np.ndarray,
-    binding: Mapping[str, str] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate an estimand on each row of an ``(R, K)`` weight matrix.
-
-    Row ``r`` is the distribution putting ``weights[r, k]`` on cell ``k`` of
-    ``cells``.  Returns the ``R`` values and the rows marked by a zero
-    conditioning event or quotient denominator; a marked row's value is
-    meaningless.  Nodes are visited in one fixed order for all rows, and
-    :class:`ConditioningOnZero` is raised, with the context of the event that
-    marked the last row, as soon as every row is marked.  With one row that
-    is the first zero event, so a refusal takes precedence over a later
-    :class:`UnboundSymbol` exactly as in a single evaluation.
-    """
-    binding = dict(binding or {})
-    for var in binding:
-        if var not in cells.domains:
-            raise UnboundSymbol(f"variable {var} not in the joint table")
-    ev = _RowEvaluation(cells, weights)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = ev.eval(e, binding, {})
-    return values, ev.marked
-
-
-def _resolve(val: Val, binding: Mapping[str, str], env: Mapping[str, str]) -> str:
-    if val.literal:
-        return val.token
-    if val.token in env:
-        return env[val.token]
-    if val.var in binding:
-        return binding[val.var]
-    raise UnboundSymbol(f"no value bound for symbol {val.token!r} (variable {val.var})")
-
-
-class _RowEvaluation:
-    """State of one :func:`eval_rows` pass: marginals computed so far and the
-    marked rows."""
-
-    def __init__(self, cells: Cells, weights: np.ndarray):
-        self.cells = cells
-        self.weights = weights
-        rows = weights.shape[0]
-        self.marked = np.zeros(rows, dtype=bool)
-        self.zero = np.zeros(rows)
-        self.marginals: dict[tuple[int, ...], np.ndarray] = {}
-
-    def mark(self, zero: np.ndarray, context) -> None:
-        if zero.any():
-            self.marked |= zero
-            if self.marked.all():
-                raise ConditioningOnZero(context())
-
-    def prob(self, assignment: list[tuple[int, int | None]]) -> np.ndarray:
-        """Per-row probability of (column, code) pairs; a ``None`` code is a
-        value outside the domain and carries zero mass."""
-        assignment = sorted(assignment)
-        cols = tuple(c for c, _ in assignment)
-        codes = tuple(code for _, code in assignment)
-        inverse, count, lookup = self.cells.groups(cols)
-        g = lookup.get(codes)
-        if g is None:
-            return self.zero
-        marginal = self.marginals.get(cols)
-        if marginal is None:
-            rows = len(self.weights)
-            flat = (np.arange(rows)[:, None] * count + inverse).ravel()
-            marginal = np.bincount(
-                flat, weights=self.weights.ravel(), minlength=rows * count
-            ).reshape(rows, count)
-            self.marginals[cols] = marginal
-        return marginal[:, g]
-
-    def eval(
-        self, e: Estimand, binding: Mapping[str, str], env: dict[str, str]
-    ) -> np.ndarray:
-        if isinstance(e, One):
-            return self.zero + 1.0
-        if isinstance(e, ProbTerm):
-            # values outside a column's observed domain simply carry zero mass;
-            # a zero-mass conditioning event marks the row
-            assignment = []
-            for val in e.joint + e.given:
-                col = self.cells.column(val.var)
-                token = _resolve(val, binding, env)
-                assignment.append((col, self.cells.value_codes[val.var].get(token)))
-            p_all = self.prob(assignment)
-            if not e.given:
-                return p_all
-            p_given = self.prob(assignment[len(e.joint):])
-            self.mark(p_given == 0.0, lambda: ",".join(
-                f"{v.var}={_resolve(v, binding, env)}" for v in e.given
-            ))
-            return p_all / p_given
-        if isinstance(e, Sum):
-            if e.token in env:
-                raise EstimandError(f"symbol {e.token!r} bound twice along one path")
-            if e.var not in self.cells.domains:
-                raise UnboundSymbol(f"variable {e.var} not in the joint table")
-            if not self.cells.domains[e.var]:
-                raise ConditioningOnZero(f"no observed value of {e.var}")
-            total = self.zero
-            for value in self.cells.domains[e.var]:
-                env[e.token] = value
-                total = total + self.eval(e.body, binding, env)
-            del env[e.token]
-            return total
-        if isinstance(e, Product):
-            out = self.zero + 1.0
-            for f in e.factors:
-                out = out * self.eval(f, binding, env)
-            return out
-        if isinstance(e, Quotient):
-            den = self.eval(e.den, binding, env)
-            self.mark(den == 0.0, lambda: "quotient denominator is zero")
-            return self.eval(e.num, binding, env) / den
-        raise EstimandError(f"not an estimand node: {e!r}")
 
 
 # --- free variables ------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimate import DataError, Dataset, MissingDataPresent
-from .expr import group_rows
+from .evaluate import group_rows
 from .graph import Admg, CiStatement, testable_implications
 
 __all__ = [
@@ -94,19 +94,28 @@ def _chi2_sf(x: float, dof: int) -> float:
     sum over j < dof/2 of e^-lam lam^j / j! for even ``dof``, and for odd
     ``dof`` erfc(sqrt(lam)) plus the same sum over half-integer powers,
     e^-lam lam^(j+1/2) / Gamma(j+3/2).  Terms are taken from their
-    logarithms, so none overflows or underflows early at large x.
+    logarithms, so none overflows or underflows early at large x.  The terms
+    rise to a single peak near j = lam and fall on both sides, so the series
+    is summed outward from its largest term, and each side stops at the
+    first term too small to change the sum: the work grows with sqrt(x), not
+    with ``dof``.
     """
     if x <= 0.0:
         return 1.0
     lam = 0.5 * x
     half = 0.5 * (dof % 2)
     log_lam = math.log(lam)
+    count = dof // 2
+    peak = min(int(lam - half), count - 1)
+    series = 0.0
+    for side in (range(peak, -1, -1), range(peak + 1, count)):
+        for j in side:
+            term = math.exp((j + half) * log_lam - lam - math.lgamma(j + half + 1.0))
+            if series + term == series:
+                break
+            series += term
     total = math.erfc(math.sqrt(lam)) if half else 0.0
-    total += sum(
-        math.exp((j + half) * log_lam - lam - math.lgamma(j + half + 1.0))
-        for j in range(dof // 2)
-    )
-    return min(total, 1.0)
+    return min(total + series, 1.0)
 
 
 def fit_indices(

@@ -14,9 +14,7 @@ from __future__ import annotations
 import itertools
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
 from .expr import (
     Estimand,
@@ -31,7 +29,9 @@ from .expr import (
 )
 from .graph import Admg, UnknownVariable, c_components, d_separated
 from .lexer import NAME_RE, SYM_RE, VALUE_RE, Scanner
-from .scm import DiscreteScm, EndogenousVar, ExogenousVar, enumerate_worlds
+
+if TYPE_CHECKING:
+    from .scm import DiscreteScm
 
 __all__ = [
     "QueryTerm",
@@ -485,6 +485,12 @@ def _witness_via_edge(
     min_gap: float,
     max_types: int,
 ) -> WitnessPair | None:
+    # numpy and the model kernel serve only the witness search, so
+    # identification itself loads neither
+    import numpy as np
+
+    from .scm import DiscreteScm, EndogenousVar, ExogenousVar, enumerate_worlds
+
     a, b = edge
     rng = np.random.default_rng(
         _stable_seed("witness", ",".join(sorted(g.nodes)), x, y, a, b, str(attempt))

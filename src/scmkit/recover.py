@@ -16,7 +16,8 @@ from typing import Mapping, Union
 import numpy as np
 
 from .estimate import DataError, Dataset, Estimate
-from .expr import Cells, Estimand, ProbTerm, Sum, Val, eval_rows, group_rows, prod_of
+from .evaluate import Cells, eval_rows, group_rows
+from .expr import Estimand, ProbTerm, Sum, Val, prod_of
 from .graph import Admg, GraphError, d_separated, parse_graph
 
 __all__ = [

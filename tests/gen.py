@@ -590,6 +590,22 @@ def g_squared_by_rows(d, u, v, given):
     return stat, dof, p, used, pooled
 
 
+def chi2_sf_by_series(x, dof):
+    """``fitcheck._chi2_sf`` summing every one of the dof/2 series terms in
+    ascending order."""
+    if x <= 0.0:
+        return 1.0
+    lam = 0.5 * x
+    half = 0.5 * (dof % 2)
+    log_lam = math.log(lam)
+    total = math.erfc(math.sqrt(lam)) if half else 0.0
+    total += sum(
+        math.exp((j + half) * log_lam - lam - math.lgamma(j + half + 1.0))
+        for j in range(dof // 2)
+    )
+    return min(total, 1.0)
+
+
 def sample_by_rows(m: DiscreteScm, n, seed):
     """``sample`` with each structural table read as a dict, row by row; the
     exogenous draws are the same ``rng.choice`` calls in the same order."""

@@ -157,6 +157,17 @@ def test_estimate_degenerate_bootstrap_exit_3():
     assert "resamples" in err
 
 
+def test_estimate_negative_seed_names_the_flag():
+    code, out, err = invoke(
+        "estimate", "--graph", path("backdoor.cg"),
+        "--query", "P(Y=1|do(X=1))", "--data", path("d8.csv"),
+        "--bootstrap", "100", "--seed", "-1",
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: seed=-1 is negative; need a non-negative integer\n"
+
+
 # --- fit --------------------------------------------------------------------------
 
 

@@ -13,15 +13,14 @@ from scmkit.expr import (
     Quotient,
     Sum,
     UnboundSymbol,
-    Cells,
     Val,
     eval_estimand,
-    eval_rows,
     free_variables,
     parse_estimand,
     render,
     simplify,
 )
+from scmkit.evaluate import Cells, eval_rows
 
 ADJUSTMENT_TEXT = "sum_{z} P(y|x,z) * P(z)"
 

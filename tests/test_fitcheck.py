@@ -72,6 +72,38 @@ def test_chi2_tail_matches_scipy():
             assert _chi2_sf(x, dof) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+def test_chi2_tail_wide_dof_matches_full_series():
+    # the dof of the 300 x 300-value, 10-stratum G2 test below, around its
+    # median and in both tails; odd and even dof take different series
+    for dof in (894_010, 894_011):
+        for f in (0.99, 0.998, 1.0, 1.002, 1.01, 1.05):
+            want = gen.chi2_sf_by_series(dof * f, dof)
+            assert _chi2_sf(dof * f, dof) == pytest.approx(want, rel=1e-12, abs=0.0)
+    for dof in range(1, 60):
+        for x in (0.3, 5.0, 41.0, 170.0):
+            want = gen.chi2_sf_by_series(x, dof)
+            assert _chi2_sf(x, dof) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_chi2_tail_work_grows_with_the_statistic_not_dof(monkeypatch):
+    calls = 0
+    lgamma = math.lgamma
+
+    def counting(z):
+        nonlocal calls
+        calls += 1
+        return lgamma(z)
+
+    monkeypatch.setattr(math, "lgamma", counting)
+    for f in (0.99, 1.0, 1.01, 2.0):
+        calls = 0
+        assert 0.0 <= _chi2_sf(5_000_000 * f, 5_000_000) <= 1.0
+        # summed outward from the largest term, near j = x/2, until terms no
+        # longer change the sum: at most about 12 sqrt(x) terms (24k here);
+        # the full series has 2,500,000
+        assert calls < 50_000
+
+
 def test_chi2_tail_edges():
     assert _chi2_sf(0.0, 3) == 1.0
     # even dof = 2: P(chi2 > x) = exp(-x / 2)

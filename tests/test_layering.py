@@ -1,0 +1,138 @@
+"""Which modules each entry point loads, checked in fresh interpreters.
+
+``import scmkit`` resolves its exports lazily, and each CLI subcommand imports
+only the modules on its path, so symbolic work never loads numpy.
+"""
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
+
+
+def fresh(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports scmkit from this tree."""
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+
+
+def loaded_after_run(argv: list[str]) -> tuple[int, set[str]]:
+    """Exit code of ``scmkit.cli.run(argv)`` and the modules loaded by then."""
+    code = (
+        "import io, json, sys\n"
+        "import scmkit.cli\n"
+        f"code = scmkit.cli.run({argv!r}, io.StringIO(), io.StringIO())\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    proc = fresh(code)
+    assert proc.returncode == 0, proc.stderr
+    exit_code, modules = json.loads(proc.stdout)
+    return exit_code, set(modules)
+
+
+def data(name: str) -> str:
+    return str(DATA / name)
+
+
+SYMBOLIC = {
+    "identify": ["identify", "--graph", data("backdoor.cg"), "--query", "P(Y|do(X))"],
+    "identify refused": ["identify", "--graph", data("bow.cg"), "--query", "P(Y|do(X))"],
+    "discover --graph": ["discover", "--graph", data("collider.cg")],
+}
+
+MODEL = {
+    "counterfactual": ["counterfactual", "--scm", data("xor.scm"),
+                       "--query", "P(Y_{X=1}=1|X=0)"],
+    "pnps --scm": ["pnps", "--scm", data("xor.scm")],
+    "mediate --scm": ["mediate", "--scm", data("med.scm"), "--exposure", "X",
+                      "--mediator", "M", "--outcome", "Y", "--x0", "0", "--x1", "1"],
+}
+
+DATA_ONLY = {
+    "estimate": ["estimate", "--graph", data("backdoor.cg"),
+                 "--query", "P(Y=1|do(X=1))", "--data", data("d8.csv")],
+    "fit": ["fit", "--graph", data("chain.cg"), "--data", data("d8.csv")],
+}
+
+
+@pytest.mark.parametrize("argv", SYMBOLIC.values(), ids=SYMBOLIC.keys())
+def test_symbolic_subcommands_load_no_numpy(argv):
+    code, modules = loaded_after_run(argv)
+    assert code in (0, 2)
+    assert "numpy" not in modules
+    assert "scmkit.scm" not in modules and "scmkit.estimate" not in modules
+
+
+@pytest.mark.parametrize("argv", MODEL.values(), ids=MODEL.keys())
+def test_model_subcommands_load_no_data_tests_or_recovery(argv):
+    code, modules = loaded_after_run(argv)
+    assert code == 0
+    assert not modules & {"scmkit.fitcheck", "scmkit.discover", "scmkit.recover"}
+
+
+@pytest.mark.parametrize("argv", DATA_ONLY.values(), ids=DATA_ONLY.keys())
+def test_data_subcommands_load_no_model_kernel(argv):
+    code, modules = loaded_after_run(argv)
+    assert code == 0
+    assert "scmkit.scm" not in modules
+
+
+def test_package_exports_resolve_lazily_to_their_home_objects():
+    proc = fresh(
+        "import json, sys\n"
+        "import scmkit\n"
+        "before = sorted(m for m in sys.modules if m.startswith('scmkit.'))\n"
+        "homes = {}\n"
+        "for name in scmkit.__all__:\n"
+        "    obj = getattr(scmkit, name)\n"
+        "    home = sys.modules[obj.__module__]\n"
+        "    assert getattr(home, name) is obj, name\n"
+        "    homes[name] = obj.__module__\n"
+        "from scmkit import graph\n"
+        "print(json.dumps([before, homes, sorted(dir(scmkit)), graph.__name__,\n"
+        "                  callable(scmkit.identify)]))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, homes, listed, graph_name, identify_is_function = json.loads(proc.stdout)
+    assert before == []
+    assert set(homes.values()) == {
+        "scmkit.graph", "scmkit.expr", "scmkit.scm", "scmkit.identify"
+    }
+    assert len(homes) == 40
+    assert set(homes) <= set(listed)
+    assert graph_name == "scmkit.graph"
+    assert identify_is_function
+
+
+def test_readme_library_block_runs_in_a_fresh_interpreter():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    proc = fresh(block)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "sum_{z} P(y|x,z) * P(z)\n"
+
+
+def test_identify_stays_the_function_after_the_cli_loads_its_module():
+    proc = fresh(
+        "import io, sys\n"
+        "import scmkit, scmkit.cli\n"
+        f"argv = {SYMBOLIC['identify']!r}\n"
+        "assert 'scmkit.identify' not in sys.modules\n"
+        "assert scmkit.cli.run(argv, io.StringIO(), io.StringIO()) == 0\n"
+        "from scmkit import identify\n"
+        "assert identify is scmkit.identify is sys.modules['scmkit.identify'].identify\n"
+        "print(identify.__module__, identify.__name__)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "scmkit.identify identify\n"
