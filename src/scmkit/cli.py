@@ -50,7 +50,7 @@ def _fmt(x: float) -> str:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return fh.read()
 
 
@@ -317,9 +317,10 @@ def _print_pnps(result, out, err, porcelain: bool) -> None:
 
 def _cmd_pnps(args, out, err) -> int:
     from .pnps import pn_ps_exact, pnps_bounds
-    from .scm import parse_scm
 
     if args.scm and not args.data:
+        from .scm import parse_scm
+
         m = parse_scm(_read(args.scm))
         result = pn_ps_exact(
             m, args.exposure, args.outcome,
@@ -347,17 +348,19 @@ def _cmd_pnps(args, out, err) -> int:
 
 
 def _cmd_mediate(args, out, err) -> int:
-    from .estimate import load_table
-    from .graph import parse_graph
     from .mediation import mediation_effects_data, mediation_effects_scm
-    from .scm import parse_scm
 
     if args.scm and not (args.graph or args.data):
+        from .scm import parse_scm
+
         m = parse_scm(_read(args.scm))
         report = mediation_effects_scm(
             m, args.exposure, args.mediator, args.outcome, args.x0, args.x1
         )
     elif args.graph and args.data and not args.scm:
+        from .estimate import load_table
+        from .graph import parse_graph
+
         g = parse_graph(_read(args.graph))
         d = load_table(args.data)
         report = mediation_effects_data(

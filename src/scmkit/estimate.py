@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import csv
-import io
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterable, Mapping
+from operator import itemgetter
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -45,49 +45,62 @@ class TooManyDegenerateResamples(ArithmeticError):
     """Too large a share of bootstrap resamples hit an empty stratum."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Dataset:
-    """Rectangular categorical data; ``None`` cells are missing marks."""
+    """Rectangular categorical data, stored as integer codes.
+
+    ``codes`` is a read-only ``(n, columns)`` array: each cell's index in its
+    column's ``domains`` entry (the sorted distinct observed values), -1 for a
+    missing cell, in the smallest signed dtype that also holds one past the
+    widest domain.
+    """
 
     columns: tuple[str, ...]
-    rows: tuple[tuple[str | None, ...], ...]
+    domains: dict[str, tuple[str, ...]]
+    codes: np.ndarray
 
-    def __post_init__(self):
-        if len(set(self.columns)) != len(self.columns):
-            raise DataError("duplicate column names")
-        if not self.rows:
+    def __init__(self, columns: Iterable[str], rows: Sequence[Sequence[str | None]]):
+        """Encode rows of cells; ``None`` marks a missing cell."""
+        columns = _distinct(columns)
+        if not rows:
             raise DataError("dataset needs at least one row")
-        for i, row in enumerate(self.rows):
-            if len(row) != len(self.columns):
-                raise DataError(
-                    f"row {i + 1} has {len(row)} cells, expected {len(self.columns)}"
-                )
-            for cell in row:
-                if cell == "":
-                    raise DataError(f"row {i + 1} has an empty cell")
+        widths = np.fromiter(map(len, rows), np.intp, len(rows))
+        ragged = np.flatnonzero(widths != len(columns))
+        bad = int(ragged[0]) if ragged.size else len(rows)
+        # the first bad row wins: the rows above a ragged one are checked for
+        # empty cells before it is refused
+        tokens = _tokens(rows[:bad], len(columns))
+        self._set(columns, *_encode(columns, tokens, bad))
+        if bad < len(rows):
+            raise DataError(
+                f"row {bad + 1} has {widths[bad]} cells, expected {len(columns)}"
+            )
+
+    @classmethod
+    def _coded(cls, columns, domains, codes) -> "Dataset":
+        """A dataset over columns already encoded."""
+        d = cls.__new__(cls)
+        d._set(columns, domains, codes)
+        return d
+
+    def _set(self, columns, domains, codes) -> None:
+        codes.flags.writeable = False
+        for name, value in (("columns", columns), ("domains", domains), ("codes", codes)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return self.codes.shape[0]
 
     @cached_property
-    def domains(self) -> dict[str, tuple[str, ...]]:
-        """Sorted distinct non-missing tokens per column."""
-        return {
-            c: tuple(sorted(set(col) - {None}))
-            for c, col in zip(self.columns, zip(*self.rows))
-        }
-
-    @cached_property
-    def codes(self) -> np.ndarray:
-        """``(n, columns)`` index of each cell in its column's domain; -1 marks
-        a missing cell.  The dtype also holds one past the widest domain."""
-        width = max(map(len, self.domains.values()), default=0)
-        out = np.empty((self.n, len(self.columns)), dtype=np.min_scalar_type(-1 - width))
-        for j, (c, col) in enumerate(zip(self.columns, zip(*self.rows))):
-            lut = {None: -1} | {val: i for i, val in enumerate(self.domains[c])}
-            out[:, j] = [lut[cell] for cell in col]
-        return out
+    def rows(self) -> tuple[tuple[str | None, ...], ...]:
+        """The cells decoded row by row on first use, ``None`` for a missing
+        cell; the engine itself reads ``codes``."""
+        cols = [
+            np.array(self.domains[c] + (None,), dtype=object)[self.codes[:, j]].tolist()
+            for j, c in enumerate(self.columns)
+        ]
+        return tuple(zip(*cols)) or ((),) * self.n  # no columns: n empty rows
 
     @cached_property
     def has_missing(self) -> bool:
@@ -101,18 +114,70 @@ class Dataset:
 
     def select(self, names: Iterable[str]) -> "Dataset":
         idx = [self.column_index(c) for c in names]
-        return Dataset(
-            tuple(self.columns[i] for i in idx),
-            tuple(tuple(row[i] for i in idx) for row in self.rows),
-        )
+        columns = _distinct(self.columns[i] for i in idx)
+        domains = {c: self.domains[c] for c in columns}
+        codes = self.codes[:, idx].astype(_code_dtype(domains))
+        return Dataset._coded(columns, domains, codes)
+
+
+def _distinct(names: Iterable[str]) -> tuple[str, ...]:
+    names = tuple(names)
+    if len(set(names)) != len(names):
+        raise DataError("duplicate column names")
+    return names
+
+
+def _code_dtype(domains: Mapping[str, tuple[str, ...]]) -> np.dtype:
+    return np.min_scalar_type(-1 - max(map(len, domains.values()), default=0))
+
+
+def _tokens(
+    rows: Sequence[Sequence], width: int, clean=None
+) -> Iterator[tuple[list, np.ndarray]]:
+    """Per column of ``rows``: its distinct tokens, passed through ``clean``
+    once each, and every cell's index among them."""
+    for j in range(width):
+        col = list(map(itemgetter(j), rows))
+        pos = {t: i for i, t in enumerate(dict.fromkeys(col))}
+        values = list(map(clean, pos)) if clean else list(pos)
+        yield values, np.array(list(map(pos.__getitem__, col)), dtype=np.intp)
+
+
+def _encode(
+    columns: tuple[str, ...], tokens: Iterable[tuple[Sequence, np.ndarray]], n: int
+) -> tuple[dict[str, tuple[str, ...]], np.ndarray]:
+    """Domains and codes of ``n`` rows, from each column's candidate values
+    (``None`` for missing; repeated values and values no cell takes are
+    allowed) and each cell's index among them.  An empty cell is refused."""
+    domains, coded, empty = {}, [], n
+    for c, (values, index) in zip(columns, tokens):
+        taken = np.bincount(index, minlength=len(values)).astype(bool).tolist()
+        domains[c] = tuple(sorted({v for v, t in zip(values, taken) if t and v is not None}))
+        rank = {v: i for i, v in enumerate(domains[c])}
+        lut = np.array([rank.get(v, -1) for v in values], np.min_scalar_type(-1 - len(rank)))
+        coded.append(lut[index])
+        if "" in rank:
+            empty = min(empty, int(np.argmax(coded[-1] == rank[""])))
+    if empty < n:
+        raise DataError(f"row {empty + 1} has an empty cell")
+    codes = np.empty((n, len(columns)), dtype=_code_dtype(domains))
+    for j, col in enumerate(coded):
+        codes[:, j] = col
+    return domains, codes
 
 
 def load_table(source: str | os.PathLike | IO[str]) -> Dataset:
-    """Read comma-separated data with a header row; ``NA`` marks missing."""
+    """Read comma-separated data with a header row; ``NA`` marks missing.
+    A path is read as UTF-8, with or without a byte-order mark."""
     if hasattr(source, "read"):
         return _read_csv(source)  # type: ignore[arg-type]
-    with open(source, "r", encoding="utf-8", newline="") as fh:
+    with open(source, "r", encoding="utf-8-sig", newline="") as fh:
         return _read_csv(fh)
+
+
+def _clean(token: str) -> str | None:
+    token = token.strip()
+    return None if token == MISSING_TOKEN else token
 
 
 def _read_csv(fh: IO[str]) -> Dataset:
@@ -126,23 +191,23 @@ def _read_csv(fh: IO[str]) -> Dataset:
         raise DataError("empty column name in header")
     if len(set(columns)) != len(columns):
         raise DataError("duplicate header names")
-    rows: list[tuple[str | None, ...]] = []
-    for lineno, rec in enumerate(reader, start=2):
-        if not rec:
-            continue
-        if len(rec) != len(columns):
+    records: list[list[str]] = []
+    try:
+        records.extend(reader)
+    finally:
+        # a ragged line is reported before a malformed line below it
+        widths = np.fromiter(map(len, records), np.intp, len(records))
+        ragged = np.flatnonzero((widths != len(columns)) & (widths > 0))
+        if ragged.size:
+            i = int(ragged[0])
             raise DataError(
-                f"line {lineno}: row has {len(rec)} cells, expected {len(columns)}"
+                f"line {i + 2}: row has {widths[i]} cells, expected {len(columns)}"
             )
-        rows.append(
-            tuple(
-                None if cell.strip() == MISSING_TOKEN else cell.strip()
-                for cell in rec
-            )
-        )
+    rows = list(filter(None, records))  # blank lines are skipped
     if not rows:
         raise DataError("no data rows")
-    return Dataset(columns, tuple(rows))
+    tokens = _tokens(rows, len(columns), _clean)
+    return Dataset._coded(columns, *_encode(columns, tokens, len(rows)))
 
 
 @dataclass(frozen=True)

@@ -9,14 +9,16 @@ refused rather than approximated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .estimate import Dataset, empirical_joint
 from .expr import ConditioningOnZero, JointTable
 from .graph import Admg
-from .scm import DiscreteScm, ScmError, enumerate_worlds, solve_worlds
+
+if TYPE_CHECKING:
+    from .estimate import Dataset
+    from .scm import DiscreteScm
 
 __all__ = [
     "MediationReport",
@@ -44,6 +46,8 @@ def _coding(domain: tuple[str, ...], coding: Mapping[str, float] | None) -> dict
     if coding is not None:
         missing = [v for v in domain if v not in coding]
         if missing:
+            from .scm import ScmError
+
             raise ScmError(f"numeric coding lacks values for {missing}")
         return dict(coding)
     return {v: float(i) for i, v in enumerate(domain)}
@@ -72,6 +76,8 @@ def mediation_effects_scm(
     three companions decompose the total effect; the identity
     te = nde - nie_reversed holds exactly.
     """
+    from .scm import ScmError, enumerate_worlds, solve_worlds
+
     for var in (exposure, mediator, outcome):
         if var not in m.endogenous:
             raise ScmError(f"{var} is not an endogenous variable")
@@ -145,9 +151,12 @@ def mediation_effects_data(
     effect reduces to E(Y|x1) - E(Y|x0).
     """
     _check_triangle(g, exposure, mediator, outcome)
-    joint = data if isinstance(data, JointTable) else empirical_joint(
-        data.select(tuple(sorted(g.nodes)))
-    )
+    if isinstance(data, JointTable):
+        joint = data
+    else:
+        from .estimate import empirical_joint
+
+        joint = empirical_joint(data.select(tuple(sorted(g.nodes))))
     code = _coding(tuple(joint.domains[outcome]), coding)
 
     def p_m_given_x(mval: str, xval: str) -> float:

@@ -9,16 +9,12 @@ Convention: x1 is the treated value, y1 the response value; callers relabel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from .expr import JointTable
-from .scm import (
-    DiscreteScm,
-    ScmError,
-    _check_endo_assignment,
-    enumerate_worlds,
-    holds,
-)
+
+if TYPE_CHECKING:
+    from .scm import DiscreteScm
 
 __all__ = [
     "PnPsResult", "pn_ps_exact", "pnps_bounds", "BoundsError", "InconsistentInputs",
@@ -65,6 +61,8 @@ def pn_ps_exact(
     PS  = P(Y would be y1 under do(x1) | X=x0, Y=y0)
     PNS = P(Y is y1 under do(x1) and y0 under do(x0))
     """
+    from .scm import ScmError, _check_endo_assignment, enumerate_worlds, holds
+
     for var in (x, y):
         if var not in m.endogenous:
             raise ScmError(f"{var} is not an endogenous variable")

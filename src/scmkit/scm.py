@@ -361,7 +361,7 @@ def counterfactual_query(m: DiscreteScm, q: CounterfactualQuery) -> float:
 
 def sample(m: DiscreteScm, n: int, seed: int) -> "Dataset":
     """Ancestral sampling; identical (model, n, seed) gives identical rows."""
-    from .estimate import Dataset
+    from .estimate import Dataset, _encode
 
     if n < 1:
         raise ScmError("sample size must be at least 1")
@@ -372,8 +372,8 @@ def sample(m: DiscreteScm, n: int, seed: int) -> "Dataset":
     }
     (codes,) = solve_worlds(m, exo, n, [{}])
     out_cols = tuple(sorted(m.endogenous))
-    columns = (np.asarray(m.endo_domains[v], dtype=object)[codes[v]] for v in out_cols)
-    return Dataset(out_cols, tuple(zip(*columns)))
+    encoded = ((m.endo_domains[v], codes[v]) for v in out_cols)
+    return Dataset._coded(out_cols, *_encode(out_cols, encoded, n))
 
 
 def latent_projection(m: DiscreteScm) -> Admg:

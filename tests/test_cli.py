@@ -2,6 +2,8 @@ import io
 import os
 from pathlib import Path
 
+import pytest
+
 import gen
 from scmkit.cli import run
 from scmkit.estimate import load_table, plug_in
@@ -480,6 +482,53 @@ def test_discover_needs_one_mode():
         "discover", "--graph", path("chain.cg"), "--data", path("d8.csv")
     )
     assert code == 1
+
+
+# --- data representation -------------------------------------------------------------
+
+DATA_CALLS = {
+    "estimate": ["estimate", "--graph", path("backdoor.cg"), "--query", "P(Y=1|do(X=1))",
+                 "--data", path("d8.csv")],
+    "estimate --bootstrap": ["estimate", "--graph", path("chain.cg"),
+                             "--query", "P(Y=1|do(X=1))", "--data", path("d8.csv"),
+                             "--bootstrap", "100", "--seed", "3"],
+    "fit": ["fit", "--graph", path("chain.cg"), "--data", path("d8.csv")],
+    "recover": ["recover", "--graph", path("mar.cg"), "--data", path("dmiss.csv"),
+                "--target", "Y=1"],
+    "discover --data": ["discover", "--data", path("d8.csv")],
+    "pnps --data": ["pnps", "--data", path("d8.csv"), "--px1", "0.5", "--px0", "0.5"],
+    "mediate --data": ["mediate", "--graph", path("chain.cg"), "--data", path("d8.csv"),
+                       "--exposure", "X", "--mediator", "Z", "--outcome", "Y",
+                       "--x0", "0", "--x1", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", DATA_CALLS.values(), ids=DATA_CALLS.keys())
+def test_data_subcommands_never_decode_rows(argv, monkeypatch):
+    from scmkit.estimate import Dataset
+
+    want = invoke(*argv)
+
+    def decode(self):
+        raise AssertionError("Dataset.rows read")
+
+    monkeypatch.setattr(Dataset, "rows", property(decode))
+    assert invoke(*argv) == want
+
+
+def test_byte_order_mark_is_accepted_in_data_and_graph_files(tmp_path):
+    bom_csv = tmp_path / "d8.csv"
+    bom_csv.write_text(Path(path("d8.csv")).read_text(), encoding="utf-8-sig")
+    bom_graph = tmp_path / "backdoor.cg"
+    bom_graph.write_text(Path(path("backdoor.cg")).read_text(), encoding="utf-8-sig")
+    assert bom_csv.read_bytes().startswith(b"\xef\xbb\xbf")
+    query = ["--query", "P(Y=1|do(X=1))"]
+    want = invoke("estimate", "--graph", path("backdoor.cg"), *query, "--data", path("d8.csv"))
+    assert want[0] == 0
+    assert invoke("estimate", "--graph", path("backdoor.cg"), *query,
+                  "--data", str(bom_csv)) == want
+    assert invoke("estimate", "--graph", str(bom_graph), *query,
+                  "--data", path("d8.csv")) == want
 
 
 # --- argument handling -----------------------------------------------------------------

@@ -18,7 +18,7 @@ from scmkit.estimate import (
 from scmkit.expr import ConditioningOnZero, eval_estimand, parse_estimand
 from scmkit.graph import parse_graph
 from scmkit.identify import Identified, identify, parse_query
-from scmkit.scm import intervene, observational_joint, sample
+from scmkit.scm import intervene, observational_joint, parse_scm, sample
 
 BACKDOOR = parse_graph("var X\nvar Y\nvar Z\nZ -> X\nZ -> Y\nX -> Y\n")
 
@@ -242,6 +242,71 @@ def test_dataset_needs_rows():
         Dataset(("X",), ())
 
 
+LOAD_REFUSALS = {
+    "empty file": ("", "empty file"),
+    "empty header name": ("X,\n0,1\n", "empty column name in header"),
+    "duplicate header": ("X,X\n0,1\n", "duplicate header names"),
+    # blank lines count in line numbers
+    "width mismatch": ("X,Y\n0,1\n\n0\n", "line 4: row has 1 cells, expected 2"),
+    "ragged before empty": ("X,Y\n0, \n0\n", "line 3: row has 1 cells, expected 2"),
+    # a ragged line is reported before a field the csv module refuses below it
+    "ragged before malformed": (
+        "X,Y\n0,1\n0\n" + "x" * 200_000 + ",1\n", "line 3: row has 1 cells, expected 2"
+    ),
+    "header only": ("X,Y\n", "no data rows"),
+    "blank lines only": ("X,Y\n\n\n", "no data rows"),
+    # blank lines do not count in row numbers
+    "whitespace-only cell": ("X,Y\n\n0,1\n1, \n", "row 2 has an empty cell"),
+}
+
+DATASET_REFUSALS = {
+    "duplicate columns": (("X", "X"), (("0", "1"),), "duplicate column names"),
+    "no rows": (("X",), (), "dataset needs at least one row"),
+    "width": (("X", "Y"), (("0", "1"), ("0",)), "row 2 has 1 cells, expected 2"),
+    "empty cell": (("X", "Y"), (("0", "1"), (None, "")), "row 2 has an empty cell"),
+    # the first bad row wins; within a row, width comes before empty cells
+    "empty above ragged": (("X", "Y"), (("0", ""), ("1",)), "row 1 has an empty cell"),
+    "ragged above empty": (
+        ("X", "Y"), (("0", "1"), ("1",), ("", "")), "row 2 has 1 cells, expected 2"
+    ),
+    "ragged row with empty cell": (
+        ("X", "Y"), (("", "", ""),), "row 1 has 3 cells, expected 2"
+    ),
+}
+
+
+@pytest.mark.parametrize("text, message", LOAD_REFUSALS.values(), ids=LOAD_REFUSALS.keys())
+def test_load_refusal_messages(text, message):
+    with pytest.raises(DataError) as info:
+        load_table(io.StringIO(text))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "columns, rows, message", DATASET_REFUSALS.values(), ids=DATASET_REFUSALS.keys()
+)
+def test_dataset_refusal_messages(columns, rows, message):
+    with pytest.raises(DataError) as info:
+        Dataset(columns, rows)
+    assert str(info.value) == message
+
+
+def test_load_skips_blank_lines_and_strips_tokens():
+    d = load_table(io.StringIO(" X , Y \n\n 0 , NA \n\n1 ,  10\n"))
+    assert d.columns == ("X", "Y")
+    assert d.rows == (("0", None), ("1", "10"))
+    assert d.domains == {"X": ("0", "1"), "Y": ("10",)}
+
+
+def test_dataset_codes_are_read_only():
+    d = load_table(io.StringIO("X,Y\n0,1\n1,NA\n"))
+    m = parse_scm("exo U {0: 0.5, 1: 0.5}\nendo X (U) {(0) -> 0, (1) -> 1}")
+    sampled = sample(m, 5, seed=0)
+    for data in (d, d.select(("Y",)), Dataset(d.columns, d.rows), sampled):
+        with pytest.raises(ValueError):
+            data.codes[0, 0] = 0
+
+
 def test_dataset_select_projects_columns():
     d = load_table(io.StringIO("X,Y,Z\n0,1,2\n"))
     assert d.select(("Z", "X")).columns == ("Z", "X")
@@ -260,6 +325,16 @@ def test_dataset_codes_index_domains():
     assert (part.codes == d.codes[:, [2, 0]]).all()
     assert part.has_missing
     assert not d.select(("X",)).has_missing
+
+
+def test_codes_take_the_smallest_dtype_for_their_columns():
+    rows = tuple((str(i), str(i % 2)) for i in range(200))
+    d = Dataset(("W", "X"), rows)
+    assert d.codes.dtype == np.int16
+    assert d.select(("X",)).codes.dtype == np.int8
+    # 128 values need one more code than int8 holds
+    wide = load_table(io.StringIO("X\n" + "\n".join(map(str, range(128)))))
+    assert wide.codes.dtype == np.int16
 
 
 # --- batched bootstrap against one evaluation per replicate ------------------------

@@ -63,6 +63,10 @@ DATA_ONLY = {
     "estimate": ["estimate", "--graph", data("backdoor.cg"),
                  "--query", "P(Y=1|do(X=1))", "--data", data("d8.csv")],
     "fit": ["fit", "--graph", data("chain.cg"), "--data", data("d8.csv")],
+    "pnps --data": ["pnps", "--data", data("d8.csv"), "--px1", "0.5", "--px0", "0.5"],
+    "mediate --data": ["mediate", "--graph", data("chain.cg"), "--data", data("d8.csv"),
+                       "--exposure", "X", "--mediator", "Z", "--outcome", "Y",
+                       "--x0", "0", "--x1", "1"],
 }
 
 
@@ -79,6 +83,13 @@ def test_model_subcommands_load_no_data_tests_or_recovery(argv):
     code, modules = loaded_after_run(argv)
     assert code == 0
     assert not modules & {"scmkit.fitcheck", "scmkit.discover", "scmkit.recover"}
+
+
+@pytest.mark.parametrize("argv", MODEL.values(), ids=MODEL.keys())
+def test_model_subcommands_load_no_data_reader(argv):
+    code, modules = loaded_after_run(argv)
+    assert code == 0
+    assert not modules & {"scmkit.estimate", "scmkit.evaluate"}
 
 
 @pytest.mark.parametrize("argv", DATA_ONLY.values(), ids=DATA_ONLY.keys())

@@ -1,7 +1,7 @@
 import pytest
 
 import gen
-import scmkit.mediation as mediation_module
+import scmkit.scm as scm_module
 from scmkit.expr import ConditioningOnZero
 from scmkit.graph import Admg, parse_graph
 from scmkit.mediation import (
@@ -79,13 +79,13 @@ def test_exact_effects_match_nested_world_oracle():
 
 def test_exact_mode_enumerates_once(monkeypatch):
     calls = []
-    kernel = mediation_module.enumerate_worlds
+    kernel = scm_module.enumerate_worlds
 
     def counting(m, surgeries, *args):
         calls.append(list(surgeries))
         return kernel(m, surgeries, *args)
 
-    monkeypatch.setattr(mediation_module, "enumerate_worlds", counting)
+    monkeypatch.setattr(scm_module, "enumerate_worlds", counting)
     m = triangle_scm(gen.rng(70))
     rep = mediation_effects_scm(m, "X", "M", "Y", "0", "1")
     assert calls == [[{"X": "0"}, {"X": "1"}]]

@@ -2,7 +2,7 @@ import pytest
 
 import gen
 from scmkit.expr import JointTable
-import scmkit.pnps as pnps_module
+import scmkit.scm as scm_module
 from scmkit.pnps import BoundsError, InconsistentInputs, pn_ps_exact, pnps_bounds
 from scmkit.scm import ScmError, intervene, observational_joint, parse_scm
 
@@ -87,13 +87,13 @@ def test_zero_evidence_reported_individually():
 
 def test_exact_enumerates_once(monkeypatch):
     calls = []
-    kernel = pnps_module.enumerate_worlds
+    kernel = scm_module.enumerate_worlds
 
     def counting(m, surgeries, *args):
         calls.append(list(surgeries))
         return kernel(m, surgeries, *args)
 
-    monkeypatch.setattr(pnps_module, "enumerate_worlds", counting)
+    monkeypatch.setattr(scm_module, "enumerate_worlds", counting)
     pn_ps_exact(identity_scm(), "X", "Y")
     assert calls == [[{}, {"X": "0"}, {"X": "1"}]]
 

@@ -308,6 +308,10 @@ def test_sample_matches_row_by_row_reference():
         got = sample(m, n, seed=i)
         want = gen.sample_by_rows(m, n, seed=i)
         assert (got.columns, got.rows) == (want.columns, want.rows)
+        # domains hold only drawn values, so undrawn ones shift no code
+        assert got.domains == want.domains
+        assert got.codes.dtype == want.codes.dtype
+        assert (got.codes == want.codes).all()
 
 
 def test_sample_size_validated():
