@@ -11,8 +11,8 @@ from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .evaluate import Cells, eval_rows, group_rows
-from .expr import ConditioningOnZero, Estimand, EstimandError, JointTable
+from .evaluate import decode_rows, eval_rows, group_rows
+from .expr import ConditioningOnZero, Estimand, EstimandError, JointTable, eval_estimand
 
 __all__ = [
     "MISSING_TOKEN",
@@ -96,11 +96,7 @@ class Dataset:
     def rows(self) -> tuple[tuple[str | None, ...], ...]:
         """The cells decoded row by row on first use, ``None`` for a missing
         cell; the engine itself reads ``codes``."""
-        cols = [
-            np.array(self.domains[c] + (None,), dtype=object)[self.codes[:, j]].tolist()
-            for j, c in enumerate(self.columns)
-        ]
-        return tuple(zip(*cols)) or ((),) * self.n  # no columns: n empty rows
+        return tuple(decode_rows(self.codes, [self.domains[c] for c in self.columns]))
 
     @cached_property
     def has_missing(self) -> bool:
@@ -194,6 +190,8 @@ def _read_csv(fh: IO[str]) -> Dataset:
     records: list[list[str]] = []
     try:
         records.extend(reader)
+    except csv.Error as exc:
+        raise DataError(f"line {reader.line_num}: {exc}") from None
     finally:
         # a ragged line is reported before a malformed line below it
         widths = np.fromiter(map(len, records), np.intp, len(records))
@@ -225,31 +223,22 @@ class Estimate:
                 raise DataError("confidence level must be in (0, 1)")
 
 
-def _counted_cells(d: Dataset) -> tuple[Cells, np.ndarray]:
-    """The distinct rows of complete data, in sorted order, and their counts."""
+def empirical_joint(d: Dataset) -> JointTable:
+    """Relative frequencies of the distinct rows of complete data, in sorted
+    order; refuses missing data."""
     if d.has_missing:
         raise MissingDataPresent(
             "dataset contains missing cells; run recoverability analysis instead"
         )
     group, distinct = group_rows(d.codes)
-    return Cells(d.columns, d.domains, distinct), np.bincount(group)
-
-
-def empirical_joint(d: Dataset) -> JointTable:
-    """Relative frequencies over complete rows; refuses missing data."""
-    cells, counts = _counted_cells(d)
-    doms = [d.domains[c] for c in d.columns]
-    keys = [tuple(dom[i] for dom, i in zip(doms, row)) for row in cells.codes.tolist()]
-    return JointTable(d.columns, d.domains, dict(zip(keys, (counts / d.n).tolist())))
+    return JointTable._coded(d.columns, d.domains, distinct, np.bincount(group) / d.n)
 
 
 def plug_in(
     e: Estimand, d: Dataset, binding: Mapping[str, str] | None = None
 ) -> Estimate:
     """Evaluate the estimand on the empirical joint of the data."""
-    cells, counts = _counted_cells(d)
-    values, _ = eval_rows(e, cells, counts[None, :] / d.n, binding)
-    return Estimate(value=float(values[0]), n=d.n)
+    return Estimate(value=eval_estimand(e, empirical_joint(d), binding), n=d.n)
 
 
 def bootstrap_interval(
@@ -275,9 +264,9 @@ def bootstrap_interval(
     if seed < 0:
         raise DataError(f"seed={seed} is negative; need a non-negative integer")
     n = d.n
-    cells, counts = _counted_cells(d)
-    point = float(eval_rows(e, cells, counts[None, :] / n, binding)[0][0])
-    pvals = counts / n
+    joint = empirical_joint(d)
+    point = eval_estimand(e, joint, binding)
+    pvals = joint.weights
 
     values: list[np.ndarray] = []
     dropped = 0
@@ -290,7 +279,7 @@ def bootstrap_interval(
         if short.size:
             raise EstimandError(f"resample {reps[short[0]]} does not have {n} rows")
         try:
-            block, marked = eval_rows(e, cells, draws / n, binding)
+            block, marked = eval_rows(e, joint, draws / n, binding)
         except ConditioningOnZero:
             # every replicate of the block hit an empty stratum
             dropped += len(reps)

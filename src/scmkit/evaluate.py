@@ -1,11 +1,12 @@
 """Evaluation of estimands over integer-coded cells, with numpy.
 
 :func:`eval_rows` evaluates an estimand on many distributions at once, each a
-row of weights over the same distinct cells (:class:`Cells`), and
-:func:`group_rows` groups integer code rows for every count the data layers
-make.  :func:`scmkit.expr.eval_estimand` is its one-row wrapper over a
-:class:`~scmkit.expr.JointTable`; the estimand algebra itself stays free of
-numpy.
+row of weights over the distinct cells of one
+:class:`~scmkit.expr.JointTable`; :func:`group_rows` groups integer code rows
+for every count the data layers make, and :func:`decode_rows` turns code rows
+back into values.  :func:`scmkit.expr.eval_estimand`
+and :meth:`~scmkit.expr.JointTable.prob` evaluate a table's own weights as one
+row; the estimand algebra itself stays free of numpy.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .expr import (
     ConditioningOnZero,
     Estimand,
     EstimandError,
+    JointTable,
     One,
     ProbTerm,
     Product,
@@ -27,7 +29,7 @@ from .expr import (
     Val,
 )
 
-__all__ = ["Cells", "eval_rows", "group_rows"]
+__all__ = ["decode_rows", "eval_rows", "group_rows"]
 
 
 def group_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -42,59 +44,26 @@ def group_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return group, ranked[first]
 
 
-class Cells:
-    """A fixed set of distinct cells over ``variables``, as integer codes.
-
-    ``codes[k, j]`` is the index of cell ``k``'s value in the domain of
-    ``variables[j]``; a code past the end of the domain is a value that no
-    estimand token names, and a sum over an empty domain is refused.
-    Distributions over the cells are weight rows (see :func:`eval_rows`), so
-    memory grows with the number of cells, never with the product of the
-    domain sizes.
-    """
-
-    def __init__(
-        self,
-        variables: tuple[str, ...],
-        domains: Mapping[str, tuple[str, ...]],
-        codes: np.ndarray,
-    ):
-        self.variables = variables
-        self.domains = domains
-        self.value_codes = {
-            v: {val: i for i, val in enumerate(domains[v])} for v in variables
-        }
-        self.codes = codes
-        self._groups: dict[tuple[int, ...], tuple[np.ndarray, int, dict]] = {}
-
-    def column(self, var: str) -> int:
-        try:
-            return self.variables.index(var)
-        except ValueError:
-            raise UnboundSymbol(f"variable {var} not in the joint table") from None
-
-    def groups(self, cols: tuple[int, ...]) -> tuple[np.ndarray, int, dict]:
-        """Group of every cell by its codes on ``cols``, the group count, and
-        a map from a code tuple to its group."""
-        got = self._groups.get(cols)
-        if got is None:
-            group, distinct = group_rows(self.codes[:, list(cols)])
-            lookup = {tuple(row): g for g, row in enumerate(distinct.tolist())}
-            got = (group, len(distinct), lookup)
-            self._groups[cols] = got
-        return got
+def decode_rows(codes: np.ndarray, domains) -> list[tuple]:
+    """Rows of an integer matrix decoded through each column's domain; -1 or
+    a code past the end of a domain decodes to ``None``."""
+    cols = [
+        np.array((*dom, None), dtype=object)[codes[:, j]].tolist()
+        for j, dom in enumerate(domains)
+    ]
+    return list(zip(*cols)) if cols else [()] * len(codes)
 
 
 def eval_rows(
     e: Estimand,
-    cells: Cells,
+    table: JointTable,
     weights: np.ndarray,
     binding: Mapping[str, str] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate an estimand on each row of an ``(R, K)`` weight matrix.
 
     Row ``r`` is the distribution putting ``weights[r, k]`` on cell ``k`` of
-    ``cells``.  Returns the ``R`` values and the rows marked by a zero
+    ``table``.  Returns the ``R`` values and the rows marked by a zero
     conditioning event or quotient denominator; a marked row's value is
     meaningless.  Nodes are visited in one fixed order for all rows, and
     :class:`ConditioningOnZero` is raised, with the context of the event that
@@ -104,9 +73,9 @@ def eval_rows(
     """
     binding = dict(binding or {})
     for var in binding:
-        if var not in cells.domains:
+        if var not in table.domains:
             raise UnboundSymbol(f"variable {var} not in the joint table")
-    ev = _RowEvaluation(cells, weights)
+    ev = _RowEvaluation(table, weights)
     with np.errstate(divide="ignore", invalid="ignore"):
         values = ev.eval(e, binding, {})
     return values, ev.marked
@@ -126,8 +95,8 @@ class _RowEvaluation:
     """State of one :func:`eval_rows` pass: marginals computed so far and the
     marked rows."""
 
-    def __init__(self, cells: Cells, weights: np.ndarray):
-        self.cells = cells
+    def __init__(self, table: JointTable, weights: np.ndarray):
+        self.table = table
         self.weights = weights
         rows = weights.shape[0]
         self.marked = np.zeros(rows, dtype=bool)
@@ -146,7 +115,7 @@ class _RowEvaluation:
         assignment = sorted(assignment)
         cols = tuple(c for c, _ in assignment)
         codes = tuple(code for _, code in assignment)
-        inverse, count, lookup = self.cells.groups(cols)
+        inverse, count, lookup = self.table.groups(cols)
         g = lookup.get(codes)
         if g is None:
             return self.zero
@@ -170,9 +139,9 @@ class _RowEvaluation:
             # a zero-mass conditioning event marks the row
             assignment = []
             for val in e.joint + e.given:
-                col = self.cells.column(val.var)
+                col = self.table.index(val.var)
                 token = _resolve(val, binding, env)
-                assignment.append((col, self.cells.value_codes[val.var].get(token)))
+                assignment.append((col, self.table.value_codes[val.var].get(token)))
             p_all = self.prob(assignment)
             if not e.given:
                 return p_all
@@ -184,12 +153,12 @@ class _RowEvaluation:
         if isinstance(e, Sum):
             if e.token in env:
                 raise EstimandError(f"symbol {e.token!r} bound twice along one path")
-            if e.var not in self.cells.domains:
+            if e.var not in self.table.domains:
                 raise UnboundSymbol(f"variable {e.var} not in the joint table")
-            if not self.cells.domains[e.var]:
+            if not self.table.domains[e.var]:
                 raise ConditioningOnZero(f"no observed value of {e.var}")
             total = self.zero
-            for value in self.cells.domains[e.var]:
+            for value in self.table.domains[e.var]:
                 env[e.token] = value
                 total = total + self.eval(e.body, binding, env)
             del env[e.token]

@@ -20,9 +20,13 @@ literal domain value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
 from .lexer import NAME_RE, SYM_RE, VALUE_RE, Scanner
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Val",
@@ -198,39 +202,88 @@ def sum_over(binders: Iterable[tuple[str, str]], body: Estimand) -> Estimand:
 # --- joint tables ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class JointTable:
-    """Exact distribution over finite discrete variables.
+    """Exact distribution over finite discrete variables, as coded cells.
 
-    ``mass`` maps full assignments (tuples aligned with ``variables``) to
-    probabilities; zero-mass assignments may be omitted.
+    ``codes`` is a read-only ``(K, V)`` array of distinct cells: ``[k, j]`` is
+    the index of cell ``k``'s value in the domain of ``variables[j]``, and a
+    code past the end of a domain is a value no estimand token names.
+    ``weights`` holds the cells' probabilities (read-only; zero-mass cells may
+    be omitted).  Tables compare by identity.
     """
 
     variables: tuple[str, ...]
     domains: Mapping[str, tuple[str, ...]]
-    mass: Mapping[tuple[str, ...], float]
+    codes: np.ndarray
+    weights: np.ndarray
 
-    def __post_init__(self):
-        if len(set(self.variables)) != len(self.variables):
+    def __init__(
+        self,
+        variables: tuple[str, ...],
+        domains: Mapping[str, tuple[str, ...]],
+        mass: Mapping[tuple[str, ...], float],
+    ):
+        """Encode ``mass``, full assignments (tuples aligned with ``variables``)
+        to probabilities, in insertion order; its total must be 1 within 1e-12."""
+        import numpy as np
+
+        if len(set(variables)) != len(variables):
             raise EstimandError("duplicate variable in joint table")
-        for v in self.variables:
-            dom = self.domains.get(v)
+        for v in variables:
+            dom = domains.get(v)
             if not dom:
                 raise EstimandError(f"empty or missing domain for {v}")
             if len(set(dom)) != len(dom):
                 raise EstimandError(f"duplicate values in domain of {v}")
+        ranks = [{val: i for i, val in enumerate(domains[v])} for v in variables]
+        codes: list[list[int]] = []
         total = 0.0
-        for key, p in self.mass.items():
-            if len(key) != len(self.variables):
+        for key, p in mass.items():
+            if len(key) != len(variables):
                 raise EstimandError("assignment width does not match variables")
             if p < 0:
                 raise EstimandError(f"negative mass {p} for {key}")
-            for v, val in zip(self.variables, key):
-                if val not in self.domains[v]:
+            for v, val, rank in zip(variables, key, ranks):
+                if val not in rank:
                     raise EstimandError(f"{val!r} not in the domain of {v}")
+            codes.append([rank[val] for val, rank in zip(key, ranks)])
             total += p
         if abs(total - 1.0) > 1e-12:
             raise EstimandError(f"total mass {total!r} is not 1")
+        shape = (len(codes), len(variables))
+        self._set(variables, domains, np.array(codes, np.intp).reshape(shape),
+                  np.fromiter(mass.values(), float, len(codes)))
+
+    @classmethod
+    def _coded(cls, variables, domains, codes, weights) -> "JointTable":
+        """A table over distinct cells already encoded and weighted.  The
+        engine builds these from counts and enumerations, so the total is
+        not checked again."""
+        t = cls.__new__(cls)
+        t._set(variables, domains, codes, weights)
+        return t
+
+    def _set(self, variables, domains, codes, weights) -> None:
+        codes.flags.writeable = weights.flags.writeable = False
+        self.__dict__.update(variables=variables, domains=domains, codes=codes,
+                             weights=weights, _grouped={})
+
+    @cached_property
+    def mass(self) -> dict[tuple[str | None, ...], float]:
+        """Probabilities keyed by full assignments, in cell order, decoded on
+        first use; a code past the end of a domain decodes to ``None``."""
+        from .evaluate import decode_rows
+
+        keys = decode_rows(self.codes, [self.domains[v] for v in self.variables])
+        return dict(zip(keys, self.weights.tolist()))
+
+    @cached_property
+    def value_codes(self) -> dict[str, dict[str, int]]:
+        """Each variable's map from a domain value to its code."""
+        return {
+            v: {val: i for i, val in enumerate(self.domains[v])} for v in self.variables
+        }
 
     def index(self, var: str) -> int:
         try:
@@ -238,12 +291,25 @@ class JointTable:
         except ValueError:
             raise UnboundSymbol(f"variable {var} not in the joint table") from None
 
+    def groups(self, cols: tuple[int, ...]) -> tuple[np.ndarray, int, dict]:
+        """Group of every cell by its codes on ``cols``, the group count, and
+        a map from a code tuple to its group."""
+        got = self._grouped.get(cols)
+        if got is None:
+            from .evaluate import group_rows
+
+            group, distinct = group_rows(self.codes[:, list(cols)])
+            lookup = {tuple(row): g for g, row in enumerate(distinct.tolist())}
+            got = self._grouped[cols] = (group, len(distinct), lookup)
+        return got
+
     def prob(self, assignment: Mapping[str, str]) -> float:
-        """Marginal probability of a partial assignment."""
-        idx = [(self.index(v), val) for v, val in assignment.items()]
-        return sum(
-            p for key, p in self.mass.items() if all(key[i] == val for i, val in idx)
-        )
+        """Marginal probability of a partial assignment; a value outside a
+        variable's domain has probability zero."""
+        from .evaluate import _RowEvaluation
+
+        pairs = [(self.index(v), self.value_codes[v].get(x)) for v, x in assignment.items()]
+        return float(_RowEvaluation(self, self.weights[None, :]).prob(pairs)[0])
 
 
 # --- evaluation --------------------------------------------------------------
@@ -262,15 +328,9 @@ def eval_estimand(
     symbol has no binding.  The numpy evaluator is imported here, so the
     algebra, parser and renderer load without numpy.
     """
-    import numpy as np
+    from .evaluate import eval_rows
 
-    from .evaluate import Cells, eval_rows
-
-    doms = [table.domains[v] for v in table.variables]
-    codes = np.array([[d.index(val) for d, val in zip(doms, key)] for key in table.mass])
-    cells = Cells(table.variables, table.domains, codes)
-    weights = np.fromiter(table.mass.values(), dtype=float, count=len(table.mass))
-    values, _ = eval_rows(e, cells, weights[None, :], binding)
+    values, _ = eval_rows(e, table, table.weights[None, :], binding)
     return float(values[0])
 
 

@@ -461,23 +461,22 @@ def testable_implications(g: Admg) -> list[CiStatement]:
 
     For every nonadjacent pair a separating set is searched among subsets of
     the pair's ancestors, smallest first and lexicographic within a size; the
-    first set found is emitted.  Pairs with no such separator are skipped.
+    first set found is emitted.  Within those ancestors separation is vertex
+    separation in their moral graph, monotone in the set, so a pair without a
+    separator is skipped once all its candidates together fail to separate it.
     """
     out: list[CiStatement] = []
     for u, v in itertools.combinations(sorted(g.nodes), 2):
         if g.adjacent(u, v):
             continue
         candidates = sorted((g.ancestors([u]) | g.ancestors([v])) - {u, v})
-        found: frozenset[str] | None = None
-        for size in range(len(candidates) + 1):
-            for sub in itertools.combinations(candidates, size):
-                if d_separated(g, {u}, {v}, sub):
-                    found = frozenset(sub)
-                    break
-            if found is not None:
-                break
-        if found is not None:
-            out.append(
-                CiStatement(left=frozenset({u}), right=frozenset({v}), given=found)
-            )
+        if not d_separated(g, {u}, {v}, candidates):
+            continue
+        found = next(
+            frozenset(sub)
+            for size in range(len(candidates) + 1)
+            for sub in itertools.combinations(candidates, size)
+            if d_separated(g, {u}, {v}, sub)
+        )
+        out.append(CiStatement(left=frozenset({u}), right=frozenset({v}), given=found))
     return out

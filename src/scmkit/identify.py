@@ -26,6 +26,8 @@ from .expr import (
     Val,
     free_variables,
     prod_of,
+    sum_over,
+    sym,
 )
 from .graph import Admg, UnknownVariable, c_components, d_separated
 from .lexer import NAME_RE, SYM_RE, VALUE_RE, Scanner
@@ -249,23 +251,11 @@ class _Hedge(Exception):
         self.subforest = subforest
 
 
-def _ph(var: str) -> Val:
-    # internal placeholder: symbol token equal to the variable name itself
-    return Val(var, var, literal=False)
-
-
 def _pt(joint_vars: Iterable[str], given_vars: Iterable[str] = ()) -> ProbTerm:
     return ProbTerm(
-        tuple(_ph(v) for v in sorted(joint_vars)),
-        tuple(_ph(v) for v in sorted(given_vars)),
+        tuple(sym(v, v) for v in sorted(joint_vars)),
+        tuple(sym(v, v) for v in sorted(given_vars)),
     )
-
-
-def _sum_wrap(vars_to_bind: Iterable[str], body: Estimand) -> Estimand:
-    out = body
-    for v in sorted(vars_to_bind, reverse=True):
-        out = Sum(v, v, out)
-    return out
 
 
 @dataclass(frozen=True)
@@ -295,7 +285,7 @@ class _Dist:
         plain = self._plain()
         if plain is not None:
             return _Dist(new_order, _pt(new_order, (v.var for v in plain.given)))
-        return _Dist(new_order, _sum_wrap(drop, self.expr))
+        return _Dist(new_order, sum_over(((u, u) for u in sorted(drop)), self.expr))
 
     def conditional(self, v: str, pred: tuple[str, ...]) -> Estimand:
         plain = self._plain()
@@ -304,10 +294,10 @@ class _Dist:
             return _pt([v], given)
         num_drop = [u for u in self.order if u != v and u not in pred]
         den_drop = [u for u in self.order if u not in pred]
-        num = _sum_wrap(num_drop, self.expr)
+        num = sum_over(((u, u) for u in sorted(num_drop)), self.expr)
         if not pred:
             return num
-        den = _sum_wrap(den_drop, self.expr)
+        den = sum_over(((u, u) for u in sorted(den_drop)), self.expr)
         return Quotient(num, den)
 
 
@@ -324,7 +314,7 @@ def _id(y: frozenset[str], x: frozenset[str], P: _Dist, g: Admg) -> Estimand:
     comps = c_components(g.induced(v - x))
     if len(comps) > 1:
         factors = [_id(s, v - s, P, g) for s in comps]
-        return _sum_wrap(v - y - x, prod_of(factors))
+        return sum_over(((u, u) for u in sorted(v - y - x)), prod_of(factors))
     s = comps[0]
     comps_g = c_components(g)
     if len(comps_g) == 1:
@@ -336,7 +326,7 @@ def _id(y: frozenset[str], x: frozenset[str], P: _Dist, g: Admg) -> Estimand:
         factors = [
             P.conditional(u, tuple(P.order[: pos[u]])) for u in ordered
         ]
-        return _sum_wrap(s - y, prod_of(factors))
+        return sum_over(((u, u) for u in sorted(s - y)), prod_of(factors))
     ordered = sorted(s_prime, key=pos.__getitem__)
     factors = [P.conditional(u, tuple(P.order[: pos[u]])) for u in ordered]
     P2 = _Dist(tuple(ordered), prod_of(factors))
@@ -407,8 +397,8 @@ def identify(g: Admg, q: CausalQuery) -> IdentifyResult:
 
     if not xs:
         internal: Estimand = ProbTerm(
-            tuple(_ph(t.var) for t in sorted(q.outcome, key=lambda t: t.var)),
-            tuple(_ph(t.var) for t in sorted(q.condition, key=lambda t: t.var)),
+            tuple(sym(t.var, t.var) for t in sorted(q.outcome, key=lambda t: t.var)),
+            tuple(sym(t.var, t.var) for t in sorted(q.condition, key=lambda t: t.var)),
         )
     else:
         p0 = _Dist(g.topological_order(), _pt(g.nodes))
@@ -417,7 +407,7 @@ def identify(g: Admg, q: CausalQuery) -> IdentifyResult:
         except _Hedge as h:
             return NonIdentifiable(frozenset(h.forest), frozenset(h.subforest))
         if zs:
-            internal = Quotient(num, _sum_wrap(y, num))
+            internal = Quotient(num, sum_over(((u, u) for u in sorted(y)), num))
         else:
             internal = num
 

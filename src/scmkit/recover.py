@@ -16,8 +16,10 @@ from typing import Mapping, Union
 import numpy as np
 
 from .estimate import DataError, Dataset, Estimate
-from .evaluate import Cells, eval_rows, group_rows
-from .expr import Estimand, ProbTerm, Sum, Val, prod_of
+from .evaluate import group_rows
+from .expr import (
+    Estimand, JointTable, ProbTerm, Val, eval_estimand, lit, prod_of, sum_over, sym,
+)
 from .graph import Admg, GraphError, d_separated, parse_graph
 
 __all__ = [
@@ -122,13 +124,9 @@ class NotRecoverable:
 RecoverabilityResult = Union[Recoverable, NotRecoverable]
 
 
-def _sym(v: str) -> Val:
-    return Val(v, v.lower(), literal=False)
-
-
 def _r_conds(mg: MGraph, vars_needing_r: set[str]) -> tuple[Val, ...]:
     return tuple(
-        Val(mg.indicator(v), OBSERVED, literal=True) for v in sorted(vars_needing_r)
+        lit(mg.indicator(v), OBSERVED) for v in sorted(vars_needing_r)
     )
 
 
@@ -152,13 +150,13 @@ def recoverability(mg: MGraph, target: frozenset[str] | set[str]) -> Recoverabil
     rs = mg.indicators
     if not rs:
         return Recoverable(
-            ProbTerm(tuple(_sym(v) for v in sorted(target))), criterion="mcar"
+            ProbTerm(tuple(sym(v) for v in sorted(target))), criterion="mcar"
         )
 
     # (i) missingness completely at random w.r.t. the model
     if d_separated(g, rs, mg.substantive, frozenset()):
         term = ProbTerm(
-            tuple(_sym(v) for v in sorted(target)),
+            tuple(sym(v) for v in sorted(target)),
             _r_conds(mg, set(mg.partial)),
         )
         return Recoverable(term, criterion="mcar")
@@ -170,17 +168,15 @@ def recoverability(mg: MGraph, target: frozenset[str] | set[str]) -> Recoverabil
         t_full = sorted(target & full)
         if not t_part:
             return Recoverable(
-                ProbTerm(tuple(_sym(v) for v in t_full)), criterion="mar"
+                ProbTerm(tuple(sym(v) for v in t_full)), criterion="mar"
             )
         cond_term = ProbTerm(
-            tuple(_sym(v) for v in t_part),
-            tuple(_sym(v) for v in sorted(full)) + _r_conds(mg, set(mg.partial)),
+            tuple(sym(v) for v in t_part),
+            tuple(sym(v) for v in sorted(full)) + _r_conds(mg, set(mg.partial)),
         )
-        weight = ProbTerm(tuple(_sym(v) for v in sorted(full)))
+        weight = ProbTerm(tuple(sym(v) for v in sorted(full)))
         body = prod_of([cond_term, weight])
-        out: Estimand = body
-        for v in sorted(full - target, reverse=True):
-            out = Sum(v, v.lower(), out)
+        out = sum_over(((v, v.lower()) for v in sorted(full - target)), body)
         return Recoverable(out, criterion="mar")
 
     # (iii) ordered factorization over the substantive variables
@@ -195,9 +191,7 @@ def recoverability(mg: MGraph, target: frozenset[str] | set[str]) -> Recoverabil
         if factors is None:
             continue
         body = prod_of(factors)
-        out = body
-        for v in sorted(set(subs) - target, reverse=True):
-            out = Sum(v, v.lower(), out)
+        out = sum_over(((v, v.lower()) for v in sorted(set(subs) - target)), body)
         return Recoverable(out, criterion="ordered-factorization")
 
     return NotRecoverable("no implemented criterion applies")
@@ -217,8 +211,8 @@ def _ordered_factors(mg: MGraph, perm: tuple[str, ...]) -> list[Estimand] | None
                 return None
         factors.append(
             ProbTerm(
-                (_sym(v),),
-                tuple(_sym(u) for u in sorted(prefix)) + _r_conds(mg, needed),
+                (sym(v),),
+                tuple(sym(u) for u in sorted(prefix)) + _r_conds(mg, needed),
             )
         )
     return factors
@@ -227,9 +221,8 @@ def _ordered_factors(mg: MGraph, perm: tuple[str, ...]) -> list[Estimand] | None
 # --- estimation -------------------------------------------------------------------
 
 
-def _augmented_joint(mg: MGraph, d: Dataset) -> tuple[Cells, np.ndarray]:
-    """Empirical joint over substantive variables plus indicator columns, as
-    cells and their relative frequencies.
+def _augmented_joint(mg: MGraph, d: Dataset) -> JointTable:
+    """Empirical joint over substantive variables plus indicator columns.
 
     A missing cell of ``v`` gets the code ``len(domain of v)``, one past the
     domain, paired with ``R_v = miss``.  No domain value names that code, so
@@ -254,7 +247,7 @@ def _augmented_joint(mg: MGraph, d: Dataset) -> tuple[Cells, np.ndarray]:
     group, distinct = group_rows(np.hstack([codes, ~missing[:, partial]]))
     variables = tuple(subs) + tuple(mg.indicator(subs[j]) for j in partial)
     domains = {v: d.domains[v] if v in subs else (MISSING, OBSERVED) for v in variables}
-    return Cells(variables, domains, distinct), np.bincount(group) / d.n
+    return JointTable._coded(variables, domains, distinct, np.bincount(group) / d.n)
 
 
 def recover_estimate(
@@ -269,6 +262,5 @@ def recover_estimate(
     result = recoverability(mg, frozenset(target))
     if isinstance(result, NotRecoverable):
         raise NotRecoverableError(result.reason)
-    cells, weights = _augmented_joint(mg, d)
-    values, _ = eval_rows(result.estimand, cells, weights[None, :], dict(target))
-    return Estimate(value=float(values[0]), n=d.n)
+    value = eval_estimand(result.estimand, _augmented_joint(mg, d), dict(target))
+    return Estimate(value=value, n=d.n)

@@ -294,6 +294,8 @@ def holds(
 
 def observational_joint(m: DiscreteScm, max_states: int = DEFAULT_STATE_CAP) -> JointTable:
     """Exact joint over the endogenous variables, by exogenous enumeration."""
+    from .evaluate import group_rows
+
     variables = tuple(sorted(m.endogenous))
     dims = [len(m.endo_domains[v]) for v in variables]
     joint_size = math.prod(dims)
@@ -303,14 +305,12 @@ def observational_joint(m: DiscreteScm, max_states: int = DEFAULT_STATE_CAP) -> 
             f"{joint_size} joint states exceed the cap of {max_states}"
         )
     weights, (codes,) = enumerate_worlds(m, [{}], max_states)
-    flat = np.zeros(len(weights), dtype=np.intp)
-    for v, size in zip(variables, dims):
-        flat = flat * size + codes[v]
-    _, first, cell = np.unique(flat, return_index=True, return_inverse=True)
-    keys = [tuple(m.endo_domains[v][codes[v][i]] for v in variables) for i in first]
-    mass = dict(zip(keys, np.bincount(cell, weights=weights).tolist()))
+    cells = np.empty((len(weights), len(variables)), dtype=np.intp)
+    for j, v in enumerate(variables):
+        cells[:, j] = codes[v]
+    group, distinct = group_rows(cells)
     domains = {v: m.endo_domains[v] for v in variables}
-    return JointTable(variables, domains, mass)
+    return JointTable._coded(variables, domains, distinct, np.bincount(group, weights))
 
 
 def intervene(m: DiscreteScm, do: Mapping[str, str]) -> DiscreteScm:

@@ -25,7 +25,7 @@ from scmkit.expr import (
     UnboundSymbol,
     Val,
 )
-from scmkit.graph import Admg, GraphError, d_separated
+from scmkit.graph import Admg, CiStatement, GraphError, d_separated
 from scmkit.scm import DiscreteScm, EndogenousVar, ExogenousVar
 
 NAMES = list("ABCDEFGH")
@@ -312,14 +312,19 @@ def brute_marginal(m: DiscreteScm, assignment):
 # --- joint tables and estimands -------------------------------------------------
 
 
-def random_joint(r, variables, dom_sizes) -> JointTable:
+def random_mass(r, variables, dom_sizes):
+    """Domains of the given sizes and a Dirichlet mass on every full
+    assignment, in ``itertools.product`` order."""
     domains = {
         v: tuple(str(i) for i in range(k)) for v, k in zip(variables, dom_sizes)
     }
     keys = list(itertools.product(*(domains[v] for v in variables)))
     probs = r.dirichlet(np.ones(len(keys)))
-    mass = {k: float(p) for k, p in zip(keys, probs)}
-    return JointTable(tuple(variables), domains, mass)
+    return domains, {k: float(p) for k, p in zip(keys, probs)}
+
+
+def random_joint(r, variables, dom_sizes) -> JointTable:
+    return JointTable(tuple(variables), *random_mass(r, variables, dom_sizes))
 
 
 def random_estimand(r, variables, depth=3, bound=frozenset()):
@@ -357,12 +362,17 @@ def random_estimand(r, variables, depth=3, bound=frozenset()):
     )
 
 
+def sparse_mass(r, variables, dom_sizes, keep=0.5):
+    """Like ``random_mass``, but each cell survives with probability ``keep``
+    and the survivors are renormalized."""
+    domains, mass = random_mass(r, variables, dom_sizes)
+    cells = [k for k in mass if r.random() < keep] or [next(iter(mass))]
+    total = sum(mass[k] for k in cells)
+    return domains, {k: mass[k] / total for k in cells}
+
+
 def sparse_joint(r, variables, dom_sizes, keep=0.5) -> JointTable:
-    """Like ``random_joint``, but each cell survives with probability ``keep``."""
-    t = random_joint(r, variables, dom_sizes)
-    cells = [k for k in t.mass if r.random() < keep] or [next(iter(t.mass))]
-    total = sum(t.mass[k] for k in cells)
-    return JointTable(t.variables, t.domains, {k: t.mass[k] / total for k in cells})
+    return JointTable(tuple(variables), *sparse_mass(r, variables, dom_sizes, keep))
 
 
 def dict_scan_eval(e, table: JointTable, binding=None) -> float:
@@ -482,6 +492,32 @@ def eval_sum_by_hand(table: JointTable, y, x, z):
             raise ZeroDivisionError
         total += (pyxz / pxz) * pz
     return total
+
+
+# --- testable implications by exhaustive search ----------------------------------
+
+
+def testable_implications_by_search(g: Admg):
+    """The separator search ``testable_implications`` must agree with: every
+    subset of a nonadjacent pair's ancestors, smallest first and lexicographic
+    within a size, with no shortcut for pairs that have no separator."""
+    out = []
+    for u, v in itertools.combinations(sorted(g.nodes), 2):
+        if g.adjacent(u, v):
+            continue
+        candidates = sorted((g.ancestors([u]) | g.ancestors([v])) - {u, v})
+        found = next(
+            (
+                frozenset(sub)
+                for size in range(len(candidates) + 1)
+                for sub in itertools.combinations(candidates, size)
+                if d_separated(g, {u}, {v}, sub)
+            ),
+            None,
+        )
+        if found is not None:
+            out.append(CiStatement(frozenset({u}), frozenset({v}), found))
+    return out
 
 
 # --- CPDAG by exhaustive class enumeration ---------------------------------------

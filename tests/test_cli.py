@@ -208,6 +208,22 @@ def test_fit_missing_data_exit_3(tmp_path):
     assert "recoverability" in err
 
 
+def test_fit_field_over_csv_limit_exit_1(tmp_path):
+    # the csv module's own error becomes a typed data error with its line;
+    # a ragged line above it is still reported first
+    wide = "a" * 200_000 + ",1,0\n"
+    for head, message in (
+        ("0,1,0\n", "line 3: field larger than field limit (131072)"),
+        ("0,1\n", "line 2: row has 2 cells, expected 3"),
+    ):
+        csv = tmp_path / "wide.csv"
+        csv.write_text("X,Y,Z\n" + head + wide)
+        code, out, err = invoke("fit", "--graph", path("chain.cg"), "--data", str(csv))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
 # --- counterfactual ----------------------------------------------------------------
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from scmkit.expr import (
     render,
     simplify,
 )
-from scmkit.evaluate import Cells, eval_rows
+from scmkit.evaluate import eval_rows
 
 ADJUSTMENT_TEXT = "sum_{z} P(y|x,z) * P(z)"
 
@@ -223,10 +225,6 @@ def test_eval_rows_matches_one_evaluation_per_row():
     for _ in range(150):
         full = gen.random_joint(r, variables, [int(k) for k in r.integers(1, 4, size=3)])
         keys = list(full.mass)
-        codes = np.array(
-            [[full.domains[v].index(val) for v, val in zip(full.variables, key)] for key in keys]
-        )
-        cells = Cells(full.variables, full.domains, codes)
         weights = r.dirichlet(np.ones(len(keys)), size=int(r.integers(1, 6)))
         weights[r.random(weights.shape) < 0.4] = 0.0
         weights[weights.sum(axis=1) == 0.0, 0] = 1.0
@@ -246,13 +244,13 @@ def test_eval_rows_matches_one_evaluation_per_row():
         failed = [w for w in want if w[0] not in ("ok", ConditioningOnZero)]
         if zero.all():
             with pytest.raises(ConditioningOnZero):
-                eval_rows(e, cells, weights, binding)
+                eval_rows(e, full, weights, binding)
         elif failed:
             with pytest.raises(failed[0][0]) as info:
-                eval_rows(e, cells, weights, binding)
+                eval_rows(e, full, weights, binding)
             assert str(info.value) == failed[0][1]
         else:
-            values, marked = eval_rows(e, cells, weights, binding)
+            values, marked = eval_rows(e, full, weights, binding)
             assert (marked == zero).all()
             for value, (kind, expect) in zip(values, want):
                 if kind == "ok":
@@ -270,16 +268,16 @@ def test_eval_single_row_keeps_zero_before_unbound():
 
 
 def test_eval_rows_marks_rows_and_raises_when_all_are_marked():
-    cells = Cells(("X", "Y"), {"X": ("0", "1"), "Y": ("0", "1")},
-                  np.array([[0, 0], [1, 1]]))
+    t = JointTable(("X", "Y"), {"X": ("0", "1"), "Y": ("0", "1")},
+                   {("0", "0"): 0.5, ("1", "1"): 0.5})
     e = parse_estimand("P(Y=1|X=1) / P(Y=0)")
-    values, marked = eval_rows(e, cells, np.array([[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]]))
+    values, marked = eval_rows(e, t, np.array([[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]]))
     assert marked.tolist() == [False, True, True]
     assert values[0] == pytest.approx(2.0, abs=1e-15)
     with pytest.raises(ConditioningOnZero, match="quotient denominator is zero"):
-        eval_rows(e, cells, np.array([[0.0, 1.0]]))
+        eval_rows(e, t, np.array([[0.0, 1.0]]))
     with pytest.raises(ConditioningOnZero, match="X=1$"):
-        eval_rows(e, cells, np.array([[1.0, 0.0], [1.0, 0.0]]))
+        eval_rows(e, t, np.array([[1.0, 0.0], [1.0, 0.0]]))
 
 
 # --- simplification --------------------------------------------------------------
@@ -389,3 +387,65 @@ def test_joint_table_rejects_unknown_value():
 def test_joint_table_rejects_empty_domain():
     with pytest.raises(EstimandError):
         JointTable(("X",), {"X": ()}, {})
+
+
+def test_joint_table_refusals_in_order():
+    # variables, then each domain, then each cell in mass order (its width,
+    # sign and values), and the total last
+    doms = {"X": ("0", "1")}
+    cases = [
+        (("X", "X"), {"X": ()}, {}, "duplicate variable in joint table"),
+        (("X", "Y"), {"Y": ("0", "0")}, {}, "empty or missing domain for X"),
+        (("X",), {"X": ("0", "0")}, {("0", "1"): -1.0},
+         "duplicate values in domain of X"),
+        (("X",), doms, {("0", "1"): -1.0}, "assignment width does not match variables"),
+        (("X",), doms, {("2",): -0.5}, "negative mass -0.5 for ('2',)"),
+        (("X",), doms, {("2",): 0.5, ("0", "1"): 0.5}, "'2' not in the domain of X"),
+        (("X",), doms, {("0",): 0.5, ("1",): 0.4}, "total mass 0.9 is not 1"),
+    ]
+    for variables, domains, mass, message in cases:
+        with pytest.raises(EstimandError) as info:
+            JointTable(variables, domains, mass)
+        assert str(info.value) == message
+
+
+def test_joint_table_mass_and_prob_match_a_dict_scan_bit_for_bit():
+    r = gen.rng(71)
+    variables = ("X", "Y", "Z")
+    for i in range(300):
+        sizes = [int(k) for k in r.integers(1, 4, size=3)]
+        make = gen.random_mass if i % 2 else gen.sparse_mass
+        domains, mass = make(r, variables, sizes)
+        t = JointTable(variables, domains, mass)
+        assert list(t.mass.items()) == list(mass.items())
+        assert t.codes.shape == (len(mass), 3)
+        for k in range(4):
+            for picked in itertools.combinations(variables, k):
+                values = [domains[v] + ("9",) for v in picked]
+                for assignment in itertools.product(*values):
+                    want = sum(
+                        p for key, p in mass.items()
+                        if all(key[variables.index(v)] == val
+                               for v, val in zip(picked, assignment))
+                    )
+                    got = t.prob(dict(zip(picked, assignment)))
+                    assert type(got) is float and got == want
+        assert t.prob({}) == sum(mass.values())
+
+
+def test_joint_table_prob_refuses_unknown_variable_and_zeroes_unknown_value():
+    t = gen.random_joint(gen.rng(72), ["X", "Y"], [2, 2])
+    with pytest.raises(UnboundSymbol, match="^variable Q not in the joint table$"):
+        t.prob({"X": "0", "Q": "1"})
+    assert t.prob({"X": "7"}) == 0.0
+    assert t.prob({"X": "0", "Y": "7"}) == 0.0
+
+
+def test_joint_table_codes_and_weights_are_read_only():
+    t = gen.sparse_joint(gen.rng(73), ["X", "Y"], [3, 2])
+    for array in (t.codes, t.weights):
+        with pytest.raises(ValueError):
+            array[...] = 0
+    # tables compare by identity
+    assert t == t
+    assert t != JointTable(t.variables, t.domains, dict(t.mass))

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 import gen
+import scmkit.graph as graph_module
 from scmkit.graph import (
     CiStatement,
     CycleError,
@@ -212,6 +213,36 @@ def test_implications_hold_in_compatible_models():
                         puz = joint.prob({**ctx, u: uv})
                         pvz = joint.prob({**ctx, v: vv})
                         assert abs(puvz * pz - puz * pvz) <= 1e-12
+
+
+def test_implications_match_exhaustive_search():
+    r = gen.rng(29)
+    for _ in range(1500):
+        g = gen.random_admg(r, int(r.integers(3, 8)))
+        assert testable_implications(g) == gen.testable_implications_by_search(g)
+
+
+def test_pair_without_separator_costs_one_test(monkeypatch):
+    # U <-> W <-> V with W -> V is an inducing path, so (U, V) has no
+    # separator among its 15 candidates; each other nonadjacent pair is
+    # separated by the empty set
+    parents = [f"P{i:02d}" for i in range(14)]
+    g = parse_graph(
+        "".join(f"var {v}\n" for v in parents + ["U", "V", "W"])
+        + "".join(f"{p} -> U\n" for p in parents)
+        + "U <-> W\nW <-> V\nW -> V\n"
+    )
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return d_separated(*args)
+
+    monkeypatch.setattr(graph_module, "d_separated", counted)
+    statements = testable_implications(g)
+    assert len(statements) == 119
+    assert all(not s.given for s in statements)
+    assert len(calls) <= 2 * 120
 
 
 def test_separating_sets_are_smallest_then_lexicographic():

@@ -12,6 +12,7 @@ from scmkit.recover import (
     NotRecoverable,
     NotRecoverableError,
     Recoverable,
+    _augmented_joint,
     parse_mgraph,
     recover_estimate,
     recoverability,
@@ -250,6 +251,19 @@ def test_sum_over_partially_observed_variable():
         assert est.value == pytest.approx(gen.two_sided_by_hand(y), abs=1e-12)
     # a value outside the observed domain carries zero mass
     assert recover_estimate(mg, d, {"Y": "NA"}).value == 0.0
+
+
+def test_augmented_joint_decodes_missing_cells_to_none():
+    d = Dataset(("X", "Y"), (("0", "1"), ("1", None), ("0", None), ("0", "1")))
+    t = _augmented_joint(mar_mgraph(), d)
+    assert t.variables == ("X", "Y", "R_Y")
+    # Y's observed domain is ("1",), so its missing cells take the code 1
+    assert t.codes.tolist() == [[0, 0, 1], [0, 1, 0], [1, 1, 0]]
+    assert len(t.mass) == 3
+    assert list(t.mass.items()) == [
+        (("0", "1", "obs"), 0.5), (("0", None, "miss"), 0.25), (("1", None, "miss"), 0.25),
+    ]
+    assert t.prob({"Y": "1"}) == 0.5
 
 
 def test_sum_over_never_observed_variable_is_refused():

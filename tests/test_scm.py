@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 import gen
+from scmkit.expr import EstimandError, JointTable
 from scmkit.graph import parse_graph
 from scmkit.scm import (
     CounterfactualQuery,
@@ -102,6 +103,21 @@ def test_total_mass_is_one_on_randoms():
         m = gen.random_scm(r, n_endo=int(r.integers(1, 4)), n_exo=int(r.integers(1, 4)))
         j = observational_joint(m)
         assert sum(j.mass.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_drifted_exogenous_mass_is_not_refused():
+    # each distribution sums to 1 within the parser's 1e-12, but their product
+    # drifts past it; only a table built from outside input is checked
+    m = parse_scm(
+        "".join(f"exo U{i} {{0: 0.4999999999995, 1: 0.5}}\n" for i in range(3))
+        + "endo X (U0, U1) {(0,0) -> 0, (0,1) -> 1, (1,0) -> 1, (1,1) -> 1}\n"
+    )
+    j = observational_joint(m)
+    assert j.mass.keys() == {("0",), ("1",)}
+    assert j.prob({}) == pytest.approx(1.0, abs=1e-11)
+    assert j.prob({"X": "0"}) == pytest.approx(gen.brute_marginal(m, {"X": "0"}), abs=1e-15)
+    with pytest.raises(EstimandError, match="^total mass 0.99999999999.* is not 1$"):
+        JointTable(j.variables, j.domains, dict(j.mass))
 
 
 def test_state_space_cap():
