@@ -98,7 +98,8 @@ def discover_cpdag(oracle: CiOracle, variables: Iterable[str]) -> Cpdag:
     propagation to a fixpoint.
 
     Variables are handled in sorted order internally, so the output does not
-    depend on the input ordering.
+    depend on the input ordering.  Within one call the oracle is asked each
+    (unordered pair, conditioning set) question once.
     """
     names = sorted(set(variables))
     if len(names) < 2:
@@ -106,6 +107,15 @@ def discover_cpdag(oracle: CiOracle, variables: Iterable[str]) -> Cpdag:
 
     adj: dict[str, set[str]] = {u: set(names) - {u} for u in names}
     sepset: dict[frozenset[str], frozenset[str]] = {}
+    answers: dict[tuple[str, str, tuple[str, ...]], bool] = {}
+
+    def independent(u: str, v: str, cond: tuple[str, ...]) -> bool:
+        # each question is put to the oracle once, with its pair sorted, so
+        # (u, v | S) and (v, u | S) always get the same answer
+        key = (min(u, v), max(u, v), cond)
+        if key not in answers:
+            answers[key] = oracle.independent(*key)
+        return answers[key]
 
     level = 0
     while True:
@@ -118,7 +128,7 @@ def discover_cpdag(oracle: CiOracle, variables: Iterable[str]) -> Cpdag:
                 any_candidate = True
                 removed = False
                 for cond in itertools.combinations(others, level):
-                    if oracle.independent(u, v, cond):
+                    if independent(u, v, cond):
                         adj[u].discard(v)
                         adj[v].discard(u)
                         sepset[frozenset((u, v))] = frozenset(cond)

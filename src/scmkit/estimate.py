@@ -88,6 +88,11 @@ class Dataset:
         for name, value in (("columns", columns), ("domains", domains), ("codes", codes)):
             object.__setattr__(self, name, value)
 
+    def __reduce__(self):
+        # rebuilt through _coded, so a copy's codes are read-only and its
+        # cached views are recomputed
+        return Dataset._coded, (self.columns, self.domains, self.codes)
+
     @property
     def n(self) -> int:
         return self.codes.shape[0]
@@ -101,6 +106,16 @@ class Dataset:
     @cached_property
     def has_missing(self) -> bool:
         return bool((self.codes < 0).any())
+
+    @cached_property
+    def distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct rows of ``codes`` in lexicographic order and how many
+        times each occurs, both read-only: every count over the dataset reads
+        these, so its rows are grouped once."""
+        group, rows = group_rows(self.codes)
+        count = np.bincount(group)
+        rows.flags.writeable = count.flags.writeable = False
+        return rows, count
 
     def column_index(self, name: str) -> int:
         try:
@@ -230,8 +245,8 @@ def empirical_joint(d: Dataset) -> JointTable:
         raise MissingDataPresent(
             "dataset contains missing cells; run recoverability analysis instead"
         )
-    group, distinct = group_rows(d.codes)
-    return JointTable._coded(d.columns, d.domains, distinct, np.bincount(group) / d.n)
+    rows, count = d.distinct
+    return JointTable._coded(d.columns, d.domains, rows, count / d.n)
 
 
 def plug_in(

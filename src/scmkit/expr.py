@@ -242,14 +242,15 @@ class JointTable:
         for key, p in mass.items():
             if len(key) != len(variables):
                 raise EstimandError("assignment width does not match variables")
-            if p < 0:
-                raise EstimandError(f"negative mass {p} for {key}")
+            if not p >= 0:  # NaN fails this test too
+                what = "negative" if p < 0 else "invalid"
+                raise EstimandError(f"{what} mass {p} for {key}")
             for v, val, rank in zip(variables, key, ranks):
                 if val not in rank:
                     raise EstimandError(f"{val!r} not in the domain of {v}")
             codes.append([rank[val] for val, rank in zip(key, ranks)])
             total += p
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise EstimandError(f"total mass {total!r} is not 1")
         shape = (len(codes), len(variables))
         self._set(variables, domains, np.array(codes, np.intp).reshape(shape),
@@ -268,6 +269,11 @@ class JointTable:
         codes.flags.writeable = weights.flags.writeable = False
         self.__dict__.update(variables=variables, domains=domains, codes=codes,
                              weights=weights, _grouped={})
+
+    def __reduce__(self):
+        # rebuilt through _coded, so a copy's arrays are read-only and its
+        # cached views are recomputed
+        return JointTable._coded, (self.variables, self.domains, self.codes, self.weights)
 
     @cached_property
     def mass(self) -> dict[tuple[str | None, ...], float]:

@@ -62,20 +62,23 @@ def g_squared_ci(
     :class:`MissingDataPresent`.
     """
     names = (u, v) + tuple(given)
-    codes = d.codes[:, [d.column_index(c) for c in names]]
+    # the dataset's distinct rows, weighted by their counts, stand in for its
+    # n rows: every count below is an integer-valued float, exact
+    rows, count = d.distinct
+    codes = rows[:, [d.column_index(c) for c in names]]
     gaps = [c for c, gap in zip(names, (codes < 0).any(axis=0)) if gap]
     if gaps:
         raise MissingDataPresent(
             f"column {gaps[0]} has missing cells; run recoverability analysis"
         )
     stratum, _ = group_rows(codes[:, 2:])
-    size = np.bincount(stratum)
+    size = np.bincount(stratum, weights=count)
     large = size >= MIN_STRATUM
     # counts of the observed (stratum, u, v) cells only, with their row and
-    # column totals, so memory follows n and never |dom u| x |dom v|
+    # column totals, so memory follows the rows and never |dom u| x |dom v|
     cell, seen = group_rows(np.column_stack([stratum, codes[:, :2]]))
     kept = large[seen[:, 0]]
-    observed, seen = np.bincount(cell)[kept], seen[kept]
+    observed, seen = np.bincount(cell, weights=count)[kept], seen[kept]
     by_u, by_v = group_rows(seen[:, :2])[0], group_rows(seen[:, ::2])[0]
     row_tot = np.bincount(by_u, weights=observed)[by_u]
     col_tot = np.bincount(by_v, weights=observed)[by_v]

@@ -142,6 +142,20 @@ class Admg:
             out[b].add(a)
         return {v: frozenset(s) for v, s in out.items()}
 
+    @cached_property
+    def _augmented(self) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]]:
+        """Parent/child maps with one hidden root per bidirected edge."""
+        # tuples: every d_separated call on this graph shares the maps
+        parents = {v: tuple(sorted(self._parents[v])) for v in self.nodes}
+        children = {v: tuple(sorted(self._children[v])) for v in self.nodes}
+        for i, (a, b) in enumerate(sorted(self.bidirected)):
+            h = f"\x00h{i}"  # not a legal identifier, cannot clash with node names
+            parents[h] = ()
+            children[h] = (a, b)
+            parents[a] += (h,)
+            parents[b] += (h,)
+        return parents, children
+
     def parents(self, v: str) -> frozenset[str]:
         self._check(v)
         return self._parents[v]
@@ -364,19 +378,6 @@ def serialize_graph(g: Admg) -> str:
 # --- d-separation ----------------------------------------------------------
 
 
-def _augmented(g: Admg) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
-    """Parent/child maps with one hidden root per bidirected edge."""
-    parents: dict[str, list[str]] = {v: sorted(g.parents(v)) for v in g.nodes}
-    children: dict[str, list[str]] = {v: sorted(g.children(v)) for v in g.nodes}
-    for i, (a, b) in enumerate(sorted(g.bidirected)):
-        h = f"\x00h{i}"  # not a legal identifier, cannot clash with node names
-        parents[h] = []
-        children[h] = [a, b]
-        parents[a].append(h)
-        parents[b].append(h)
-    return parents, children
-
-
 def d_separated(
     g: Admg,
     a: Iterable[str],
@@ -397,7 +398,7 @@ def d_separated(
     if not a or not b:
         return True
 
-    parents, children = _augmented(g)
+    parents, children = g._augmented
 
     # ancestors of z (z included), over the augmented graph
     anz = set(z)

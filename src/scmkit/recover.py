@@ -233,7 +233,8 @@ def _augmented_joint(mg: MGraph, d: Dataset) -> JointTable:
     for v in subs:
         if v not in d.columns:
             raise DataError(f"dataset lacks column {v}")
-    codes = d.codes[:, [d.column_index(v) for v in subs]]
+    rows, count = d.distinct
+    codes = rows[:, [d.column_index(v) for v in subs]]
     missing = codes < 0
     for v, col in zip(subs, missing.T):
         if v not in mg.partial and col.any():
@@ -247,7 +248,8 @@ def _augmented_joint(mg: MGraph, d: Dataset) -> JointTable:
     group, distinct = group_rows(np.hstack([codes, ~missing[:, partial]]))
     variables = tuple(subs) + tuple(mg.indicator(subs[j]) for j in partial)
     domains = {v: d.domains[v] if v in subs else (MISSING, OBSERVED) for v in variables}
-    return JointTable._coded(variables, domains, distinct, np.bincount(group) / d.n)
+    weights = np.bincount(group, weights=count) / d.n
+    return JointTable._coded(variables, domains, distinct, weights)
 
 
 def recover_estimate(

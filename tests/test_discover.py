@@ -1,6 +1,10 @@
+import itertools
+
 import pytest
 
 import gen
+import scmkit.estimate as estimate_module
+import scmkit.fitcheck as fitcheck_module
 from scmkit.discover import (
     Cpdag,
     DataOracle,
@@ -10,6 +14,7 @@ from scmkit.discover import (
     render_cpdag,
 )
 from scmkit.estimate import DataError, Dataset, MissingDataPresent
+from scmkit.fitcheck import fit_indices
 from scmkit.graph import parse_graph
 from scmkit.scm import parse_scm, sample
 
@@ -76,6 +81,37 @@ def test_propagation_rule_one():
     assert ("B", "C") in c.directed
 
 
+class QuestionLog(GraphOracle):
+    """A graph oracle that records every question put to it."""
+
+    def __init__(self, g):
+        super().__init__(g)
+        self.asked = []
+
+    def independent(self, u, v, given):
+        self.asked.append((u, v, given))
+        return super().independent(u, v, given)
+
+
+def test_each_question_is_asked_once_in_sorted_pair_order():
+    r = gen.rng(81)
+    for _ in range(60):
+        g = gen.random_dag(r, int(r.integers(6, 9)), p_dir=0.35)
+        oracle = QuestionLog(g)
+        c = discover_cpdag(oracle, g.nodes)
+        assert all(u < v for u, v, _ in oracle.asked)
+        assert len(set(oracle.asked)) == len(oracle.asked)
+        # the output is still the graph's CPDAG: its skeleton, with every
+        # collider directed and no edge directed against the graph
+        skeleton = {frozenset(e) for e in g.directed}
+        assert {frozenset(e) for e in c.directed | c.undirected} == skeleton
+        assert c.directed <= g.directed
+        for w in g.nodes:
+            for u, v in itertools.combinations(sorted(g.parents(w)), 2):
+                if frozenset((u, v)) not in skeleton:
+                    assert {(u, w), (v, w)} <= c.directed
+
+
 # --- data mode --------------------------------------------------------------------
 
 
@@ -117,6 +153,25 @@ def test_data_oracle_is_deterministic():
     a = discover_cpdag(DataOracle(d, alpha=0.05), ["X", "Y", "Z"])
     b = discover_cpdag(DataOracle(d, alpha=0.05), ["X", "Y", "Z"])
     assert a == b
+
+
+def test_data_runs_group_the_rows_of_the_dataset_once(monkeypatch):
+    # 2,000 rows of three binary columns: every G-squared test reads the at
+    # most 8 distinct rows, so only the dataset's own grouping sees all rows
+    d = sample(collider_scm(), 2000, seed=3)
+    sizes = []
+    for module in (estimate_module, fitcheck_module):
+        def counting(codes, group_rows=module.group_rows):
+            sizes.append(len(codes))
+            return group_rows(codes)
+
+        monkeypatch.setattr(module, "group_rows", counting)
+    c = discover_cpdag(DataOracle(d), d.columns)
+    assert c.directed == {("X", "Z"), ("Y", "Z")}
+    assert sizes.count(d.n) == 1 and len(sizes) > 1
+    assert max(sizes[1:]) <= 8
+    fit_indices(collider_graph(), d)
+    assert sizes.count(d.n) == 1
 
 
 def test_data_oracle_refuses_alpha_outside_unit_interval():

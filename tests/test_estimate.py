@@ -1,4 +1,6 @@
+import copy
 import io
+import pickle
 
 import numpy as np
 import pytest
@@ -305,6 +307,34 @@ def test_dataset_codes_are_read_only():
     for data in (d, d.select(("Y",)), Dataset(d.columns, d.rows), sampled):
         with pytest.raises(ValueError):
             data.codes[0, 0] = 0
+
+
+def test_dataset_distinct_rows_are_sorted_counted_and_read_only():
+    d = load_table(io.StringIO("X,Y\n1,0\n0,NA\n1,0\n0,1\n0,NA\n1,0\n"))
+    rows, count = d.distinct
+    assert rows.tolist() == [[0, -1], [0, 1], [1, 0]]
+    assert count.tolist() == [2, 1, 3]
+    assert rows.dtype == d.codes.dtype
+    assert d.distinct is d.distinct
+    for array in (rows, count):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+@pytest.mark.parametrize("copy_of", [
+    lambda d: pickle.loads(pickle.dumps(d)), copy.deepcopy, copy.copy,
+])
+def test_dataset_copies_keep_codes_read_only(copy_of):
+    d = load_table(io.StringIO("X,Y\n0,1\n1,NA\n0,1\n"))
+    d.distinct, d.rows  # cached views are not carried into the copy
+    c = copy_of(d)
+    assert (c.columns, c.domains, c.codes.tolist()) == (d.columns, d.domains, d.codes.tolist())
+    assert c.codes.dtype == d.codes.dtype
+    assert "distinct" not in vars(c) and "rows" not in vars(c)
+    with pytest.raises(ValueError):
+        c.codes[0, 0] = 1
+    assert c.rows == d.rows
+    assert [a.tolist() for a in c.distinct] == [a.tolist() for a in d.distinct]
 
 
 def test_dataset_select_projects_columns():

@@ -1,4 +1,7 @@
+import copy
 import itertools
+import math
+import pickle
 
 import numpy as np
 import pytest
@@ -400,8 +403,11 @@ def test_joint_table_refusals_in_order():
          "duplicate values in domain of X"),
         (("X",), doms, {("0", "1"): -1.0}, "assignment width does not match variables"),
         (("X",), doms, {("2",): -0.5}, "negative mass -0.5 for ('2',)"),
+        (("X",), doms, {("2",): math.nan}, "invalid mass nan for ('2',)"),
+        (("X",), doms, {("0",): math.nan, ("1",): 1.0}, "invalid mass nan for ('0',)"),
         (("X",), doms, {("2",): 0.5, ("0", "1"): 0.5}, "'2' not in the domain of X"),
         (("X",), doms, {("0",): 0.5, ("1",): 0.4}, "total mass 0.9 is not 1"),
+        (("X",), doms, {("0",): math.inf}, "total mass inf is not 1"),
     ]
     for variables, domains, mass, message in cases:
         with pytest.raises(EstimandError) as info:
@@ -439,6 +445,23 @@ def test_joint_table_prob_refuses_unknown_variable_and_zeroes_unknown_value():
         t.prob({"X": "0", "Q": "1"})
     assert t.prob({"X": "7"}) == 0.0
     assert t.prob({"X": "0", "Y": "7"}) == 0.0
+
+
+@pytest.mark.parametrize("copy_of", [
+    lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy, copy.copy,
+])
+def test_joint_table_copies_keep_arrays_read_only(copy_of):
+    t = gen.sparse_joint(gen.rng(74), ["X", "Y"], [3, 2])
+    t.mass, t.groups((0,))  # cached views are not carried into the copy
+    c = copy_of(t)
+    assert (c.variables, dict(c.domains)) == (t.variables, dict(t.domains))
+    assert c.codes.tolist() == t.codes.tolist()
+    assert c.weights.tolist() == t.weights.tolist()
+    assert "mass" not in vars(c) and not c._grouped
+    for array in (c.codes, c.weights):
+        with pytest.raises(ValueError):
+            array[...] = 0
+    assert c.mass == t.mass and c.prob({"X": "0"}) == t.prob({"X": "0"})
 
 
 def test_joint_table_codes_and_weights_are_read_only():

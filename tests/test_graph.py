@@ -86,6 +86,17 @@ def test_roundtrip_random_graphs():
 # --- d-separation --------------------------------------------------------------
 
 
+def test_augmented_graph_is_built_once_and_shared_read_only():
+    g = parse_graph("var X\nvar Y\nvar Z\nX -> Y\nX <-> Z\n")
+    assert d_separated(g, {"Y"}, {"Z"}, {"X"})
+    parents, children = g._augmented
+    assert g._augmented is g._augmented
+    assert parents == {"X": ("\x00h0",), "Y": ("X",), "Z": ("\x00h0",), "\x00h0": ()}
+    assert children == {"X": ("Y",), "Y": (), "Z": (), "\x00h0": ("X", "Z")}
+    assert not d_separated(g, {"Y"}, {"Z"}, set())
+    assert g._augmented == (parents, children)
+
+
 def test_chain_blocked_by_middle():
     g = parse_graph("var X\nvar Y\nvar Z\nX -> Z\nZ -> Y")
     assert d_separated(g, {"X"}, {"Y"}, {"Z"})
