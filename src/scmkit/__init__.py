@@ -31,9 +31,10 @@ _EXPORTS = {
         "latent_projection", "observational_joint", "parse_scm", "sample",
         "serialize_scm",
     ),
+    "query": ("CausalQuery", "QueryTerm", "parse_query", "query_layer"),
     "identify": (
-        "CausalQuery", "Identified", "NonIdentifiable", "QueryTerm", "backdoor_sets",
-        "identify", "nonidentifiability_witness", "parse_query", "query_layer",
+        "Identified", "NonIdentifiable", "backdoor_sets", "identify",
+        "nonidentifiability_witness",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

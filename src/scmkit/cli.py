@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from typing import IO, TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from .identify import QueryTerm
+    from .query import QueryTerm
 
 __all__ = ["run", "main"]
 
@@ -159,7 +160,15 @@ def run(argv: list[str], stdout: IO[str] | None = None, stderr: IO[str] | None =
         return code
 
 
+# one call is too short for a BLAS or OpenMP thread pool to pay for its start
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def main() -> None:
+    # numpy reads these when it is first imported, which no handler has done
+    # yet; a value the user set is kept
+    for var in _THREAD_VARS:
+        os.environ.setdefault(var, "1")
     sys.exit(run(sys.argv[1:]))
 
 
@@ -169,7 +178,8 @@ def main() -> None:
 def _cmd_identify(args, out, err) -> int:
     from .expr import render, simplify
     from .graph import parse_graph
-    from .identify import NonIdentifiable, identify, parse_query
+    from .identify import NonIdentifiable, identify
+    from .query import parse_query
 
     g = parse_graph(_read(args.graph))
     q = parse_query(args.query)
@@ -197,7 +207,8 @@ def _cmd_estimate(args, out, err) -> int:
     from .estimate import bootstrap_interval, load_table, plug_in
     from .expr import render, simplify
     from .graph import parse_graph
-    from .identify import NonIdentifiable, identify, parse_query
+    from .identify import NonIdentifiable, identify
+    from .query import parse_query
 
     g = parse_graph(_read(args.graph))
     q = parse_query(args.query)
@@ -250,7 +261,7 @@ def _cmd_fit(args, out, err) -> int:
 
 
 def _cmd_counterfactual(args, out, err) -> int:
-    from .identify import parse_query
+    from .query import parse_query
     from .scm import CounterfactualQuery, counterfactual_query, parse_scm
 
     m = parse_scm(_read(args.scm))

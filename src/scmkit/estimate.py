@@ -1,18 +1,24 @@
-"""Datasets, empirical joints, plug-in estimates and bootstrap intervals."""
+"""Datasets, empirical joints, plug-in estimates and bootstrap intervals.
+
+Reading data and grouping or decoding code rows need numpy alone; the
+estimand algebra and its evaluator are imported only by the functions that
+evaluate an estimand, so commands that only read data load neither.
+"""
 
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .evaluate import decode_rows, eval_rows, group_rows
-from .expr import ConditioningOnZero, Estimand, EstimandError, JointTable, eval_estimand
+if TYPE_CHECKING:
+    from .expr import Estimand, JointTable
 
 __all__ = [
     "MISSING_TOKEN",
@@ -22,6 +28,8 @@ __all__ = [
     "MissingDataPresent",
     "TooManyDegenerateResamples",
     "load_table",
+    "group_rows",
+    "decode_rows",
     "empirical_joint",
     "plug_in",
     "bootstrap_interval",
@@ -129,6 +137,28 @@ class Dataset:
         domains = {c: self.domains[c] for c in columns}
         codes = self.codes[:, idx].astype(_code_dtype(domains))
         return Dataset._coded(columns, domains, codes)
+
+
+def group_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group of every row of an integer matrix, and the distinct rows in
+    lexicographic order; group ``g`` is distinct row ``g``."""
+    order = np.lexsort(codes.T[::-1]) if codes.shape[1] else np.arange(len(codes))
+    ranked = codes[order]
+    first = np.ones(len(codes), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    group = np.empty_like(order)
+    group[order] = np.cumsum(first) - 1
+    return group, ranked[first]
+
+
+def decode_rows(codes: np.ndarray, domains) -> list[tuple]:
+    """Rows of an integer matrix decoded through each column's domain; -1 or
+    a code past the end of a domain decodes to ``None``."""
+    cols = [
+        np.array((*dom, None), dtype=object)[codes[:, j]].tolist()
+        for j, dom in enumerate(domains)
+    ]
+    return list(zip(*cols)) if cols else [()] * len(codes)
 
 
 def _distinct(names: Iterable[str]) -> tuple[str, ...]:
@@ -241,6 +271,8 @@ class Estimate:
 def empirical_joint(d: Dataset) -> JointTable:
     """Relative frequencies of the distinct rows of complete data, in sorted
     order; refuses missing data."""
+    from .expr import JointTable
+
     if d.has_missing:
         raise MissingDataPresent(
             "dataset contains missing cells; run recoverability analysis instead"
@@ -253,6 +285,8 @@ def plug_in(
     e: Estimand, d: Dataset, binding: Mapping[str, str] | None = None
 ) -> Estimate:
     """Evaluate the estimand on the empirical joint of the data."""
+    from .expr import eval_estimand
+
     return Estimate(value=eval_estimand(e, empirical_joint(d), binding), n=d.n)
 
 
@@ -272,6 +306,9 @@ def bootstrap_interval(
     as weight rows over the distinct rows of the data.  Resamples that hit an
     empty stratum are dropped; more than 10% of them dropped is an error.
     """
+    from .evaluate import eval_rows
+    from .expr import ConditioningOnZero, EstimandError, eval_estimand
+
     if B < 100:
         raise DataError(f"B={B} is too small; need at least 100 resamples")
     if not 0 < level < 1:
@@ -306,8 +343,27 @@ def bootstrap_interval(
             f"{dropped} of {B} resamples hit an empty stratum"
         )
     lo_q = (1.0 - level) / 2.0
-    lo, hi = np.quantile(np.concatenate(values), [lo_q, 1.0 - lo_q])
+    lo, hi = _quantiles(np.concatenate(values), [lo_q, 1.0 - lo_q])
     # widen if needed so the interval always contains the point estimate
-    lo = min(float(lo), point)
-    hi = max(float(hi), point)
+    lo = min(lo, point)
+    hi = max(hi, point)
     return Estimate(value=point, n=n, interval=(lo, hi, level))
+
+
+def _quantiles(values: np.ndarray, levels: Sequence[float]) -> list[float]:
+    """Quantiles of ``values`` by numpy's default ``linear`` rule, equal to
+    ``np.quantile`` bit for bit; ``np.quantile`` reaches ``np.unique``, which
+    imports ``numpy.ma`` on first use."""
+    ranked = np.sort(values).tolist()
+    last = len(ranked) - 1
+    out = []
+    for q in levels:
+        virt = last * q
+        if virt >= last:
+            out.append(ranked[-1])
+            continue
+        i = math.floor(virt)
+        a, b, g = ranked[i], ranked[i + 1], virt - i
+        # numpy's two-sided interpolation, so the values match it exactly
+        out.append(b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g)
+    return out

@@ -2,10 +2,8 @@
 
 :func:`eval_rows` evaluates an estimand on many distributions at once, each a
 row of weights over the distinct cells of one
-:class:`~scmkit.expr.JointTable`; :func:`group_rows` groups integer code rows
-for every count the data layers make, and :func:`decode_rows` turns code rows
-back into values.  :func:`scmkit.expr.eval_estimand`
-and :meth:`~scmkit.expr.JointTable.prob` evaluate a table's own weights as one
+:class:`~scmkit.expr.JointTable`.  :func:`scmkit.expr.eval_estimand` and
+:meth:`~scmkit.expr.JointTable.prob` evaluate a table's own weights as one
 row; the estimand algebra itself stays free of numpy.
 """
 
@@ -29,29 +27,7 @@ from .expr import (
     Val,
 )
 
-__all__ = ["decode_rows", "eval_rows", "group_rows"]
-
-
-def group_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group of every row of an integer matrix, and the distinct rows in
-    lexicographic order; group ``g`` is distinct row ``g``."""
-    order = np.lexsort(codes.T[::-1]) if codes.shape[1] else np.arange(len(codes))
-    ranked = codes[order]
-    first = np.ones(len(codes), dtype=bool)
-    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    group = np.empty_like(order)
-    group[order] = np.cumsum(first) - 1
-    return group, ranked[first]
-
-
-def decode_rows(codes: np.ndarray, domains) -> list[tuple]:
-    """Rows of an integer matrix decoded through each column's domain; -1 or
-    a code past the end of a domain decodes to ``None``."""
-    cols = [
-        np.array((*dom, None), dtype=object)[codes[:, j]].tolist()
-        for j, dom in enumerate(domains)
-    ]
-    return list(zip(*cols)) if cols else [()] * len(codes)
+__all__ = ["eval_rows"]
 
 
 def eval_rows(

@@ -279,7 +279,7 @@ class JointTable:
     def mass(self) -> dict[tuple[str | None, ...], float]:
         """Probabilities keyed by full assignments, in cell order, decoded on
         first use; a code past the end of a domain decodes to ``None``."""
-        from .evaluate import decode_rows
+        from .estimate import decode_rows
 
         keys = decode_rows(self.codes, [self.domains[v] for v in self.variables])
         return dict(zip(keys, self.weights.tolist()))
@@ -302,7 +302,7 @@ class JointTable:
         a map from a code tuple to its group."""
         got = self._grouped.get(cols)
         if got is None:
-            from .evaluate import group_rows
+            from .estimate import group_rows
 
             group, distinct = group_rows(self.codes[:, list(cols)])
             lookup = {tuple(row): g for g, row in enumerate(distinct.tolist())}

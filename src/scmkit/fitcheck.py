@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimate import DataError, Dataset, MissingDataPresent
-from .evaluate import group_rows
+from .estimate import DataError, Dataset, MissingDataPresent, group_rows
 from .graph import Admg, CiStatement, testable_implications
 
 __all__ = [

@@ -13,11 +13,10 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .expr import ConditioningOnZero, JointTable
-from .graph import Admg
-
 if TYPE_CHECKING:
     from .estimate import Dataset
+    from .expr import JointTable
+    from .graph import Admg
     from .scm import DiscreteScm
 
 __all__ = [
@@ -150,6 +149,8 @@ def mediation_effects_data(
     NIE = sum_m E(Y|x0,m) [P(m|x1) - P(m|x0)]; with no confounding the total
     effect reduces to E(Y|x1) - E(Y|x0).
     """
+    from .expr import ConditioningOnZero, JointTable
+
     _check_triangle(g, exposure, mediator, outcome)
     if isinstance(data, JointTable):
         joint = data

@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
-from .expr import JointTable
-
 if TYPE_CHECKING:
+    from .expr import JointTable
     from .scm import DiscreteScm
 
 __all__ = [

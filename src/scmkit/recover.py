@@ -15,8 +15,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .estimate import DataError, Dataset, Estimate
-from .evaluate import group_rows
+from .estimate import DataError, Dataset, Estimate, group_rows
 from .expr import (
     Estimand, JointTable, ProbTerm, Val, eval_estimand, lit, prod_of, sum_over, sym,
 )

@@ -12,13 +12,15 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .expr import JointTable
-from .graph import Admg
 from .lexer import NAME, NAME_RE, VALUE
+
+if TYPE_CHECKING:
+    from .expr import JointTable
+    from .graph import Admg
 
 __all__ = [
     "ExogenousVar",
@@ -294,7 +296,8 @@ def holds(
 
 def observational_joint(m: DiscreteScm, max_states: int = DEFAULT_STATE_CAP) -> JointTable:
     """Exact joint over the endogenous variables, by exogenous enumeration."""
-    from .evaluate import group_rows
+    from .estimate import group_rows
+    from .expr import JointTable
 
     variables = tuple(sorted(m.endogenous))
     dims = [len(m.endo_domains[v]) for v in variables]
@@ -383,6 +386,8 @@ def latent_projection(m: DiscreteScm) -> Admg:
     variable with two or more endogenous children contributes a bidirected
     edge between each pair of them.
     """
+    from .graph import Admg
+
     nodes = set(m.endogenous)
     directed = {
         (p, v)

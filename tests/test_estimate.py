@@ -452,3 +452,17 @@ def test_bootstrap_blocks_of_one_replicate(monkeypatch):
     assert assert_matches_reference(e, d, B=200, seed=2) > 0
     d = sparse_backdoor_data(gen.rng(51), 300, rare=1)
     assert_refusal_matches_reference(e, d, B=200, seed=3)
+
+
+def test_bootstrap_quantiles_equal_numpy_bit_for_bit():
+    # the interval's percentiles avoid np.quantile, whose np.unique check
+    # imports numpy.ma; they must still be its values exactly
+    r = gen.rng(53)
+    for k in range(50_000):
+        n = int(r.integers(1, 301))
+        # every other array is drawn from five values, so ties are common
+        values = r.random(n) if k % 2 else r.integers(0, 5, n) / 4.0
+        lo_q = (1.0 - r.uniform(0.5, 0.99)) / 2.0
+        levels = [lo_q, 1.0 - lo_q] + ([0.0, 0.5, 1.0] if k < 300 else [])
+        want = [float(x).hex() for x in np.quantile(values, levels)]
+        assert [x.hex() for x in estimate_module._quantiles(values, levels)] == want, k

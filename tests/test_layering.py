@@ -1,7 +1,8 @@
 """Which modules each entry point loads, checked in fresh interpreters.
 
 ``import scmkit`` resolves its exports lazily, and each CLI subcommand imports
-only the modules on its path, so symbolic work never loads numpy.
+only the modules on its path, so symbolic work never loads numpy and model
+work never compiles the estimand algebra or the graph code.
 """
 
 import json
@@ -70,6 +71,80 @@ DATA_ONLY = {
 }
 
 
+# every path also loads scmkit.cli and scmkit.lexer
+MODULE_SETS = {
+    "identify": (SYMBOLIC["identify"], {"query", "expr", "graph", "identify"}),
+    "discover --graph": (SYMBOLIC["discover --graph"], {"graph", "discover"}),
+    "counterfactual": (MODEL["counterfactual"], {"query", "scm"}),
+    "pnps --scm": (MODEL["pnps --scm"], {"pnps", "scm"}),
+    "mediate --scm": (MODEL["mediate --scm"], {"mediation", "scm"}),
+    "estimate": (DATA_ONLY["estimate"],
+                 {"query", "expr", "graph", "identify", "estimate", "evaluate"}),
+    "fit": (DATA_ONLY["fit"], {"graph", "estimate", "fitcheck"}),
+    "discover --data": (["discover", "--data", data("d8.csv")],
+                        {"graph", "discover", "estimate", "fitcheck"}),
+    "pnps --data": (DATA_ONLY["pnps --data"], {"pnps", "estimate", "expr", "evaluate"}),
+    "mediate --graph --data": (DATA_ONLY["mediate --data"],
+                               {"mediation", "graph", "estimate", "expr", "evaluate"}),
+    "recover": (["recover", "--graph", data("mar.cg"), "--data", data("dmiss.csv"),
+                 "--target", "Y=1"],
+                {"graph", "expr", "estimate", "evaluate", "recover"}),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, expected", MODULE_SETS.values(), ids=MODULE_SETS.keys()
+)
+def test_each_path_loads_exactly_its_modules(argv, expected):
+    code, modules = loaded_after_run(argv)
+    assert code == 0
+    loaded = {m for m in modules if m.startswith("scmkit.")}
+    assert loaded == {f"scmkit.{m}" for m in expected | {"cli", "lexer"}}
+
+
+def test_bootstrap_interval_loads_no_masked_arrays(tmp_path):
+    # 25 copies of each of the 8 binary rows: no resample empties a stratum
+    rows = [f"{x},{y},{z}" for x in "01" for y in "01" for z in "01"] * 25
+    csv = tmp_path / "boot.csv"
+    csv.write_text("X,Y,Z\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    argv = ["estimate", "--graph", data("backdoor.cg"), "--query", "P(Y=1|do(X=1))",
+            "--data", str(csv), "--bootstrap", "100"]
+    proc = fresh(
+        "import io, json, sys\n"
+        "import scmkit.cli\n"
+        "out = io.StringIO()\n"
+        f"code = scmkit.cli.run({argv!r}, out, io.StringIO())\n"
+        "print(json.dumps([code, out.getvalue(), 'numpy.ma' in sys.modules]))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, out, masked = json.loads(proc.stdout)
+    assert code == 0 and "ci: [" in out
+    assert not masked
+
+
+def test_main_pins_thread_pools_unless_the_user_set_them():
+    argv = ["scmkit", "identify", "--graph", data("backdoor.cg"), "--query", "P(Y)"]
+    proc = fresh(
+        "import json, os, sys\n"
+        "names = ('OMP_NUM_THREADS', 'OPENBLAS_NUM_THREADS', 'MKL_NUM_THREADS')\n"
+        "for name in names:\n"
+        "    os.environ.pop(name, None)\n"
+        "os.environ['OPENBLAS_NUM_THREADS'] = '3'\n"
+        "import scmkit.cli\n"
+        f"sys.argv = {argv!r}\n"
+        "try:\n"
+        "    scmkit.cli.main()\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(json.dumps([code, 'numpy' in sys.modules,\n"
+        "                  [os.environ.get(name) for name in names]]))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, numpy_loaded, values = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0 and not numpy_loaded
+    assert values == ["1", "3", "1"]
+
+
 @pytest.mark.parametrize("argv", SYMBOLIC.values(), ids=SYMBOLIC.keys())
 def test_symbolic_subcommands_load_no_numpy(argv):
     code, modules = loaded_after_run(argv)
@@ -118,7 +193,7 @@ def test_package_exports_resolve_lazily_to_their_home_objects():
     before, homes, listed, graph_name, identify_is_function = json.loads(proc.stdout)
     assert before == []
     assert set(homes.values()) == {
-        "scmkit.graph", "scmkit.expr", "scmkit.scm", "scmkit.identify"
+        "scmkit.graph", "scmkit.expr", "scmkit.scm", "scmkit.query", "scmkit.identify"
     }
     assert len(homes) == 40
     assert set(homes) <= set(listed)
