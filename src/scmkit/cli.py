@@ -410,8 +410,10 @@ def _parse_target(text: str) -> dict[str, str]:
             continue
         if "=" not in part:
             raise ValueError(f"target entry {part!r} must look like VAR=VALUE")
-        var, value = part.split("=", 1)
-        target[var.strip()] = value.strip()
+        var, value = (t.strip() for t in part.split("=", 1))
+        if var in target:
+            raise ValueError(f"target names {var} twice")
+        target[var] = value
     if not target:
         raise ValueError("empty target")
     return target

@@ -39,6 +39,8 @@ MISSING_TOKEN = "NA"
 
 # bootstrap replicates evaluated together; bounds memory for any B
 BOOTSTRAP_BLOCK = 256
+# at about 40 us a replicate (20,000 rows, 81 cells), some 40 s of resampling
+_BOOTSTRAP_MAX = 1_000_000
 
 
 class DataError(ValueError):
@@ -311,6 +313,8 @@ def bootstrap_interval(
 
     if B < 100:
         raise DataError(f"B={B} is too small; need at least 100 resamples")
+    if B > _BOOTSTRAP_MAX:
+        raise DataError(f"B={B} is too large; at most {_BOOTSTRAP_MAX} resamples")
     if not 0 < level < 1:
         raise DataError("confidence level must be in (0, 1)")
     if seed < 0:

@@ -11,10 +11,11 @@ pure, so instances can be shared freely across threads.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .lexer import NAME_RE, Scanner
 
@@ -89,58 +90,53 @@ class Admg:
             for end in (a, b):
                 if end not in self.nodes:
                     raise GraphError(f"undeclared endpoint: {end}")
-        cycle = self._find_cycle()
-        if cycle is not None:
-            raise CycleError(cycle)
+        if len(self._order) < len(self.nodes):
+            raise CycleError(self._cycle(set(self._order)))
 
-    def _find_cycle(self) -> list[str] | None:
-        color: dict[str, int] = {}  # 0 visiting, 1 done
-        stack_path: list[str] = []
+    def _cycle(self, placed: set[str]) -> list[str]:
+        """A directed cycle among the nodes that Kahn's order left out.
 
-        def visit(v: str) -> list[str] | None:
-            color[v] = 0
-            stack_path.append(v)
-            for c in sorted(self.children(v)):
-                if color.get(c) == 0:
-                    return stack_path[stack_path.index(c):] + [c]
-                if c not in color:
-                    found = visit(c)
-                    if found:
-                        return found
-            stack_path.pop()
-            color[v] = 1
-            return None
-
-        for v in sorted(self.nodes):
-            if v not in color:
-                found = visit(v)
-                if found:
-                    return found
-        return None
+        Each such node has a parent also left out, so walking up from the
+        smallest one repeats a node; the walk's loop, reversed, is the cycle.
+        """
+        v = min(self.nodes - placed)
+        trail: dict[str, int] = {}
+        while v not in trail:
+            trail[v] = len(trail)
+            v = min(self._parents[v] - placed)
+        return [v] + list(trail)[trail[v]:][::-1]
 
     # --- basic structure -------------------------------------------------
 
     @cached_property
     def _parents(self) -> dict[str, frozenset[str]]:
-        out: dict[str, set[str]] = {v: set() for v in self.nodes}
-        for a, b in self.directed:
-            out[b].add(a)
-        return {v: frozenset(s) for v, s in out.items()}
+        return _neighbours(self.nodes, ((b, a) for a, b in self.directed))
 
     @cached_property
     def _children(self) -> dict[str, frozenset[str]]:
-        out: dict[str, set[str]] = {v: set() for v in self.nodes}
-        for a, b in self.directed:
-            out[a].add(b)
-        return {v: frozenset(s) for v, s in out.items()}
+        return _neighbours(self.nodes, self.directed)
 
     @cached_property
     def _siblings(self) -> dict[str, frozenset[str]]:
-        out: dict[str, set[str]] = {v: set() for v in self.nodes}
-        for a, b in self.bidirected:
-            out[a].add(b)
-            out[b].add(a)
-        return {v: frozenset(s) for v, s in out.items()}
+        return _neighbours(
+            self.nodes, itertools.chain(self.bidirected, ((b, a) for a, b in self.bidirected))
+        )
+
+    @cached_property
+    def _order(self) -> tuple[str, ...]:
+        """Kahn's order, lexicographic tie-break; it omits every node on or
+        downstream of a directed cycle."""
+        indeg = {v: len(self._parents[v]) for v in self.nodes}
+        ready = sorted(v for v, d in indeg.items() if d == 0)
+        order: list[str] = []
+        while ready:
+            v = heapq.heappop(ready)
+            order.append(v)
+            for c in self._children[v]:
+                indeg[c] -= 1
+                if indeg[c] == 0:
+                    heapq.heappush(ready, c)
+        return tuple(order)
 
     @cached_property
     def _augmented(self) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]]:
@@ -171,69 +167,39 @@ class Admg:
 
     def adjacent(self, u: str, v: str) -> bool:
         """True if any edge (directed either way, or bidirected) joins u, v."""
-        self._check(u)
-        self._check(v)
+        self._check(u, v)
         return (
             (u, v) in self.directed
             or (v, u) in self.directed
             or tuple(sorted((u, v))) in self.bidirected
         )
 
-    def _check(self, v: str) -> None:
-        if v not in self.nodes:
-            raise UnknownVariable(f"unknown variable: {v}")
+    def _check(self, *vs: str) -> None:
+        for v in vs:
+            if v not in self.nodes:
+                raise UnknownVariable(f"unknown variable: {v}")
 
     def ancestors(self, sources: Iterable[str]) -> frozenset[str]:
         """All nodes with a directed path into ``sources``, sources included."""
-        frontier = list(sources)
-        for v in frontier:
-            self._check(v)
-        seen = set(frontier)
-        while frontier:
-            v = frontier.pop()
-            for p in self._parents[v]:
-                if p not in seen:
-                    seen.add(p)
-                    frontier.append(p)
-        return frozenset(seen)
+        sources = tuple(sources)
+        self._check(*sources)
+        return frozenset(_reach(sources, self._parents))
 
     def descendants(self, sources: Iterable[str]) -> frozenset[str]:
         """All nodes reachable from ``sources`` by directed paths, sources included."""
-        frontier = list(sources)
-        for v in frontier:
-            self._check(v)
-        seen = set(frontier)
-        while frontier:
-            v = frontier.pop()
-            for c in self._children[v]:
-                if c not in seen:
-                    seen.add(c)
-                    frontier.append(c)
-        return frozenset(seen)
+        sources = tuple(sources)
+        self._check(*sources)
+        return frozenset(_reach(sources, self._children))
 
     def topological_order(self) -> tuple[str, ...]:
         """Topological order of the directed part, lexicographic tie-break."""
-        indeg = {v: len(self._parents[v]) for v in self.nodes}
-        ready = sorted(v for v, d in indeg.items() if d == 0)
-        order: list[str] = []
-        import heapq
-
-        heapq.heapify(ready)
-        while ready:
-            v = heapq.heappop(ready)
-            order.append(v)
-            for c in self._children[v]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    heapq.heappush(ready, c)
-        return tuple(order)
+        return self._order
 
     # --- derived graphs ---------------------------------------------------
 
     def induced(self, keep: Iterable[str]) -> "Admg":
         keep = frozenset(keep)
-        for v in keep:
-            self._check(v)
+        self._check(*keep)
         return Admg(
             keep,
             ((a, b) for a, b in self.directed if a in keep and b in keep),
@@ -299,6 +265,28 @@ class CiStatement:
         if self.given:
             return f"{lhs} _||_ {rhs} | " + ", ".join(sorted(self.given))
         return f"{lhs} _||_ {rhs}"
+
+
+def _neighbours(
+    nodes: frozenset[str], pairs: Iterable[tuple[str, str]]
+) -> dict[str, frozenset[str]]:
+    """Map each node to the second members of the pairs whose first it is."""
+    out: dict[str, set[str]] = {v: set() for v in nodes}
+    for a, b in pairs:
+        out[a].add(b)
+    return {v: frozenset(s) for v, s in out.items()}
+
+
+def _reach(sources: Iterable[str], step: Mapping[str, Iterable[str]]) -> set[str]:
+    """The sources plus every node reachable from them through ``step``."""
+    seen = set(sources)
+    frontier = list(seen)
+    while frontier:
+        for w in step[frontier.pop()]:
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return seen
 
 
 # --- file format -----------------------------------------------------------
@@ -391,8 +379,7 @@ def d_separated(
     path-enumeration oracle lives in the test suite only.
     """
     a, b, z = frozenset(a), frozenset(b), frozenset(z)
-    for v in itertools.chain(a, b, z):
-        g._check(v)
+    g._check(*a, *b, *z)
     if a & b or a & z or b & z:
         raise GraphError("a, b, z must be pairwise disjoint")
     if not a or not b:
@@ -400,15 +387,7 @@ def d_separated(
 
     parents, children = g._augmented
 
-    # ancestors of z (z included), over the augmented graph
-    anz = set(z)
-    frontier = list(z)
-    while frontier:
-        v = frontier.pop()
-        for p in parents[v]:
-            if p not in anz:
-                anz.add(p)
-                frontier.append(p)
+    anz = _reach(z, parents)  # ancestors of z (z included), hidden roots too
 
     # (node, direction) traversal: "up" entered from a child, "down" from a parent
     visited: set[tuple[str, bool]] = set()
@@ -440,18 +419,11 @@ def c_components(g: Admg) -> tuple[frozenset[str], ...]:
     unseen = set(g.nodes)
     comps: list[frozenset[str]] = []
     while unseen:
-        start = min(unseen)
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for s in g.siblings(v):
-                if s not in comp:
-                    comp.add(s)
-                    frontier.append(s)
+        # each component starts at the smallest node left, so they come sorted
+        comp = frozenset(_reach([min(unseen)], g._siblings))
         unseen -= comp
-        comps.append(frozenset(comp))
-    return tuple(sorted(comps, key=min))
+        comps.append(comp)
+    return tuple(comps)
 
 
 # --- testable implications ----------------------------------------------------

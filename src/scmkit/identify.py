@@ -66,8 +66,7 @@ def backdoor_sets(
     """
     if x == y:
         raise QueryError("x and y must differ")
-    g._check(x)
-    g._check(y)
+    g._check(x, y)
     candidates = sorted(g.nodes - {x, y} - g.descendants([x]))
     if max_size is None:
         max_size = len(candidates)
@@ -300,12 +299,14 @@ class WitnessPair:
     interventional_gap: float
 
 
+_WITNESS_MIN_GAP = 1e-3
+_WITNESS_MAX_TYPES = 70_000
+
+
 def nonidentifiability_witness(
     g: Admg,
     x: str,
     y: str,
-    min_gap: float = 1e-3,
-    max_types: int = 70000,
 ) -> WitnessPair | None:
     """Search for two SCMs compatible with ``g`` (latent projection a subgraph
     of it) that share an observational joint but differ on P(y | do(x)).
@@ -313,12 +314,13 @@ def nonidentifiability_witness(
     The search varies the response-type distribution of one bidirected edge
     at a time inside the null space of the observational-moment map; the
     returned pair is verified by exact enumeration before being reported.
+    Edges with more than ``_WITNESS_MAX_TYPES`` response types are skipped,
+    and the pair must differ on P(y | do(x)) by at least ``_WITNESS_MIN_GAP``.
     """
-    g._check(x)
-    g._check(y)
+    g._check(x, y)
     for edge in sorted(g.bidirected):
         for attempt in range(6):
-            pair = _witness_via_edge(g, x, y, edge, attempt, min_gap, max_types)
+            pair = _witness_via_edge(g, x, y, edge, attempt)
             if pair is not None:
                 return pair
     return None
@@ -334,8 +336,6 @@ def _witness_via_edge(
     y: str,
     edge: tuple[str, str],
     attempt: int,
-    min_gap: float,
-    max_types: int,
 ) -> WitnessPair | None:
     # numpy and the model kernel serve only the witness search, so
     # identification itself loads neither
@@ -369,7 +369,7 @@ def _witness_via_edge(
         v: list(itertools.product(binary, repeat=len(inputs[v]))) for v in (a, b)
     }
     total_types = 2 ** len(assign[a]) * 2 ** len(assign[b])
-    if total_types > max_types:
+    if total_types > _WITNESS_MAX_TYPES:
         return None
     types = {
         v: list(itertools.product(binary, repeat=len(assign[v]))) for v in (a, b)
@@ -462,7 +462,7 @@ def _witness_via_edge(
     step = 0.9 * t_max
     q_hi = q0 + step * w
     q_lo = q0 - step * w
-    if np.max(np.abs(m_do @ (q_hi - q_lo))) < min_gap:
+    if np.max(np.abs(m_do @ (q_hi - q_lo))) < _WITNESS_MIN_GAP:
         return None
 
     model_a = build(q_hi)
@@ -472,6 +472,6 @@ def _witness_via_edge(
     if obs_gap > 1e-9:
         return None
     do_gap = float(np.max(np.abs(do_a.sum(axis=1) - do_b.sum(axis=1))))
-    if do_gap < min_gap:
+    if do_gap < _WITNESS_MIN_GAP:
         return None
     return WitnessPair(model_a, model_b, obs_gap, do_gap)

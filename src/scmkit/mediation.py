@@ -9,7 +9,7 @@ refused rather than approximated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -41,17 +41,6 @@ class MediationReport:
     source: str  # "scm-exact" or "data-formula"
 
 
-def _coding(domain: tuple[str, ...], coding: Mapping[str, float] | None) -> dict[str, float]:
-    if coding is not None:
-        missing = [v for v in domain if v not in coding]
-        if missing:
-            from .scm import ScmError
-
-            raise ScmError(f"numeric coding lacks values for {missing}")
-        return dict(coding)
-    return {v: float(i) for i, v in enumerate(domain)}
-
-
 def _report(te: float, nde: float, nie: float, nie_rev: float, source: str) -> MediationReport:
     frac = nie / te if abs(te) > 1e-9 else None
     return MediationReport(
@@ -67,25 +56,25 @@ def mediation_effects_scm(
     outcome: str,
     x0: str,
     x1: str,
-    coding: Mapping[str, float] | None = None,
 ) -> MediationReport:
     """Exact effects by enumerating nested counterfactual worlds.
 
     E[Y under do(x1) with the mediator held at its do(x0) value] and its
     three companions decompose the total effect; the identity
-    te = nde - nie_reversed holds exactly.
+    te = nde - nie_reversed holds exactly.  The outcome is coded by its
+    index in the model's domain.
     """
     from .scm import ScmError, enumerate_worlds, solve_worlds
 
+    if len({exposure, mediator, outcome}) < 3:
+        raise ScmError("exposure, mediator and outcome must be three different variables")
     for var in (exposure, mediator, outcome):
         if var not in m.endogenous:
             raise ScmError(f"{var} is not an endogenous variable")
     for val in (x0, x1):
         if val not in m.endo_domains[exposure]:
             raise ScmError(f"value {val!r} not in the domain of {exposure}")
-    code = _coding(m.endo_domains[outcome], coding)
-
-    y_code = np.array([code[v] for v in m.endo_domains[outcome]])
+    y_code = np.arange(len(m.endo_domains[outcome]), dtype=float)
     weights, (world0, world1) = enumerate_worlds(m, [{exposure: x0}, {exposure: x1}])
     # the same states again, with the mediator pinned per state to its value
     # in the opposite exposure world; solving recomputes every endogenous code
@@ -105,8 +94,7 @@ def mediation_effects_scm(
 
 
 def _check_triangle(g: Admg, exposure: str, mediator: str, outcome: str) -> None:
-    for var in (exposure, mediator, outcome):
-        g._check(var)
+    g._check(exposure, mediator, outcome)
     trio = {exposure, mediator, outcome}
     for a, b in g.bidirected:
         if a in trio or b in trio:
@@ -141,13 +129,13 @@ def mediation_effects_data(
     outcome: str,
     x0: str,
     x1: str,
-    coding: Mapping[str, float] | None = None,
 ) -> MediationReport:
     """Mediation formula on a dataset (or a joint table directly).
 
     NDE = sum_m [E(Y|x1,m) - E(Y|x0,m)] P(m|x0) and
     NIE = sum_m E(Y|x0,m) [P(m|x1) - P(m|x0)]; with no confounding the total
-    effect reduces to E(Y|x1) - E(Y|x0).
+    effect reduces to E(Y|x1) - E(Y|x0).  The outcome is coded by its index
+    in the joint's domain.
     """
     from .expr import ConditioningOnZero, JointTable
 
@@ -158,8 +146,6 @@ def mediation_effects_data(
         from .estimate import empirical_joint
 
         joint = empirical_joint(data.select(tuple(sorted(g.nodes))))
-    code = _coding(tuple(joint.domains[outcome]), coding)
-
     def p_m_given_x(mval: str, xval: str) -> float:
         px = joint.prob({exposure: xval})
         if px == 0.0:
@@ -172,8 +158,8 @@ def mediation_effects_data(
             ctx = ",".join(f"{k}={v}" for k, v in cond.items())
             raise ConditioningOnZero(ctx)
         return sum(
-            code[yv] * joint.prob({**cond, outcome: yv})
-            for yv in joint.domains[outcome]
+            i * joint.prob({**cond, outcome: yv})
+            for i, yv in enumerate(joint.domains[outcome])
         ) / pc
 
     nde = nie = nie_rev = 0.0

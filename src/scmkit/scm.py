@@ -41,7 +41,8 @@ __all__ = [
 ]
 
 _EXO_LINE_RE = re.compile(rf"\s*({NAME})\s*\{{(.*)\}}\s*")
-_EXO_ENTRY_RE = re.compile(rf"\s*({VALUE})\s*:\s*([0-9.eE+-]+)\s*")
+_PROB = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"  # what float() reads
+_EXO_ENTRY_RE = re.compile(rf"\s*({VALUE})\s*:\s*({_PROB})\s*")
 _ENDO_LINE_RE = re.compile(rf"\s*({NAME})\s*\(([^)]*)\)\s*\{{(.*)\}}\s*")
 _ENDO_ENTRY_RE = re.compile(rf"\s*\(([^)]*)\)\s*->\s*({VALUE})\s*")
 
@@ -133,28 +134,28 @@ class DiscreteScm:
                     raise ScmError(f"unknown parent {p} of {v}")
 
     def _topological(self) -> tuple[str, ...]:
-        state: dict[str, int] = {}
+        """Depth-first post-order over sorted names and sorted parents, kept on
+        a stack of iterators (all names, then one per node on ``trail``)."""
+        state: dict[str, int] = {}  # 0 on the trail, 1 placed
         order: list[str] = []
-
-        def visit(v: str, trail: list[str]):
-            if state.get(v) == 1:
-                return
-            if state.get(v) == 0:
+        trail: list[str] = []
+        stack = [iter(sorted(self.endogenous))]
+        while stack:
+            v = next(stack[-1], None)
+            if v is None:
+                stack.pop()
+                if trail:
+                    state[trail[-1]] = 1
+                    order.append(trail.pop())
+            elif state.get(v) == 0:
                 raise ScmError(
                     "cyclic structural dependencies: "
                     + " -> ".join(trail[trail.index(v):] + [v])
                 )
-            state[v] = 0
-            trail.append(v)
-            for p in sorted(self.endogenous[v].parents):
-                if p in self.endogenous:
-                    visit(p, trail)
-            trail.pop()
-            state[v] = 1
-            order.append(v)
-
-        for v in sorted(self.endogenous):
-            visit(v, [])
+            elif v in self.endogenous and v not in state:
+                state[v] = 0
+                trail.append(v)
+                stack.append(iter(sorted(self.endogenous[v].parents)))
         return tuple(order)
 
     def parent_domain(self, p: str) -> tuple[str, ...]:

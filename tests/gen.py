@@ -257,8 +257,8 @@ def is_monotone(m: DiscreteScm, x="X", y="Y") -> bool:
 def brute_mediation(m: DiscreteScm, exposure, mediator, outcome, x0, x1):
     """(te, nde, nie, nie_reversed) from nested worlds, one state at a time.
 
-    The outcome is coded by its index in the model's domain, as the default
-    coding of ``mediation_effects_scm`` does.
+    The outcome is coded by its index in the model's domain, as
+    ``mediation_effects_scm`` codes it.
     """
     code = {v: float(i) for i, v in enumerate(m.endo_domains[outcome])}
     e_x0 = e_x1 = e_10 = e_01 = 0.0

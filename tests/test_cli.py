@@ -1,5 +1,7 @@
 import io
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -545,6 +547,80 @@ def test_byte_order_mark_is_accepted_in_data_and_graph_files(tmp_path):
                   "--data", str(bom_csv)) == want
     assert invoke("estimate", "--graph", str(bom_graph), *query,
                   "--data", path("d8.csv")) == want
+
+
+# --- refusal contract ------------------------------------------------------------------
+
+
+def _write_refusal_inputs(tmp):
+    names = [f"V{i}" for i in range(1200)]
+    (tmp / "chain.cg").write_text(
+        "".join(f"var {v}\n" for v in names)
+        + "".join(f"{a} -> {b}\n" for a, b in zip(names, names[1:]))
+    )
+    # the sink V0 sorts first, so ordering the mechanisms descends the chain
+    (tmp / "chain.scm").write_text("exo U {0: 0.5, 1: 0.5}\n" + "".join(
+        f"endo {v} ({p}) {{(0) -> 0, (1) -> 1}}\n"
+        for v, p in zip(names, names[1:] + ["U"])
+    ))
+    (tmp / "cycle.cg").write_text("var A\nvar B\nvar C\nA -> B\nB -> C\nC -> A\n")
+    (tmp / "cycle.scm").write_text(
+        "endo A (B) {(0) -> 0, (1) -> 1}\nendo B (A) {(0) -> 0, (1) -> 1}\n"
+    )
+    (tmp / "bad.scm").write_text(
+        Path(path("med.scm")).read_text().replace("{0: 0.5,", "{0: 0.5.5,", 1)
+    )
+
+
+MED = ["mediate", "--scm", path("med.scm"), "--x0", "0", "--x1", "1"]
+ROLES = "error: exposure, mediator and outcome must be three different variables\n"
+
+# argv ("{tmp}" is the input folder), exit code, stdout, stderr
+REFUSALS = {
+    "identify on a 1200-node chain": (
+        ["identify", "--graph", "{tmp}/chain.cg", "--query", "P(V1|do(V0))"],
+        0, "P(v1|v0)\n", ""),
+    "counterfactual on a 1200-mechanism chain": (
+        ["counterfactual", "--scm", "{tmp}/chain.scm", "--query", "P(V0=1)"],
+        0, "probability: 0.500000\n", ""),
+    "cyclic graph": (
+        ["identify", "--graph", "{tmp}/cycle.cg", "--query", "P(B|do(A))"],
+        1, "", "error: cycle detected: A -> B -> C -> A\n"),
+    "cyclic model": (
+        ["counterfactual", "--scm", "{tmp}/cycle.scm", "--query", "P(A=1)"],
+        1, "", "error: cyclic structural dependencies: A -> B -> A\n"),
+    "bootstrap over its ceiling": (
+        ["estimate", "--graph", path("backdoor.cg"), "--query", "P(Y=1|do(X=1))",
+         "--data", path("d8.csv"), "--bootstrap", "100000000000"],
+        1, "", "error: B=100000000000 is too large; at most 1000000 resamples\n"),
+    "probability entry that is not a number": (
+        ["counterfactual", "--scm", "{tmp}/bad.scm", "--query", "P(Y=1)"],
+        1, "", "error: line 1: malformed probability entry: '0: 0.5.5'\n"),
+    "mediator equal to exposure": (
+        MED + ["--exposure", "X", "--mediator", "X", "--outcome", "Y"], 1, "", ROLES),
+    "mediator equal to outcome": (
+        MED + ["--exposure", "X", "--mediator", "Y", "--outcome", "Y"], 1, "", ROLES),
+    "recover target naming a variable twice": (
+        ["recover", "--graph", path("mar.cg"), "--data", path("dmiss.csv"),
+         "--target", "Y=0,Y=1"],
+        1, "", "error: target names Y twice\n"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusal_table_in_a_fresh_interpreter(case, tmp_path):
+    argv, code, out, err = case
+    _write_refusal_inputs(tmp_path)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", "scmkit", *(a.format(tmp=tmp_path) for a in argv)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
 # --- argument handling -----------------------------------------------------------------

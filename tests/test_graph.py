@@ -5,6 +5,7 @@ import pytest
 import gen
 import scmkit.graph as graph_module
 from scmkit.graph import (
+    Admg,
     CiStatement,
     CycleError,
     GraphError,
@@ -39,6 +40,27 @@ def test_parse_bidirected():
 def test_parse_cycle_detected():
     with pytest.raises(CycleError):
         parse_graph("var X\nvar Y\nX -> Y\nY -> X")
+
+
+def test_reported_cycle_is_a_directed_cycle_of_the_input():
+    r = gen.rng(23)
+    cyclic = 0
+    for _ in range(400):
+        names = gen.NAMES[: int(r.integers(2, 8))]
+        directed = {(a, b) for a in names for b in names if a != b and r.random() < 0.3}
+        try:
+            g = Admg(names, directed)
+        except CycleError as exc:
+            cyclic += 1
+            c = exc.cycle
+            assert len(c) >= 3 and c[0] == c[-1]
+            assert all(edge in directed for edge in zip(c, c[1:]))
+            assert str(exc) == "cycle detected: " + " -> ".join(c)
+        else:
+            pos = {v: i for i, v in enumerate(g.topological_order())}
+            assert len(pos) == len(names)
+            assert all(pos[a] < pos[b] for a, b in directed)
+    assert 100 < cyclic < 400
 
 
 def test_parse_reports_line_and_column():
@@ -276,6 +298,17 @@ def test_separating_sets_are_smallest_then_lexicographic():
 def test_topological_order_lexicographic_tie_break():
     g = parse_graph("var B\nvar A\nvar C\nA -> C\nB -> C")
     assert g.topological_order() == ("A", "B", "C")
+
+
+def test_long_chain_and_cycle_need_no_recursion():
+    names = [f"V{i}" for i in range(3000)]
+    chain = list(zip(names, names[1:]))
+    g = Admg(names, chain)
+    assert g.topological_order() == tuple(names)
+    assert g.ancestors([names[-1]]) == g.descendants([names[0]]) == frozenset(names)
+    with pytest.raises(CycleError) as info:
+        Admg(names, chain + [(names[-1], names[0])])
+    assert info.value.cycle == names + [names[0]]
 
 
 def test_ancestors_descendants():

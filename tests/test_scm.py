@@ -79,6 +79,24 @@ def test_parse_error_line_numbers():
         parse_scm("exo U {0: 0.5, 1: 0.5}\nbogus line")
 
 
+@pytest.mark.parametrize("entry", ["0.5.5", "e", ".", "1e", "+-0.5", "0.5e+"])
+def test_probability_entry_that_is_not_a_number_keeps_its_line(entry):
+    with pytest.raises(ScmError) as info:
+        parse_scm(f"exo V {{0: 1.0}}\nexo U {{0: {entry}, 1: 0.5}}")
+    assert str(info.value) == f"line 2: malformed probability entry: '0: {entry}'"
+
+
+def test_long_mechanism_chain_orders_without_recursion():
+    # the sink sorts first, so the depth-first walk descends the whole chain
+    n = 5000
+    m = DiscreteScm(
+        {"U": ExogenousVar(("0", "1"), (0.5, 0.5))},
+        {f"V{i}": EndogenousVar((f"V{i + 1}" if i + 1 < n else "U",),
+                                {("0",): "0", ("1",): "1"}) for i in range(n)},
+    )
+    assert m.order == tuple(f"V{i}" for i in reversed(range(n)))
+
+
 # --- observational joint -----------------------------------------------------------
 
 
