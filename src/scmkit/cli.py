@@ -327,7 +327,7 @@ def _print_pnps(result, out, err, porcelain: bool) -> None:
 
 
 def _cmd_pnps(args, out, err) -> int:
-    from .pnps import pn_ps_exact, pnps_bounds
+    from .pnps import BoundsError, _check_roles, pn_ps_exact, pnps_bounds
 
     if args.scm and not args.data:
         from .scm import parse_scm
@@ -347,6 +347,8 @@ def _cmd_pnps(args, out, err) -> int:
         from .estimate import empirical_joint, load_table
 
         d = load_table(args.data)
+        # before selecting, which would refuse the repeated column instead
+        _check_roles(args.exposure, args.outcome, BoundsError)
         obs = empirical_joint(d.select((args.exposure, args.outcome)))
         result = pnps_bounds(
             obs, px1, px0, x=args.exposure, y=args.outcome,

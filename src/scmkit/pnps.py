@@ -45,6 +45,11 @@ class PnPsResult:
     notes: tuple[str, ...] = ()
 
 
+def _check_roles(x: str, y: str, error: type[ValueError]) -> None:
+    if x == y:
+        raise error("exposure and outcome must be two different variables")
+
+
 def pn_ps_exact(
     m: DiscreteScm,
     x: str,
@@ -62,6 +67,7 @@ def pn_ps_exact(
     """
     from .scm import ScmError, _check_endo_assignment, enumerate_worlds, holds
 
+    _check_roles(x, y, ScmError)
     for var in (x, y):
         if var not in m.endogenous:
             raise ScmError(f"{var} is not an endogenous variable")
@@ -107,6 +113,7 @@ def pnps_bounds(
 
     ``px1`` and ``px0`` are P(Y=y1 | do(X=x1)) and P(Y=y1 | do(X=x0)).
     """
+    _check_roles(x, y, BoundsError)
     for p, name in ((px1, "px1"), (px0, "px0")):
         if not 0.0 <= p <= 1.0:
             raise BoundsError(f"{name}={p} is not a probability")

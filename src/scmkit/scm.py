@@ -12,7 +12,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -42,9 +42,12 @@ __all__ = [
 
 _EXO_LINE_RE = re.compile(rf"\s*({NAME})\s*\{{(.*)\}}\s*")
 _PROB = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"  # what float() reads
-_EXO_ENTRY_RE = re.compile(rf"\s*({VALUE})\s*:\s*({_PROB})\s*")
 _ENDO_LINE_RE = re.compile(rf"\s*({NAME})\s*\(([^)]*)\)\s*\{{(.*)\}}\s*")
-_ENDO_ENTRY_RE = re.compile(rf"\s*\(([^)]*)\)\s*->\s*({VALUE})\s*")
+# one body entry with its trailing comma, or an empty entry (no groups)
+_EXO_ENTRY_RE = re.compile(rf"\s*(?:({VALUE})\s*:\s*({_PROB})\s*)?(?:,|\Z)")
+_ENDO_ENTRY_RE = re.compile(rf"\s*(?:\(([^()]*)\)\s*->\s*({VALUE})\s*)?(?:,|\Z)")
+# what a malformed entry quotes: up to a comma outside parentheses, or the end
+_ENTRY_RUN_RE = re.compile(r"[^,()]*(?:\([^()]*\)[^,()]*)*(?:\([^()]*)?")
 
 DEFAULT_STATE_CAP = 10_000_000
 
@@ -73,6 +76,8 @@ class ExogenousVar:
             raise ScmError("duplicate values in exogenous domain")
         if len(self.probs) != len(self.domain):
             raise ScmError("probability vector length does not match domain")
+        if any(math.isnan(p) for p in self.probs):
+            raise ScmError("NaN exogenous probability")
         if any(p < 0 for p in self.probs):
             raise ScmError("negative exogenous probability")
         if abs(sum(self.probs) - 1.0) > 1e-12:
@@ -117,7 +122,10 @@ class DiscreteScm:
                 self.endo_domains[v] = widened
             else:
                 self.endo_domains[v] = inferred
-        self._validate_tables()
+        # per mechanism, its output code at each parent combination
+        dims = [len(self.parent_domain(v)) for v in (*self.exogenous, *self.order)]
+        dtype = np.min_scalar_type(max(dims, default=1) - 1)
+        self._luts: dict[str, np.ndarray] = {v: self._encode(v, dtype) for v in self.order}
 
     # --- validation -------------------------------------------------------
 
@@ -163,19 +171,30 @@ class DiscreteScm:
             return self.exogenous[p].domain
         return self.endo_domains[p]
 
-    def _validate_tables(self):
-        for v in self.order:
-            spec = self.endogenous[v]
-            doms = [self.parent_domain(p) for p in spec.parents]
-            expected = set(itertools.product(*doms)) if doms else {()}
-            keys = set(spec.table.keys())
-            if keys != expected:
-                missing = sorted(expected - keys)[:3]
-                extra = sorted(keys - expected)[:3]
-                raise ScmError(
-                    f"table of {v} is not total over its parent domains"
-                    f" (missing {missing}, extra {extra})"
-                )
+    def _encode(self, v: str, dtype: np.dtype) -> np.ndarray:
+        """The table of ``v`` as a read-only code array over its parents' joint
+        domain; one with a key per combination is total if it holds each."""
+        table = self.endogenous[v].table
+        doms = [self.parent_domain(p) for p in self.endogenous[v].parents]
+        if len(table) == math.prod(map(len, doms)):
+            out = {val: i for i, val in enumerate(self.endo_domains[v])}
+            codes = [out.get(table.get(key)) for key in itertools.product(*doms)]
+            if None not in codes:
+                lut = np.array(codes, dtype=dtype)
+                lut.flags.writeable = False
+                return lut
+        # the first missing keys in sorted order, and the keys of no combination
+        missing = itertools.product(*map(sorted, doms))
+        sets = [set(d) for d in doms]
+        extra = sorted(
+            key for key in table
+            if len(key) != len(sets) or any(k not in d for k, d in zip(key, sets))
+        )
+        raise ScmError(
+            f"table of {v} is not total over its parent domains (missing"
+            f" {list(itertools.islice((k for k in missing if k not in table), 3))},"
+            f" extra {extra[:3]})"
+        )
 
     # --- enumeration ------------------------------------------------------
 
@@ -251,20 +270,13 @@ def solve_worlds(
     surgeries: Sequence[Mapping[str, Union[str, np.ndarray]]],
 ) -> list[dict[str, np.ndarray]]:
     """Action and prediction over ``size`` exogenous states, given as one
-    domain-code array per exogenous variable.  Each structural table is read
-    as a lookup table indexed by its parents' codes; a surgery value is a
-    domain value or a per-state code array.  Returns, per surgery, one code
-    array per variable, indexing ``m.endo_domains[v]`` or the exogenous domain.
+    domain-code array per exogenous variable.  Each mechanism is read from
+    the code array the model stored for it, indexed by its parents' codes; a
+    surgery value is a domain value or a per-state code array.  Returns, per
+    surgery, one code array per variable, indexing ``m.endo_domains[v]`` or
+    the exogenous domain.
     """
     dims = {v: len(m.parent_domain(v)) for v in itertools.chain(m.exo_names(), m.order)}
-    dtype = np.min_scalar_type(max(dims.values(), default=1) - 1)
-    luts: dict[str, np.ndarray] = {}
-    for v in m.order:
-        spec = m.endogenous[v]
-        out = {val: i for i, val in enumerate(m.endo_domains[v])}
-        keys = itertools.product(*(m.parent_domain(p) for p in spec.parents))
-        luts[v] = np.array([out[spec.table[key]] for key in keys], dtype=dtype)
-
     worlds: list[dict[str, np.ndarray]] = []
     for surgery in surgeries:
         codes = dict(exo_codes)
@@ -275,7 +287,7 @@ def solve_worlds(
                 cell = np.ravel_multi_index(
                     [codes[p] for p in parents], [dims[p] for p in parents]
                 )
-                val = luts[v][cell]
+                val = m._luts[v][cell]
             elif isinstance(val, str):
                 val = m.endo_domains[v].index(val)
             # constants become read-only per-state views without copies
@@ -443,68 +455,55 @@ def parse_scm(text: str) -> DiscreteScm:
     return DiscreteScm(exogenous, endogenous)
 
 
+def _entries(rx: re.Pattern[str], body: str, what: str) -> Iterator[re.Match[str]]:
+    """The nonempty entries of a body, each matched with its trailing comma."""
+    pos = 0
+    while pos < len(body):
+        m = rx.match(body, pos)
+        if not m:
+            run = _ENTRY_RUN_RE.match(body, pos).group()
+            raise ScmError(f"malformed {what} entry: {run.strip()!r}")
+        if m.group(1) is not None:
+            yield m
+        pos = m.end()
+
+
 def _parse_exo_line(rest: str) -> tuple[str, ExogenousVar]:
     m = _EXO_LINE_RE.fullmatch(rest)
     if not m:
         raise ScmError("malformed exogenous declaration")
-    name, body = m.group(1), m.group(2)
     domain: list[str] = []
     probs: list[float] = []
-    for part in _split_top(body):
-        pm = _EXO_ENTRY_RE.fullmatch(part)
-        if not pm:
-            raise ScmError(f"malformed probability entry: {part.strip()!r}")
+    for pm in _entries(_EXO_ENTRY_RE, m.group(2), "probability"):
         domain.append(pm.group(1))
         probs.append(float(pm.group(2)))
-    return name, ExogenousVar(tuple(domain), tuple(probs))
+    return m.group(1), ExogenousVar(tuple(domain), tuple(probs))
 
 
 def _parse_endo_line(rest: str) -> tuple[str, EndogenousVar]:
     m = _ENDO_LINE_RE.fullmatch(rest)
     if not m:
         raise ScmError("malformed endogenous declaration")
-    name, parents_txt, body = m.group(1), m.group(2), m.group(3)
-    parents = tuple(p.strip() for p in parents_txt.split(",") if p.strip())
+    parents = tuple(p.strip() for p in m.group(2).split(",") if p.strip())
     table: dict[tuple[str, ...], str] = {}
-    for part in _split_top(body):
-        em = _ENDO_ENTRY_RE.fullmatch(part)
-        if not em:
-            raise ScmError(f"malformed table entry: {part.strip()!r}")
-        key = tuple(t.strip() for t in em.group(1).split(",") if t.strip())
+    for em in _entries(_ENDO_ENTRY_RE, m.group(3), "table"):
+        key_text, value = em.groups()
+        key = tuple(filter(None, map(str.strip, key_text.split(","))))
         if len(key) != len(parents):
             raise ScmError(f"table key {key} does not match parent count")
         if key in table:
             raise ScmError(f"duplicate table entry for {key}")
-        table[key] = em.group(2)
-    return name, EndogenousVar(parents, table)
-
-
-def _split_top(body: str) -> list[str]:
-    """Split on commas that are not inside parentheses."""
-    parts: list[str] = []
-    depth = 0
-    current: list[str] = []
-    for ch in body:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    tail = "".join(current)
-    if tail.strip():
-        parts.append(tail)
-    return [p for p in parts if p.strip()]
+        table[key] = value
+    return m.group(1), EndogenousVar(parents, table)
 
 
 def serialize_scm(m: DiscreteScm) -> str:
     lines: list[str] = []
     for u, spec in m.exogenous.items():
+        # twelve significant digits where they read back exactly
         entries = ", ".join(
-            f"{v}: {p:.12g}" for v, p in zip(spec.domain, spec.probs)
+            f"{v}: {p:.12g}" if float(f"{p:.12g}") == p else f"{v}: {p!r}"
+            for v, p in zip(spec.domain, spec.probs)
         )
         lines.append(f"exo {u} {{{entries}}}")
     for v, spec in m.endogenous.items():

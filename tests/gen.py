@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -26,7 +27,16 @@ from scmkit.expr import (
     Val,
 )
 from scmkit.graph import Admg, CiStatement, GraphError, d_separated
-from scmkit.scm import DiscreteScm, EndogenousVar, ExogenousVar
+from scmkit.lexer import VALUE
+from scmkit.scm import (
+    _ENDO_LINE_RE,
+    _EXO_LINE_RE,
+    _PROB,
+    DiscreteScm,
+    EndogenousVar,
+    ExogenousVar,
+    ScmError,
+)
 
 NAMES = list("ABCDEFGH")
 
@@ -209,6 +219,92 @@ def random_scm(r, n_endo=3, n_exo=3, max_parents=2) -> DiscreteScm:
             table[last] = "1" if table[last] == "0" else "0"
         endogenous[v] = EndogenousVar(parents, table)
     return DiscreteScm(exogenous, endogenous)
+
+
+# --- model files split on top-level commas -------------------------------------
+
+_SPLIT_EXO_ENTRY_RE = re.compile(rf"\s*({VALUE})\s*:\s*({_PROB})\s*")
+_SPLIT_ENDO_ENTRY_RE = re.compile(rf"\s*\(([^)]*)\)\s*->\s*({VALUE})\s*")
+
+
+def parse_scm_by_split(text: str) -> DiscreteScm:
+    """``parse_scm`` with each body first cut into entries by a character
+    loop that tracks parenthesis depth, then each entry matched whole."""
+    exogenous: dict[str, ExogenousVar] = {}
+    endogenous: dict[str, EndogenousVar] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            if line.startswith("exo "):
+                name, spec = _split_exo_line(line[4:])
+                if name in exogenous or name in endogenous:
+                    raise ScmError(f"duplicate declaration of {name}")
+                exogenous[name] = spec
+            elif line.startswith("endo "):
+                name, spec = _split_endo_line(line[5:])
+                if name in exogenous or name in endogenous:
+                    raise ScmError(f"duplicate declaration of {name}")
+                endogenous[name] = spec
+            else:
+                raise ScmError("expected 'exo' or 'endo'")
+        except ScmError as exc:
+            raise ScmError(f"line {lineno}: {exc}") from None
+    return DiscreteScm(exogenous, endogenous)
+
+
+def _split_exo_line(rest: str) -> tuple[str, ExogenousVar]:
+    m = _EXO_LINE_RE.fullmatch(rest)
+    if not m:
+        raise ScmError("malformed exogenous declaration")
+    domain: list[str] = []
+    probs: list[float] = []
+    for part in _split_top(m.group(2)):
+        pm = _SPLIT_EXO_ENTRY_RE.fullmatch(part)
+        if not pm:
+            raise ScmError(f"malformed probability entry: {part.strip()!r}")
+        domain.append(pm.group(1))
+        probs.append(float(pm.group(2)))
+    return m.group(1), ExogenousVar(tuple(domain), tuple(probs))
+
+
+def _split_endo_line(rest: str) -> tuple[str, EndogenousVar]:
+    m = _ENDO_LINE_RE.fullmatch(rest)
+    if not m:
+        raise ScmError("malformed endogenous declaration")
+    parents = tuple(p.strip() for p in m.group(2).split(",") if p.strip())
+    table: dict[tuple[str, ...], str] = {}
+    for part in _split_top(m.group(3)):
+        em = _SPLIT_ENDO_ENTRY_RE.fullmatch(part)
+        if not em:
+            raise ScmError(f"malformed table entry: {part.strip()!r}")
+        key = tuple(t.strip() for t in em.group(1).split(",") if t.strip())
+        if len(key) != len(parents):
+            raise ScmError(f"table key {key} does not match parent count")
+        if key in table:
+            raise ScmError(f"duplicate table entry for {key}")
+        table[key] = em.group(2)
+    return m.group(1), EndogenousVar(parents, table)
+
+
+def _split_top(body: str) -> list[str]:
+    """Split on commas that are not inside parentheses; drop blank parts."""
+    parts: list[str] = []
+    depth = 0
+    current: list[str] = []
+    for ch in body:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        if ch == "," and depth == 0:
+            parts.append("".join(current))
+            current = []
+        else:
+            current.append(ch)
+    parts.append("".join(current))
+    return [p for p in parts if p.strip()]
 
 
 # --- counterfactual oracle ----------------------------------------------------

@@ -574,6 +574,7 @@ def _write_refusal_inputs(tmp):
 
 MED = ["mediate", "--scm", path("med.scm"), "--x0", "0", "--x1", "1"]
 ROLES = "error: exposure, mediator and outcome must be three different variables\n"
+PNPS_ROLES = "error: exposure and outcome must be two different variables\n"
 
 # argv ("{tmp}" is the input folder), exit code, stdout, stderr
 REFUSALS = {
@@ -600,6 +601,13 @@ REFUSALS = {
         MED + ["--exposure", "X", "--mediator", "X", "--outcome", "Y"], 1, "", ROLES),
     "mediator equal to outcome": (
         MED + ["--exposure", "X", "--mediator", "Y", "--outcome", "Y"], 1, "", ROLES),
+    "pnps exposure equal to outcome, exact": (
+        ["pnps", "--scm", path("xor.scm"), "--exposure", "X", "--outcome", "X"],
+        1, "", PNPS_ROLES),
+    "pnps exposure equal to outcome, bounds": (
+        ["pnps", "--data", path("d8.csv"), "--exposure", "X", "--outcome", "X",
+         "--px1", "0.5", "--px0", "0.5"],
+        1, "", PNPS_ROLES),
     "recover target naming a variable twice": (
         ["recover", "--graph", path("mar.cg"), "--data", path("dmiss.csv"),
          "--target", "Y=0,Y=1"],

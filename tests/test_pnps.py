@@ -242,3 +242,12 @@ def test_bounds_refuse_inconsistent_experiment():
     # within the 1e-9 slack, boundary inputs still pass
     res = pnps_bounds(obs, px1=0.5 - 1e-10, px0=0.5 + 1e-10)
     assert res.pns[0] <= res.pns[1] + 1e-9
+
+
+def test_exposure_equal_to_outcome_refused_in_both_modes():
+    roles = "^exposure and outcome must be two different variables$"
+    with pytest.raises(ScmError, match=roles):
+        pn_ps_exact(identity_scm(), "X", "X")
+    obs = JointTable(("X",), {"X": ("0", "1")}, {("0",): 0.5, ("1",): 0.5})
+    with pytest.raises(BoundsError, match=roles):
+        pnps_bounds(obs, px1=0.5, px0=0.5, x="X", y="X")

@@ -1,5 +1,8 @@
 import itertools
+import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import gen
@@ -21,6 +24,7 @@ from scmkit.scm import (
     parse_scm,
     sample,
     serialize_scm,
+    solve_worlds,
 )
 
 XOR_SCM_TEXT = """
@@ -43,11 +47,26 @@ def test_parse_and_serialize_roundtrip():
     again = parse_scm(serialize_scm(m))
     assert again.exogenous == m.exogenous
     assert again.endogenous == m.endogenous
+    # probabilities that twelve digits do not carry come back exactly
+    r = gen.rng(28)
+    for _ in range(2000):
+        w = r.random(3)
+        probs = tuple(float(p) for p in w / w.sum())
+        m = DiscreteScm({"U": ExogenousVar(("0", "1", "2"), probs)}, {})
+        assert parse_scm(serialize_scm(m)).exogenous == m.exogenous
+    assert serialize_scm(xor_scm()).startswith("exo U1 {0: 0.5, 1: 0.5}\nexo U2 {0: 0.9, 1: 0.1}\n")
 
 
 def test_probabilities_must_sum_to_one():
     with pytest.raises(ScmError, match="sum"):
         ExogenousVar(("0", "1"), (0.6, 0.5))
+
+
+def test_nan_probability_refused():
+    with pytest.raises(ScmError, match="^NaN exogenous probability$"):
+        ExogenousVar(("0", "1"), (math.nan, 1.0))
+    with pytest.raises(ScmError, match="^negative exogenous probability$"):
+        ExogenousVar(("0", "1"), (-0.5, 1.5))
 
 
 def test_table_must_be_total():
@@ -84,6 +103,229 @@ def test_probability_entry_that_is_not_a_number_keeps_its_line(entry):
     with pytest.raises(ScmError) as info:
         parse_scm(f"exo V {{0: 1.0}}\nexo U {{0: {entry}, 1: 0.5}}")
     assert str(info.value) == f"line 2: malformed probability entry: '0: {entry}'"
+
+
+COIN = "exo U {0: 0.5, 1: 0.5}\n"
+TERNARY = {u: ExogenousVar(("0", "1", "2"), (0.2, 0.3, 0.5)) for u in "UW"}
+
+# model text, or a callable that builds the model; the exact refusal
+REFUSALS = {
+    "malformed exogenous declaration": (
+        "exo U 0: 0.5, 1: 0.5", "line 1: malformed exogenous declaration"),
+    "malformed endogenous declaration": (
+        "exo U {0: 1.0}\nendo X U {(0) -> 0}", "line 2: malformed endogenous declaration"),
+    "not a declaration": ("var X", "line 1: expected 'exo' or 'endo'"),
+    "malformed probability entry": (
+        "exo U {0: 0.5, 1 0.5}", "line 1: malformed probability entry: '1 0.5'"),
+    "malformed table entry": (
+        COIN + "endo X (U) {(0) -> 0, (1) => 1}",
+        "line 2: malformed table entry: '(1) => 1'"),
+    "key width": (
+        COIN + "endo X (U) {(0) -> 0, (1,0) -> 1}",
+        "line 2: table key ('1', '0') does not match parent count"),
+    "duplicate key": (
+        COIN + "endo X (U) {(0) -> 0, (0) -> 1}", "line 2: duplicate table entry for ('0',)"),
+    "duplicate declaration": (
+        COIN + "endo U (U) {(0) -> 0, (1) -> 1}", "line 2: duplicate declaration of U"),
+    "duplicate exogenous value": (
+        "exo U {0: 0.5, 0: 0.5}", "line 1: duplicate values in exogenous domain"),
+    "empty exogenous domain": ("exo U {}", "line 1: exogenous domain must be nonempty"),
+    "probabilities off one": (
+        "exo U {0: 0.6, 1: 0.5}", "line 1: exogenous probabilities sum to 1.1, not 1"),
+    "negative probability": (
+        "exo U {0: -0.5, 1: 1.5}", "line 1: negative exogenous probability"),
+    "not total": (
+        COIN + "endo X (U) {(0) -> 0, (7) -> 1}",
+        "table of X is not total over its parent domains (missing [('1',)], extra [('7',)])"),
+    "not total, first three of each": (
+        lambda: DiscreteScm(TERNARY, {"X": EndogenousVar(("U", "W"), {
+            ("0", "0"): "0", ("5", "5"): "1", ("6", "6"): "1", ("7", "7"): "0",
+            ("8", "8"): "0", ("2", "2", "2"): "1", ("1",): "0"})}),
+        "table of X is not total over its parent domains (missing [('0', '1'),"
+        " ('0', '2'), ('1', '0')], extra [('1',), ('2', '2', '2'), ('5', '5')])"),
+    "unknown parent": (COIN + "endo X (V) {(0) -> 0, (1) -> 1}", "unknown parent V of X"),
+    "cyclic dependencies": (
+        "endo A (B) {(0) -> 0, (1) -> 1}\nendo B (A) {(0) -> 0, (1) -> 1}",
+        "cyclic structural dependencies: A -> B -> A"),
+    "widened domain not covering its outputs": (
+        lambda: DiscreteScm(
+            {"U": ExogenousVar(("0", "1"), (0.5, 0.5))},
+            {"X": EndogenousVar(("U",), {("0",): "0", ("1",): "1"})},
+            endo_domains={"X": ("0", "2")},
+        ),
+        "domain of X does not cover its table outputs"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS.values(), ids=REFUSALS.keys())
+def test_model_refusal_messages(case):
+    source, message = case
+    with pytest.raises(ScmError) as info:
+        source() if callable(source) else parse_scm(source)
+    assert str(info.value) == message
+
+
+def test_model_refusal_order():
+    # each fault is reported only once the ones before it are gone
+    faults = ["0 -> 1, ", "(0,1) -> 1, ", "(0) -> 1, "]
+    messages = [
+        "line 2: malformed table entry: '0 -> 1'",
+        "line 2: table key ('0', '1') does not match parent count",
+        "line 2: duplicate table entry for ('0',)",
+        "table of X is not total over its parent domains (missing [('1',)], extra [])",
+    ]
+    for i, message in enumerate(messages):
+        body = "(0) -> 0, " + "".join(faults[i:])
+        with pytest.raises(ScmError) as info:
+            parse_scm(COIN + f"endo X (U) {{{body}}}")
+        assert str(info.value) == message
+
+
+def test_not_total_message_matches_set_difference():
+    r = gen.rng(29)
+    for _ in range(300):
+        m = gen.random_scm(r, n_endo=int(r.integers(1, 4)), n_exo=int(r.integers(1, 4)))
+        v = str(r.choice(m.order))
+        spec = m.endogenous[v]
+        doms = [m.parent_domain(p) for p in spec.parents]
+        table = dict(spec.table)
+        for key in sorted(table)[: int(r.integers(0, len(table)))]:
+            if r.random() < 0.5:
+                del table[key]
+        for _ in range(int(r.integers(0, 5))):
+            width = len(doms) + int(r.integers(-1, 2))
+            table[tuple(str(r.integers(0, 4)) for _ in range(width))] = "1"
+        expected = set(itertools.product(*doms))
+        endogenous = {**m.endogenous, v: EndogenousVar(spec.parents, table)}
+        if table.keys() == expected:
+            continue
+        with pytest.raises(ScmError) as info:
+            DiscreteScm(m.exogenous, endogenous)
+        assert str(info.value) == (
+            f"table of {v} is not total over its parent domains"
+            f" (missing {sorted(expected - table.keys())[:3]},"
+            f" extra {sorted(table.keys() - expected)[:3]})"
+        )
+
+
+def test_wide_mechanism_refused_by_counting():
+    # 2**20 parent combinations against one entry: refused without listing them
+    n = 20
+    text = "".join(f"exo U{i} {{0: 0.5, 1: 0.5}}\n" for i in range(n))
+    parents = ",".join(f"U{i}" for i in range(n))
+    text += f"endo X ({parents}) {{({','.join('0' * n)}) -> 0}}\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScmError) as info:
+            parse_scm(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    zeros = ("0",) * n
+    missing = [zeros[:-1] + ("1",), zeros[:-2] + ("1", "0"), zeros[:-2] + ("1", "1")]
+    assert str(info.value) == (
+        f"table of X is not total over its parent domains (missing {missing}, extra [])"
+    )
+    assert peak < 1 << 20
+
+
+def _fuzz_text(r) -> str:
+    """A small model file, often with empty entries, odd spacing and a
+    trailing comma; half the time with a few characters changed."""
+    def sp():
+        return " " * int(r.integers(0, 3))
+
+    values = ["0", "1", "2"][: int(r.integers(1, 4))]
+    lines = []
+    exo = [f"U{i}" for i in range(int(r.integers(1, 3)))]
+    for u in exo:
+        w = r.integers(1, 5, size=len(values))
+        entries = [f"{sp()}{v}{sp()}:{sp()}{float(p / w.sum())!r}"
+                   for v, p in zip(values, w)]
+        lines.append(f"exo {u} {{{_fuzz_body(r, entries)}}}")
+    names = exo[:]
+    for x in ("X", "Y")[: int(r.integers(1, 3))]:
+        width = int(r.integers(0, min(len(names), 2) + 1))
+        parents = [str(p) for p in r.choice(names, size=width, replace=False)]
+        entries = [
+            f"{sp()}({sp()}{','.join(key)}{sp()}){sp()}->{sp()}{r.choice(values)}"
+            for key in itertools.product(values, repeat=width) if r.random() < 0.95
+        ]
+        lines.append(f"endo {x} ({', '.join(parents)}) {{{_fuzz_body(r, entries)}}}")
+        names.append(x)
+    text = "\n".join(lines)
+    if r.random() < 0.5:
+        chars = list(text)
+        for _ in range(int(r.integers(1, 4))):
+            i = int(r.integers(0, len(chars)))
+            c = str(r.choice(list("(),,, ->:01x.{}")))
+            kind = r.integers(0, 3)
+            if kind == 0:
+                chars.insert(i, c)
+            elif kind == 1:
+                del chars[i]
+            else:
+                chars[i] = c
+        text = "".join(chars)
+    return text
+
+
+def _fuzz_body(r, entries) -> str:
+    """Entries joined by commas, with a few blank ones among them."""
+    for _ in range(int(r.integers(0, 3))):
+        entries.insert(int(r.integers(0, len(entries) + 1)), " " * int(r.integers(0, 2)))
+    return ",".join(entries) + ("," if r.random() < 0.3 else "")
+
+
+def _flat_parentheses(text: str) -> bool:
+    """No parenthesis inside another, none closed before it opens."""
+    for line in text.splitlines():
+        depth = 0
+        for ch in line.split("#", 1)[0]:
+            depth += (ch == "(") - (ch == ")")
+            if depth not in (0, 1):
+                return False
+    return True
+
+
+def _outcome(parse, text):
+    try:
+        m = parse(text)
+    except ScmError as exc:
+        return str(exc)
+    return m.exogenous, m.endogenous, m.order, m.endo_domains
+
+
+def test_parser_agrees_with_split_oracle():
+    r = gen.rng(30)
+    accepted = 0
+    for _ in range(20_000):
+        text = _fuzz_text(r)
+        got = _outcome(parse_scm, text)
+        want = _outcome(gen.parse_scm_by_split, text)
+        if _flat_parentheses(text):
+            assert got == want, text
+        else:
+            assert isinstance(got, str) and isinstance(want, str), text
+        accepted += not isinstance(got, str)
+    assert accepted > 2_000
+
+
+def test_stored_codes_match_table_lookup():
+    r = gen.rng(31)
+    for i in range(200):
+        m = gen.random_scm(r, n_endo=int(r.integers(1, 5)), n_exo=int(r.integers(1, 4)))
+        if i % 2:
+            m = intervene(m, {str(r.choice(m.order)): str(int(r.integers(0, 2)))})
+        n = 16
+        exo = {u: r.integers(0, 2, size=n).astype(np.uint8) for u in m.exogenous}
+        (codes,) = solve_worlds(m, exo, n, [{}])
+        for s in range(n):
+            want = gen._worklist_solve(m, {u: m.exogenous[u].domain[c[s]] for u, c in exo.items()})
+            assert {v: m.endo_domains[v][codes[v][s]] for v in m.order} == {
+                v: want[v] for v in m.order
+            }
+        assert all(codes[v].dtype == np.uint8 for v in m.order)
 
 
 def test_long_mechanism_chain_orders_without_recursion():
