@@ -75,7 +75,9 @@ class DataOracle:
     """Answers independence queries with the G-squared test at level alpha.
 
     The data layers are imported here, so discovery over a
-    :class:`GraphOracle` loads neither them nor numpy.
+    :class:`GraphOracle` does not load them.  They run the tests in plain
+    Python over the dataset's distinct rows, so ``discover --data`` does not
+    load numpy either.
     """
 
     def __init__(self, d: Dataset, alpha: float = 0.05):

@@ -1,23 +1,30 @@
 """Datasets, empirical joints, plug-in estimates and bootstrap intervals.
 
-Reading data and grouping or decoding code rows need numpy alone; the
-estimand algebra and its evaluator are imported only by the functions that
-evaluate an estimand, so commands that only read data load neither.
+A dataset is stored in plain Python: its distinct code rows, sorted, with
+their counts, and each row's index among them.  Reading data, projecting
+columns and the G-squared tests of ``fit`` and ``discover --data`` read that
+storage and never load numpy.  The numpy views of a dataset (``codes``,
+``distinct``), the empirical joint and the bootstrap import numpy on first
+use, and the estimand algebra is imported only by the functions that
+evaluate an estimand.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import IO, TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import IO, TYPE_CHECKING, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .expr import Estimand, JointTable
 
 __all__ = [
@@ -59,73 +66,102 @@ class TooManyDegenerateResamples(ArithmeticError):
 class Dataset:
     """Rectangular categorical data, stored as integer codes.
 
-    ``codes`` is a read-only ``(n, columns)`` array: each cell's index in its
-    column's ``domains`` entry (the sorted distinct observed values), -1 for a
-    missing cell, in the smallest signed dtype that also holds one past the
-    widest domain.
+    A cell's code is its index in its column's ``domains`` entry (the sorted
+    distinct observed values), -1 for a missing cell.  The dataset keeps its
+    distinct code rows in lexicographic order as one list of codes per column
+    (``_cols``), how many times each occurs (``_count``), and each row's index
+    among them (``_index``, an ``array``); every count over the data reads
+    these, so its rows are grouped once.
     """
 
     columns: tuple[str, ...]
     domains: dict[str, tuple[str, ...]]
-    codes: np.ndarray
 
     def __init__(self, columns: Iterable[str], rows: Sequence[Sequence[str | None]]):
         """Encode rows of cells; ``None`` marks a missing cell."""
         columns = _distinct(columns)
         if not rows:
             raise DataError("dataset needs at least one row")
-        widths = np.fromiter(map(len, rows), np.intp, len(rows))
-        ragged = np.flatnonzero(widths != len(columns))
-        bad = int(ragged[0]) if ragged.size else len(rows)
+        seen: dict[tuple, int] = {}
+        first = list(map(seen.setdefault, map(tuple, rows), itertools.count()))
+        keys = list(seen)
+        bad = next((k for k, key in enumerate(keys) if len(key) != len(columns)), len(keys))
         # the first bad row wins: the rows above a ragged one are checked for
         # empty cells before it is refused
-        tokens = _tokens(rows[:bad], len(columns))
-        self._set(columns, *_encode(columns, tokens, bad))
-        if bad < len(rows):
+        domains, coded, empty = _encode(columns, keys[:bad])
+        if empty < bad:
+            raise DataError(f"row {seen[keys[empty]] + 1} has an empty cell")
+        if bad < len(keys):
             raise DataError(
-                f"row {bad + 1} has {widths[bad]} cells, expected {len(columns)}"
+                f"row {seen[keys[bad]] + 1} has {len(keys[bad])} cells,"
+                f" expected {len(columns)}"
             )
+        self._set(columns, domains, *_stored(coded, list(seen.values()), first))
 
     @classmethod
-    def _coded(cls, columns, domains, codes) -> "Dataset":
-        """A dataset over columns already encoded."""
+    def _coded(cls, columns, domains, cols, count, index) -> "Dataset":
+        """A dataset over distinct code rows already grouped and sorted;
+        ``index`` gives each row's index among them."""
         d = cls.__new__(cls)
-        d._set(columns, domains, codes)
+        d._set(columns, domains, cols, count, index)
         return d
 
-    def _set(self, columns, domains, codes) -> None:
-        codes.flags.writeable = False
-        for name, value in (("columns", columns), ("domains", domains), ("codes", codes)):
+    def _set(self, columns, domains, cols, count, index) -> None:
+        for name, value in (("columns", columns), ("domains", domains), ("_cols", cols),
+                            ("_count", count), ("_index", array("q", index))):
             object.__setattr__(self, name, value)
 
     def __reduce__(self):
-        # rebuilt through _coded, so a copy's codes are read-only and its
-        # cached views are recomputed
-        return Dataset._coded, (self.columns, self.domains, self.codes)
+        # rebuilt through _coded, so a copy's cached views are recomputed
+        return Dataset._coded, (self.columns, self.domains, self._cols, self._count, self._index)
 
     @property
     def n(self) -> int:
-        return self.codes.shape[0]
+        return len(self._index)
 
     @cached_property
     def rows(self) -> tuple[tuple[str | None, ...], ...]:
         """The cells decoded row by row on first use, ``None`` for a missing
-        cell; the engine itself reads ``codes``."""
-        return tuple(decode_rows(self.codes, [self.domains[c] for c in self.columns]))
+        cell; the engine itself reads the codes."""
+        decoded = [
+            list(map((*self.domains[c], None).__getitem__, col))
+            for c, col in zip(self.columns, self._cols)
+        ]
+        distinct = list(zip(*decoded)) if decoded else [()] * len(self._count)
+        return tuple(map(distinct.__getitem__, self._index))
 
     @cached_property
     def has_missing(self) -> bool:
-        return bool((self.codes < 0).any())
+        return any(-1 in col for col in self._cols)
 
     @cached_property
     def distinct(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct rows of ``codes`` in lexicographic order and how many
-        times each occurs, both read-only: every count over the dataset reads
-        these, so its rows are grouped once."""
-        group, rows = group_rows(self.codes)
-        count = np.bincount(group)
+        """The distinct code rows in lexicographic order and how many times
+        each occurs, as read-only numpy arrays built on first read."""
+        import numpy as np
+
+        rows, count = self._distinct_array(), np.array(self._count, np.intp)
         rows.flags.writeable = count.flags.writeable = False
         return rows, count
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """Read-only ``(n, columns)`` numpy array of every row's codes, built
+        on first read, in the smallest signed dtype that also holds one past
+        the widest domain."""
+        import numpy as np
+
+        codes = self._distinct_array()[np.frombuffer(self._index, np.int64)]
+        codes.flags.writeable = False
+        return codes
+
+    def _distinct_array(self) -> np.ndarray:
+        import numpy as np
+
+        rows = np.empty((len(self._count), len(self.columns)), _code_dtype(self.domains))
+        for j, col in enumerate(self._cols):
+            rows[:, j] = col
+        return rows
 
     def column_index(self, name: str) -> int:
         try:
@@ -137,13 +173,67 @@ class Dataset:
         idx = [self.column_index(c) for c in names]
         columns = _distinct(self.columns[i] for i in idx)
         domains = {c: self.domains[c] for c in columns}
-        codes = self.codes[:, idx].astype(_code_dtype(domains))
-        return Dataset._coded(columns, domains, codes)
+        picked = [self._cols[i] for i in idx]
+        coded = list(zip(*picked)) if picked else [()] * len(self._count)
+        cols, count, slot = _grouped(coded, self._count)
+        return Dataset._coded(columns, domains, cols, count, map(slot.__getitem__, self._index))
+
+
+def _stored(
+    coded: list[tuple[int, ...]], at: list[int], first: list[int], blank: int | None = None
+):
+    """Dataset storage from the code rows of distinct records, the position
+    where each first occurs, and each record's first-occurrence position;
+    records first seen at ``blank`` (blank lines) are skipped."""
+    counts = Counter(first)
+    cols, count, slot = _grouped(coded, map(counts.__getitem__, at))
+    where = [0] * (max(at) + 1)
+    for position, s in zip(at, slot):
+        where[position] = s
+    rows = first if blank is None else filter(blank.__ne__, first)
+    return cols, count, list(map(where.__getitem__, rows))
+
+
+def _grouped(
+    coded: list[tuple[int, ...]], counts: Iterable[int]
+) -> tuple[tuple[list[int], ...], list[int], list[int]]:
+    """The distinct rows of ``coded`` (repeats allowed) in sorted order, as
+    one list of codes per column; the summed ``counts`` of each; and each
+    row of ``coded``'s index among them."""
+    ranked = sorted(set(coded))
+    slot = list(map(dict(zip(ranked, range(len(ranked)))).__getitem__, coded))
+    count = [0] * len(ranked)
+    for s, c in zip(slot, counts):
+        count[s] += c
+    return tuple(map(list, zip(*ranked))), count, slot
+
+
+def _encode(
+    columns: tuple[str, ...], keys: Sequence[Sequence], clean=None
+) -> tuple[dict[str, tuple[str, ...]], list[tuple[int, ...]], int]:
+    """Domains of the distinct rows of cells ``keys``, each distinct token
+    passed through ``clean`` once (``None`` is missing); each key's code row;
+    and the position of the first key with an empty cell, ``len(keys)`` if
+    none has one."""
+    domains, coded, empty = {}, [], len(keys)
+    for j, c in enumerate(columns):
+        col = list(map(itemgetter(j), keys))
+        tokens = list(dict.fromkeys(col))
+        values = list(map(clean, tokens)) if clean else tokens
+        domains[c] = tuple(sorted({v for v in values if v is not None}))
+        rank = dict(zip(domains[c], range(len(domains[c]))))
+        code = {t: rank.get(v, -1) for t, v in zip(tokens, values)}
+        coded.append(list(map(code.__getitem__, col)))
+        if "" in rank:
+            empty = min(empty, coded[-1].index(rank[""]))
+    return domains, list(zip(*coded)) if coded else [()] * len(keys), empty
 
 
 def group_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group of every row of an integer matrix, and the distinct rows in
     lexicographic order; group ``g`` is distinct row ``g``."""
+    import numpy as np
+
     order = np.lexsort(codes.T[::-1]) if codes.shape[1] else np.arange(len(codes))
     ranked = codes[order]
     first = np.ones(len(codes), dtype=bool)
@@ -156,6 +246,8 @@ def group_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def decode_rows(codes: np.ndarray, domains) -> list[tuple]:
     """Rows of an integer matrix decoded through each column's domain; -1 or
     a code past the end of a domain decodes to ``None``."""
+    import numpy as np
+
     cols = [
         np.array((*dom, None), dtype=object)[codes[:, j]].tolist()
         for j, dom in enumerate(domains)
@@ -171,42 +263,9 @@ def _distinct(names: Iterable[str]) -> tuple[str, ...]:
 
 
 def _code_dtype(domains: Mapping[str, tuple[str, ...]]) -> np.dtype:
+    import numpy as np
+
     return np.min_scalar_type(-1 - max(map(len, domains.values()), default=0))
-
-
-def _tokens(
-    rows: Sequence[Sequence], width: int, clean=None
-) -> Iterator[tuple[list, np.ndarray]]:
-    """Per column of ``rows``: its distinct tokens, passed through ``clean``
-    once each, and every cell's index among them."""
-    for j in range(width):
-        col = list(map(itemgetter(j), rows))
-        pos = {t: i for i, t in enumerate(dict.fromkeys(col))}
-        values = list(map(clean, pos)) if clean else list(pos)
-        yield values, np.array(list(map(pos.__getitem__, col)), dtype=np.intp)
-
-
-def _encode(
-    columns: tuple[str, ...], tokens: Iterable[tuple[Sequence, np.ndarray]], n: int
-) -> tuple[dict[str, tuple[str, ...]], np.ndarray]:
-    """Domains and codes of ``n`` rows, from each column's candidate values
-    (``None`` for missing; repeated values and values no cell takes are
-    allowed) and each cell's index among them.  An empty cell is refused."""
-    domains, coded, empty = {}, [], n
-    for c, (values, index) in zip(columns, tokens):
-        taken = np.bincount(index, minlength=len(values)).astype(bool).tolist()
-        domains[c] = tuple(sorted({v for v, t in zip(values, taken) if t and v is not None}))
-        rank = {v: i for i, v in enumerate(domains[c])}
-        lut = np.array([rank.get(v, -1) for v in values], np.min_scalar_type(-1 - len(rank)))
-        coded.append(lut[index])
-        if "" in rank:
-            empty = min(empty, int(np.argmax(coded[-1] == rank[""])))
-    if empty < n:
-        raise DataError(f"row {empty + 1} has an empty cell")
-    codes = np.empty((n, len(columns)), dtype=_code_dtype(domains))
-    for j, col in enumerate(coded):
-        codes[:, j] = col
-    return domains, codes
 
 
 def load_table(source: str | os.PathLike | IO[str]) -> Dataset:
@@ -224,6 +283,8 @@ def _clean(token: str) -> str | None:
 
 
 def _read_csv(fh: IO[str]) -> Dataset:
+    """One ``csv`` pass keys each record to the position of its first
+    occurrence; only the distinct records are kept, cleaned and encoded."""
     reader = csv.reader(fh)
     try:
         header = next(reader)
@@ -234,25 +295,31 @@ def _read_csv(fh: IO[str]) -> Dataset:
         raise DataError("empty column name in header")
     if len(set(columns)) != len(columns):
         raise DataError("duplicate header names")
-    records: list[list[str]] = []
+    seen: dict[tuple[str, ...], int] = {}
+    first: list[int] = []
+    malformed = None
     try:
-        records.extend(reader)
+        first.extend(map(seen.setdefault, map(tuple, reader), itertools.count()))
     except csv.Error as exc:
-        raise DataError(f"line {reader.line_num}: {exc}") from None
-    finally:
-        # a ragged line is reported before a malformed line below it
-        widths = np.fromiter(map(len, records), np.intp, len(records))
-        ragged = np.flatnonzero((widths != len(columns)) & (widths > 0))
-        if ragged.size:
-            i = int(ragged[0])
+        malformed = DataError(f"line {reader.line_num}: {exc}")
+    # a ragged line is reported before a malformed line below it
+    for key, at in seen.items():
+        if key and len(key) != len(columns):
             raise DataError(
-                f"line {i + 2}: row has {widths[i]} cells, expected {len(columns)}"
+                f"line {at + 2}: row has {len(key)} cells, expected {len(columns)}"
             )
-    rows = list(filter(None, records))  # blank lines are skipped
-    if not rows:
+    if malformed is not None:
+        raise malformed
+    blank = seen.pop((), None)  # blank lines are skipped
+    if not seen:
         raise DataError("no data rows")
-    tokens = _tokens(rows, len(columns), _clean)
-    return Dataset._coded(columns, *_encode(columns, tokens, len(rows)))
+    keys = list(seen)
+    domains, coded, empty = _encode(columns, keys, _clean)
+    if empty < len(keys):
+        at = seen[keys[empty]]
+        # blank lines do not count in row numbers
+        raise DataError(f"row {at + 1 - first[:at].count(blank)} has an empty cell")
+    return Dataset._coded(columns, domains, *_stored(coded, list(seen.values()), first, blank))
 
 
 @dataclass(frozen=True)
@@ -308,6 +375,8 @@ def bootstrap_interval(
     as weight rows over the distinct rows of the data.  Resamples that hit an
     empty stratum are dropped; more than 10% of them dropped is an error.
     """
+    import numpy as np
+
     from .evaluate import eval_rows
     from .expr import ConditioningOnZero, EstimandError, eval_estimand
 
@@ -358,6 +427,8 @@ def _quantiles(values: np.ndarray, levels: Sequence[float]) -> list[float]:
     """Quantiles of ``values`` by numpy's default ``linear`` rule, equal to
     ``np.quantile`` bit for bit; ``np.quantile`` reaches ``np.unique``, which
     imports ``numpy.ma`` on first use."""
+    import numpy as np
+
     ranked = np.sort(values).tolist()
     last = len(ranked) - 1
     out = []

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import add, floordiv, ge, mod, mul, truediv
+from typing import Iterable
 
-import numpy as np
-
-from .estimate import DataError, Dataset, MissingDataPresent, group_rows
+from .estimate import DataError, Dataset, MissingDataPresent
 from .graph import Admg, CiStatement, testable_implications
 
 __all__ = [
@@ -62,31 +63,53 @@ def g_squared_ci(
     """
     names = (u, v) + tuple(given)
     # the dataset's distinct rows, weighted by their counts, stand in for its
-    # n rows: every count below is an integer-valued float, exact
-    rows, count = d.distinct
-    codes = rows[:, [d.column_index(c) for c in names]]
-    gaps = [c for c, gap in zip(names, (codes < 0).any(axis=0)) if gap]
-    if gaps:
-        raise MissingDataPresent(
-            f"column {gaps[0]} has missing cells; run recoverability analysis"
-        )
-    stratum, _ = group_rows(codes[:, 2:])
-    size = np.bincount(stratum, weights=count)
-    large = size >= MIN_STRATUM
-    # counts of the observed (stratum, u, v) cells only, with their row and
-    # column totals, so memory follows the rows and never |dom u| x |dom v|
-    cell, seen = group_rows(np.column_stack([stratum, codes[:, :2]]))
-    kept = large[seen[:, 0]]
-    observed, seen = np.bincount(cell, weights=count)[kept], seen[kept]
-    by_u, by_v = group_rows(seen[:, :2])[0], group_rows(seen[:, ::2])[0]
-    row_tot = np.bincount(by_u, weights=observed)[by_u]
-    col_tot = np.bincount(by_v, weights=observed)[by_v]
-    expected = row_tot * col_tot / size[seen[:, 0]]
-    stat = 2.0 * float(np.sum(observed * np.log(observed / expected)))
-    used = int(np.count_nonzero(large))
-    dof = used * (len(d.domains[u]) - 1) * (len(d.domains[v]) - 1)
+    # n rows: every count below is an exact integer
+    cols = [d._cols[d.column_index(c)] for c in names]
+    for c, col in zip(names, cols):
+        if -1 in col:
+            raise MissingDataPresent(
+                f"column {c} has missing cells; run recoverability analysis"
+            )
+    # one mixed-radix key per distinct row over (given..., u, v), built at C
+    # speed column by column, so a key is a cell of the (stratum, u, v) table
+    # and key // (|u| |v|) its stratum; only the observed cells are counted,
+    # so memory follows the rows and never |dom u| x |dom v|
+    ordered = list(zip(names, cols))
+    ordered = ordered[2:] + ordered[:2]
+    key = iter(ordered[0][1])
+    for c, col in ordered[1:]:
+        key = map(add, map(mul, key, repeat(len(d.domains[c]))), col)
+    nv = len(d.domains[v])
+    nuv = len(d.domains[u]) * nv
+    cells = _totals(key, d._count)
+    keys, observed = list(cells), list(cells.values())
+    stratum = list(map(floordiv, keys, repeat(nuv)))
+    by_u = list(map(floordiv, keys, repeat(nv)))
+    by_v = list(map(add, map(mul, stratum, repeat(nv)), map(mod, keys, repeat(nv))))
+    size = _totals(stratum, observed)
+    row_tot, col_tot = _totals(by_u, observed), _totals(by_v, observed)
+    cell_size = list(map(size.__getitem__, stratum))
+    expected = map(
+        truediv,
+        map(mul, map(row_tot.__getitem__, by_u), map(col_tot.__getitem__, by_v)),
+        cell_size,
+    )
+    terms = map(mul, observed, map(math.log, map(truediv, observed, expected)))
+    large = map(ge, cell_size, repeat(MIN_STRATUM))
+    stat = 2.0 * math.fsum(compress(terms, large))
+    used = sum(n >= MIN_STRATUM for n in size.values())
+    dof = used * (len(d.domains[u]) - 1) * (nv - 1)
     p = _chi2_sf(stat, dof) if dof > 0 else 1.0
     return stat, dof, p, used, len(size) - used
+
+
+def _totals(keys: Iterable[int], counts: Iterable[int]) -> dict[int, int]:
+    """The summed count of each distinct key, in order of first occurrence."""
+    total: dict[int, int] = {}
+    get = total.get
+    for k, c in zip(keys, counts):
+        total[k] = get(k, 0) + c
+    return total
 
 
 def _chi2_sf(x: float, dof: int) -> float:
@@ -95,10 +118,12 @@ def _chi2_sf(x: float, dof: int) -> float:
     For integer ``dof`` the tail is a finite series in lam = x/2: the Poisson
     sum over j < dof/2 of e^-lam lam^j / j! for even ``dof``, and for odd
     ``dof`` erfc(sqrt(lam)) plus the same sum over half-integer powers,
-    e^-lam lam^(j+1/2) / Gamma(j+3/2).  Terms are taken from their
-    logarithms, so none overflows or underflows early at large x.  The terms
-    rise to a single peak near j = lam and fall on both sides, so the series
-    is summed outward from its largest term, and each side stops at the
+    e^-lam lam^(j+1/2) / Gamma(j+3/2).  The terms rise to a single peak near
+    j = lam and fall on both sides.  The peak term is taken in Loader's
+    saddle-point form, whose relative error stays near machine precision at
+    any lam, and each neighbour from the one before it by the ratio
+    lam / (j + h + 1) of consecutive terms (h = 1/2 for odd ``dof``, else 0).
+    The series is summed outward from the peak, and each side stops at the
     first term too small to change the sum: the work grows with sqrt(x), not
     with ``dof``.
     """
@@ -106,18 +131,66 @@ def _chi2_sf(x: float, dof: int) -> float:
         return 1.0
     lam = 0.5 * x
     half = 0.5 * (dof % 2)
-    log_lam = math.log(lam)
     count = dof // 2
-    peak = min(int(lam - half), count - 1)
-    series = 0.0
-    for side in (range(peak, -1, -1), range(peak + 1, count)):
-        for j in side:
-            term = math.exp((j + half) * log_lam - lam - math.lgamma(j + half + 1.0))
-            if series + term == series:
-                break
-            series += term
     total = math.erfc(math.sqrt(lam)) if half else 0.0
+    if not count:
+        return min(total, 1.0)
+    peak = min(int(lam - half), count - 1)
+    top = _poisson_term(peak + half, lam)
+    series = term = top
+    for j in range(peak, 0, -1):
+        term *= (j + half) / lam
+        if series + term == series:
+            break
+        series += term
+    term = top
+    for j in range(peak + 1, count):
+        term *= lam / (j + half)
+        if series + term == series:
+            break
+        series += term
     return min(total + series, 1.0)
+
+
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _poisson_term(k: float, lam: float) -> float:
+    """e^-lam lam^k / Gamma(k + 1) for real k >= 0, as
+    e^(-stirlerr(k) - bd0(k, lam)) / sqrt(2 pi k) (Loader 2000, "Fast and
+    accurate computation of binomial probabilities"), so no large logarithms
+    cancel."""
+    if k == 0.0:
+        return math.exp(-lam)
+    return math.exp(-_stirlerr(k) - _bd0(k, lam)) / math.sqrt(2.0 * math.pi * k)
+
+
+def _stirlerr(k: float) -> float:
+    """log Gamma(k + 1) - log(sqrt(2 pi k) (k/e)^k), the error of Stirling's
+    formula: directly up to k = 15, where the subtraction loses at most a few
+    units in 1e-15, and by its asymptotic series above."""
+    if k <= 15.0:
+        return math.lgamma(k + 1.0) - (k + 0.5) * math.log(k) + k - _LOG_SQRT_2PI
+    kk = k * k
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / kk) / kk) / kk) / kk) / k
+
+
+def _bd0(k: float, lam: float) -> float:
+    """k log(k / lam) + lam - k, the deviance term, by a series in
+    (k - lam) / (k + lam) where the two sides nearly cancel."""
+    if abs(k - lam) >= 0.1 * (k + lam):
+        return k * math.log(k / lam) + lam - k
+    v = (k - lam) / (k + lam)
+    s = (k - lam) * v
+    ej = 2.0 * k * v
+    v *= v
+    j = 3
+    while True:
+        ej *= v
+        s1 = s + ej / j
+        if s1 == s:
+            return s
+        s, j = s1, j + 2
 
 
 def fit_indices(
@@ -129,8 +202,7 @@ def fit_indices(
     missing_cols = sorted(set(g.nodes) - set(d.columns))
     if missing_cols:
         raise DataError(f"dataset lacks graph columns: {missing_cols}")
-    graph_cols = [j for j, c in enumerate(d.columns) if c in g.nodes]
-    if (d.codes[:, graph_cols] < 0).any():
+    if any(-1 in col for c, col in zip(d.columns, d._cols) if c in g.nodes):
         raise MissingDataPresent(
             "missing cells in graph columns; run recoverability analysis"
         )

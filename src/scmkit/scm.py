@@ -207,6 +207,11 @@ class DiscreteScm:
             count *= len(spec.domain)
         return count
 
+    def __reduce__(self):
+        # rebuilt through the constructor, so a copy's stored code arrays are
+        # read-only like the original's
+        return DiscreteScm, (self.exogenous, self.endogenous, self.endo_domains)
+
     def __repr__(self) -> str:
         return (
             f"DiscreteScm(exogenous={sorted(self.exogenous)}, "
@@ -377,7 +382,7 @@ def counterfactual_query(m: DiscreteScm, q: CounterfactualQuery) -> float:
 
 def sample(m: DiscreteScm, n: int, seed: int) -> "Dataset":
     """Ancestral sampling; identical (model, n, seed) gives identical rows."""
-    from .estimate import Dataset, _encode
+    from .estimate import Dataset, _encode, _grouped, decode_rows, group_rows
 
     if n < 1:
         raise ScmError("sample size must be at least 1")
@@ -388,8 +393,16 @@ def sample(m: DiscreteScm, n: int, seed: int) -> "Dataset":
     }
     (codes,) = solve_worlds(m, exo, n, [{}])
     out_cols = tuple(sorted(m.endogenous))
-    encoded = ((m.endo_domains[v], codes[v]) for v in out_cols)
-    return Dataset._coded(out_cols, *_encode(out_cols, encoded, n))
+    # the draws are grouped once, in their stored code dtype; only their
+    # distinct rows are decoded and encoded
+    drawn = np.empty((n, len(out_cols)), np.result_type(np.uint8, *codes.values()))
+    for j, v in enumerate(out_cols):
+        drawn[:, j] = codes[v]
+    group, distinct = group_rows(drawn)
+    keys = decode_rows(distinct, [m.endo_domains[v] for v in out_cols])
+    domains, coded, _ = _encode(out_cols, keys)
+    cols, count, slot = _grouped(coded, np.bincount(group).tolist())
+    return Dataset._coded(out_cols, domains, cols, count, np.array(slot)[group].tolist())
 
 
 def latent_projection(m: DiscreteScm) -> Admg:

@@ -7,6 +7,7 @@ the main code paths are checked against genuinely separate logic.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 import re
@@ -723,19 +724,87 @@ def g_squared_by_rows(d, u, v, given):
 
 
 def chi2_sf_by_series(x, dof):
-    """``fitcheck._chi2_sf`` summing every one of the dof/2 series terms in
-    ascending order."""
+    """``fitcheck._chi2_sf`` summing every one of the dof/2 series terms,
+    each taken on its own in the saddle-point form and added exactly, where
+    ``_chi2_sf`` steps from the peak term by ratios and stops early."""
+    from scmkit.fitcheck import _poisson_term
+
     if x <= 0.0:
         return 1.0
     lam = 0.5 * x
     half = 0.5 * (dof % 2)
-    log_lam = math.log(lam)
     total = math.erfc(math.sqrt(lam)) if half else 0.0
-    total += sum(
-        math.exp((j + half) * log_lam - lam - math.lgamma(j + half + 1.0))
-        for j in range(dof // 2)
-    )
-    return min(total, 1.0)
+    terms = [_poisson_term(j + half, lam) for j in range(dof // 2)]
+    return min(math.fsum([total, *terms]), 1.0)
+
+
+def load_table_by_rows(source):
+    """``estimate.load_table`` reading every row: all csv records are kept,
+    then each column's cells are cleaned and encoded with numpy, one index
+    per cell.  Returns the columns, domains, decoded rows and codes, or
+    raises the reader's ``DataError``."""
+    from types import SimpleNamespace
+
+    from scmkit.estimate import MISSING_TOKEN, DataError
+
+    def clean(token):
+        token = token.strip()
+        return None if token == MISSING_TOKEN else token
+
+    def read(fh):
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError("empty file") from None
+        columns = tuple(h.strip() for h in header)
+        if any(not c for c in columns):
+            raise DataError("empty column name in header")
+        if len(set(columns)) != len(columns):
+            raise DataError("duplicate header names")
+        records = []
+        try:
+            records.extend(reader)
+        except csv.Error as exc:
+            raise DataError(f"line {reader.line_num}: {exc}") from None
+        finally:
+            # a ragged line is reported before a malformed line below it
+            for i, rec in enumerate(records):
+                if rec and len(rec) != len(columns):
+                    raise DataError(
+                        f"line {i + 2}: row has {len(rec)} cells, expected {len(columns)}"
+                    )
+        rows = [rec for rec in records if rec]
+        if not rows:
+            raise DataError("no data rows")
+        domains, coded, empty = {}, [], len(rows)
+        for j, c in enumerate(columns):
+            col = [row[j] for row in rows]
+            pos = {t: i for i, t in enumerate(dict.fromkeys(col))}
+            values = [clean(t) for t in pos]
+            index = np.array([pos[t] for t in col], dtype=np.intp)
+            domains[c] = tuple(sorted({v for v in values if v is not None}))
+            rank = {v: i for i, v in enumerate(domains[c])}
+            lut = np.array([rank.get(v, -1) for v in values], np.intp)
+            coded.append(lut[index])
+            if "" in rank:
+                empty = min(empty, int(np.argmax(coded[-1] == rank[""])))
+        if empty < len(rows):
+            raise DataError(f"row {empty + 1} has an empty cell")
+        dtype = np.min_scalar_type(-1 - max(map(len, domains.values()), default=0))
+        codes = np.empty((len(rows), len(columns)), dtype=dtype)
+        for j, col in enumerate(coded):
+            codes[:, j] = col
+        decoded = tuple(
+            tuple(None if k < 0 else domains[c][k] for c, k in zip(columns, row))
+            for row in codes.tolist()
+        )
+        return SimpleNamespace(columns=columns, domains=domains, rows=decoded, codes=codes)
+
+    if hasattr(source, "read"):
+        return read(source)
+    with open(source, "r", encoding="utf-8-sig", newline="") as fh:
+        return read(fh)
 
 
 def sample_by_rows(m: DiscreteScm, n, seed):

@@ -4,7 +4,6 @@ import pytest
 
 import gen
 import scmkit.estimate as estimate_module
-import scmkit.fitcheck as fitcheck_module
 from scmkit.discover import (
     Cpdag,
     DataOracle,
@@ -156,22 +155,23 @@ def test_data_oracle_is_deterministic():
 
 
 def test_data_runs_group_the_rows_of_the_dataset_once(monkeypatch):
-    # 2,000 rows of three binary columns: every G-squared test reads the at
-    # most 8 distinct rows, so only the dataset's own grouping sees all rows
-    d = sample(collider_scm(), 2000, seed=3)
+    # 2,000 rows of three binary columns: sampling groups the rows once, and
+    # every G-squared test reads the at most 8 distinct rows from the
+    # dataset's own lists, so no numpy view of the rows is ever built
     sizes = []
-    for module in (estimate_module, fitcheck_module):
-        def counting(codes, group_rows=module.group_rows):
-            sizes.append(len(codes))
-            return group_rows(codes)
 
-        monkeypatch.setattr(module, "group_rows", counting)
+    def counting(codes, group_rows=estimate_module.group_rows):
+        sizes.append(len(codes))
+        return group_rows(codes)
+
+    monkeypatch.setattr(estimate_module, "group_rows", counting)
+    d = sample(collider_scm(), 2000, seed=3)
+    assert sizes == [d.n] and len(d._count) <= 8
     c = discover_cpdag(DataOracle(d), d.columns)
     assert c.directed == {("X", "Z"), ("Y", "Z")}
-    assert sizes.count(d.n) == 1 and len(sizes) > 1
-    assert max(sizes[1:]) <= 8
     fit_indices(collider_graph(), d)
-    assert sizes.count(d.n) == 1
+    assert sizes == [d.n]
+    assert "codes" not in vars(d) and "distinct" not in vars(d)
 
 
 def test_data_oracle_refuses_alpha_outside_unit_interval():

@@ -1,6 +1,9 @@
 import copy
+import csv
 import io
 import pickle
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -291,6 +294,76 @@ def test_dataset_refusal_messages(columns, rows, message):
     with pytest.raises(DataError) as info:
         Dataset(columns, rows)
     assert str(info.value) == message
+
+
+# tokens of a generated CSV cell, common ones first: quoted fields (with a
+# comma, an escaped quote, a line break), padding, NA, empty and blank cells,
+# and a carriage return the csv module refuses outside quotes
+CSV_TOKENS = ("0", "1", "2", " 1", "2 ", "NA", " NA ", '"0"', '"a,b"', '"x""y"',
+              '"two\nlines"', "", " ", "b\rc")
+CSV_WEIGHTS = np.array([30, 30, 20, 4, 4, 4, 2, 2, 1, 1, 1, 1, 1, 0.3])
+
+
+def _csv_text(r) -> str:
+    """A small CSV text; a few in a hundred hold a field past the csv
+    module's limit, a ragged line, a byte-order mark or a bad header."""
+    if r.random() < 0.01:
+        return ""
+    width = int(r.integers(1, 4))
+    header = [f" C{j} " if r.random() < 0.2 else f"C{j}" for j in range(width)]
+    if r.random() < 0.03:
+        header[-1] = header[0] if r.random() < 0.5 else ""
+    lines = [",".join(header)]
+    for _ in range(int(r.integers(0, 25))):
+        roll = r.random()
+        if roll < 0.08:
+            lines.append("")
+            continue
+        p = CSV_WEIGHTS / CSV_WEIGHTS.sum()
+        cells = [str(t) for t in r.choice(CSV_TOKENS, size=width, p=p)]
+        if roll > 0.993 and width > 1:
+            cells.pop()
+        elif roll > 0.985:
+            cells.append("1")
+        if r.random() < 0.004:
+            cells[0] = "x" * (csv.field_size_limit() + 1)
+        lines.append(",".join(cells))
+    text = ("\r\n" if r.random() < 0.3 else "\n").join(lines)
+    text += "\n" if r.random() < 0.7 else ""
+    return "\ufeff" + text if r.random() < 0.1 else text
+
+
+def _read_outcome(read, source):
+    try:
+        d = read(source)
+    except DataError as exc:
+        return "refused", str(exc)
+    return d.columns, d.domains, d.rows, d.codes.tolist(), d.codes.dtype
+
+
+def test_reader_agrees_with_row_by_row_oracle(tmp_path):
+    r = gen.rng(91)
+    kinds = Counter()
+    for i in range(1500):
+        text = _csv_text(r)
+        if i % 2:
+            path = tmp_path / f"{i}.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            got = _read_outcome(load_table, path)
+            want = _read_outcome(gen.load_table_by_rows, path)
+        else:
+            got = _read_outcome(load_table, io.StringIO(text))
+            want = _read_outcome(gen.load_table_by_rows, io.StringIO(text))
+        assert got == want, text[:300]
+        kinds[re.sub(r"\d+", "N", want[1]) if want[0] == "refused" else "read"] += 1
+    # every refusal the reader makes, and plenty of tables read
+    assert kinds["read"] > 500
+    assert {
+        "empty file", "empty column name in header", "duplicate header names",
+        "no data rows", "row N has an empty cell", "line N: row has N cells, expected N",
+        "line N: field larger than field limit (N)",
+    } <= set(kinds)
+    assert any(k.startswith("line N: new-line character") for k in kinds)
 
 
 def test_load_skips_blank_lines_and_strips_tokens():

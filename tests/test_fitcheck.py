@@ -1,5 +1,6 @@
 import io
 import math
+import sys
 import tracemalloc
 
 import pytest
@@ -85,23 +86,39 @@ def test_chi2_tail_wide_dof_matches_full_series():
             assert _chi2_sf(x, dof) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-def test_chi2_tail_work_grows_with_the_statistic_not_dof(monkeypatch):
-    calls = 0
-    lgamma = math.lgamma
+@pytest.mark.parametrize("dof", [1001, 894_010, 5_000_000])
+def test_chi2_tail_matches_mpmath_at_wide_dof(dof):
+    mpmath = pytest.importorskip("mpmath")
+    for f in (0.99, 0.998, 1.0, 1.002, 1.01):
+        with mpmath.workdps(40):
+            want = mpmath.gammainc(mpmath.mpf(dof) / 2, mpmath.mpf(dof * f) / 2,
+                                   regularized=True)
+        assert _chi2_sf(dof * f, dof) == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
-    def counting(z):
-        nonlocal calls
-        calls += 1
-        return lgamma(z)
 
-    monkeypatch.setattr(math, "lgamma", counting)
+def test_chi2_tail_work_grows_with_the_statistic_not_dof():
+    lines = 0
+
+    def counting(frame, event, arg):
+        nonlocal lines
+        if frame.f_code is _chi2_sf.__code__:
+            lines += event == "line"
+            return counting
+        return None
+
+    before = sys.gettrace()
     for f in (0.99, 1.0, 1.01, 2.0):
-        calls = 0
-        assert 0.0 <= _chi2_sf(5_000_000 * f, 5_000_000) <= 1.0
+        lines = 0
+        sys.settrace(counting)
+        try:
+            p = _chi2_sf(5_000_000 * f, 5_000_000)
+        finally:
+            sys.settrace(before)
+        assert 0.0 <= p <= 1.0
         # summed outward from the largest term, near j = x/2, until terms no
-        # longer change the sum: at most about 12 sqrt(x) terms (24k here);
-        # the full series has 2,500,000
-        assert calls < 50_000
+        # longer change the sum: at most about 12 sqrt(x) terms (27k here) of
+        # four lines each; the full series has 2,500,000 terms
+        assert 0 < lines < 150_000
 
 
 def test_chi2_tail_edges():

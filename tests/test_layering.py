@@ -1,8 +1,9 @@
 """Which modules each entry point loads, checked in fresh interpreters.
 
 ``import scmkit`` resolves its exports lazily, and each CLI subcommand imports
-only the modules on its path, so symbolic work never loads numpy and model
-work never compiles the estimand algebra or the graph code.
+only the modules on its path, so symbolic work, ``fit`` and ``discover --data``
+never load numpy, and model work never compiles the estimand algebra or the
+graph code.
 """
 
 import json
@@ -151,6 +152,13 @@ def test_symbolic_subcommands_load_no_numpy(argv):
     assert code in (0, 2)
     assert "numpy" not in modules
     assert "scmkit.scm" not in modules and "scmkit.estimate" not in modules
+
+
+@pytest.mark.parametrize("path", ["fit", "discover --data"])
+def test_independence_tests_on_data_load_no_numpy(path):
+    code, modules = loaded_after_run(MODULE_SETS[path][0])
+    assert code == 0
+    assert "numpy" not in modules
 
 
 @pytest.mark.parametrize("argv", MODEL.values(), ids=MODEL.keys())

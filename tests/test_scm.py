@@ -1,6 +1,9 @@
+import copy
 import itertools
 import math
+import pickle
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -328,6 +331,24 @@ def test_stored_codes_match_table_lookup():
         assert all(codes[v].dtype == np.uint8 for v in m.order)
 
 
+@pytest.mark.parametrize("copy_of", [
+    lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy, copy.copy,
+])
+def test_model_copies_keep_stored_codes_read_only(copy_of):
+    text = (Path(__file__).parent / "data" / "med.scm").read_text(encoding="utf-8")
+    # the pinned model carries a widened domain for M into its copies
+    for m in (parse_scm(text), intervene(parse_scm(text), {"M": "1"})):
+        c = copy_of(m)
+        assert (c.order, c.endo_domains) == (m.order, m.endo_domains)
+        assert serialize_scm(c) == serialize_scm(m)
+        for v in m.order:
+            assert c._luts[v].dtype == m._luts[v].dtype
+            assert c._luts[v].tolist() == m._luts[v].tolist()
+            with pytest.raises(ValueError):
+                c._luts[v][0] = 0
+        assert observational_joint(c).mass == observational_joint(m).mass
+
+
 def test_long_mechanism_chain_orders_without_recursion():
     # the sink sorts first, so the depth-first walk descends the whole chain
     n = 5000
@@ -588,6 +609,11 @@ def test_sample_matches_row_by_row_reference():
         assert got.domains == want.domains
         assert got.codes.dtype == want.codes.dtype
         assert (got.codes == want.codes).all()
+
+
+def test_sample_of_a_model_without_endogenous_variables():
+    d = sample(parse_scm("exo U {0: 0.5, 1: 0.5}"), 5, seed=1)
+    assert (d.n, d.columns, d.rows, d.codes.shape) == (5, (), ((),) * 5, (5, 0))
 
 
 def test_sample_size_validated():
