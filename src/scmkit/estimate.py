@@ -290,6 +290,8 @@ def _read_csv(fh: IO[str]) -> Dataset:
         header = next(reader)
     except StopIteration:
         raise DataError("empty file") from None
+    except csv.Error as exc:
+        raise DataError(f"line {reader.line_num}: {exc}") from None
     columns = tuple(h.strip() for h in header)
     if any(not c for c in columns):
         raise DataError("empty column name in header")

@@ -19,6 +19,8 @@ literal domain value.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Union
@@ -80,23 +82,108 @@ class UnboundSymbol(EstimandError):
     """A free symbol had no value in the supplied binding."""
 
 
-@dataclass(frozen=True)
-class Val:
+class _Node:
+    """Base of the estimand nodes, which are interned (hash-consed).
+
+    Building a node with the fields of a live node returns that node, so
+    nodes compare and hash by identity and a fixpoint test is ``is``.  The
+    table holds nodes weakly.  Each node caches two facts as bit sets over a
+    registry of symbols and (symbol, variable) pairs: ``_syms``, the symbols
+    it mentions, bound or free, and ``_free``, the pairs of its free
+    non-literal references.  ``_kids`` are its estimand children.
+    """
+
+    __slots__ = ("_kids", "_syms", "_free", "__weakref__")
+
+    def __reduce__(self):
+        # rebuilt through the constructor, so a copy is the interned node
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {render(self)}>"
+
+
+_LOCK = threading.Lock()
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_BITS: dict = {}  # symbol, or (symbol, variable) pair -> its bit index
+_KEYS: list = []  # bit index -> symbol or pair
+_PAIRS: dict[str, int] = {}  # symbol -> bit set of the pairs holding it
+
+
+def _intern(cls, *fields):
+    key = (cls, *fields)
+    with _LOCK:  # one node per key, also when threads race to build it
+        node = _NODES.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields):
+                object.__setattr__(node, name, value)
+            for name, value in zip(_Node.__slots__, node._facts()):
+                object.__setattr__(node, name, value)
+            _NODES[key] = node
+    return node
+
+
+def _bit(key) -> int:
+    """The bit of a symbol or a (symbol, variable) pair; called under _LOCK.
+    Bits are never reused, so the registry grows with the distinct symbols
+    and pairs the process has built nodes with."""
+    i = _BITS.get(key)
+    if i is None:
+        i = _BITS[key] = len(_KEYS)
+        _KEYS.append(key)
+        if isinstance(key, tuple):
+            _PAIRS[key[0]] = _PAIRS.get(key[0], 0) | 1 << i
+    return 1 << i
+
+
+def _check_estimand(e) -> None:
+    if not isinstance(e, (ProbTerm, Sum, Product, Quotient, One)):
+        raise EstimandError(f"not an estimand node: {e!r}")
+
+
+def _union(parts, kids=()) -> tuple:
+    """Facts of a node built from ``parts``, whose ``kids`` are estimands."""
+    for kid in kids:
+        _check_estimand(kid)
+    syms = free = 0
+    for part in parts:
+        syms |= part._syms
+        free |= part._free
+    return kids, syms, free
+
+
+class Val(_Node):
     """One variable-value reference inside a probability term.
 
     ``token`` is a literal domain value when ``literal`` is true, otherwise a
     symbol resolved through an enclosing sum binder or the caller's binding.
     """
 
-    var: str
-    token: str
-    literal: bool = False
+    __slots__ = ("var", "token", "literal")
 
-    def __post_init__(self):
+    def __new__(cls, var: str, token: str, literal: bool = False):
+        return _intern(cls, var, token, bool(literal))
+
+    def _facts(self) -> tuple:
         if not NAME_RE.fullmatch(self.var):
             raise EstimandError(f"invalid variable name: {self.var!r}")
         if not self.token or not VALUE_RE.fullmatch(self.token):
             raise EstimandError(f"invalid value token: {self.token!r}")
+        if self.literal:
+            return (), 0, 0
+        return (), _bit(self.token), _bit((self.token, self.var))
+
+    def __repr__(self) -> str:
+        return f"Val({self.var!r}, {self.token!r}, literal={self.literal})"
 
     def render(self) -> str:
         if (
@@ -119,12 +206,13 @@ def lit(var: str, value: str) -> Val:
     return Val(var, value, literal=True)
 
 
-@dataclass(frozen=True)
-class ProbTerm:
-    joint: tuple[Val, ...]
-    given: tuple[Val, ...] = ()
+class ProbTerm(_Node):
+    __slots__ = ("joint", "given")
 
-    def __post_init__(self):
+    def __new__(cls, joint: tuple[Val, ...], given: tuple[Val, ...] = ()):
+        return _intern(cls, tuple(joint), tuple(given))
+
+    def _facts(self) -> tuple:
         if not self.joint:
             raise EstimandError("probability term needs at least one joint entry")
         vars_seen = [v.var for v in self.joint + self.given]
@@ -132,48 +220,65 @@ class ProbTerm:
             raise EstimandError(
                 "a variable may appear only once in a probability term"
             )
+        return _union(self.joint + self.given)
 
     def render(self) -> str:
-        inner = ",".join(v.render() for v in self.joint)
+        inner = ",".join(map(Val.render, self.joint))
         if self.given:
-            inner += "|" + ",".join(v.render() for v in self.given)
+            inner += "|" + ",".join(map(Val.render, self.given))
         return f"P({inner})"
 
 
-@dataclass(frozen=True)
-class Sum:
+class Sum(_Node):
     """Sum of ``body`` over the domain of ``var``; ``token`` is the bound symbol."""
 
-    var: str
-    token: str
-    body: "Estimand"
+    __slots__ = ("var", "token", "body")
+
+    def __new__(cls, var: str, token: str, body: Estimand):
+        return _intern(cls, var, token, body)
+
+    def _facts(self) -> tuple:
+        kids, syms, free = _union((self.body,), (self.body,))
+        return kids, syms | _bit(self.token), free & ~_PAIRS.get(self.token, 0)
 
 
-@dataclass(frozen=True)
-class Product:
-    factors: tuple["Estimand", ...]
+class Product(_Node):
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
+    def __new__(cls, factors: Iterable[Estimand]):
         flat: list[Estimand] = []
-        for f in self.factors:
+        for f in factors:
             if isinstance(f, Product):
                 flat.extend(f.factors)
             else:
                 flat.append(f)
-        object.__setattr__(self, "factors", tuple(flat))
-        if len(self.factors) < 2:
+        if len(flat) < 2:
             raise EstimandError("a product needs at least two factors")
+        return _intern(cls, tuple(flat))
+
+    def _facts(self) -> tuple:
+        return _union(self.factors, self.factors)
 
 
-@dataclass(frozen=True)
-class Quotient:
-    num: "Estimand"
-    den: "Estimand"
+class Quotient(_Node):
+    __slots__ = ("num", "den")
+
+    def __new__(cls, num: Estimand, den: Estimand):
+        return _intern(cls, num, den)
+
+    def _facts(self) -> tuple:
+        kids = (self.num, self.den)
+        return _union(kids, kids)
 
 
-@dataclass(frozen=True)
-class One:
-    pass
+class One(_Node):
+    __slots__ = ()
+
+    def __new__(cls):
+        return _intern(cls)
+
+    def _facts(self) -> tuple:
+        return (), 0, 0
 
 
 ONE = One()
@@ -340,43 +445,36 @@ def eval_estimand(
     return float(values[0])
 
 
-# --- free variables ------------------------------------------------------------
+# --- walks and symbol facts --------------------------------------------------------
+
+
+def _postorder(root: Estimand, done: Mapping) -> list[Estimand]:
+    """The distinct nodes under ``root`` that are not keys of ``done``, each
+    after its children."""
+    order: list[Estimand] = []
+    seen: set[Estimand] = set()
+    todo = [(root, False)]
+    while todo:
+        node, ready = todo.pop()
+        if ready:
+            order.append(node)
+        elif node not in seen and node not in done:
+            seen.add(node)
+            todo.append((node, True))
+            todo.extend((kid, False) for kid in node._kids)
+    return order
 
 
 def free_variables(e: Estimand) -> frozenset[str]:
     """Variables referenced through free (unbound, non-literal) symbols."""
-    out: set[str] = set()
-
-    def walk(node: Estimand, bound: frozenset[str]) -> None:
-        if isinstance(node, ProbTerm):
-            for val in node.joint + node.given:
-                if not val.literal and val.token not in bound:
-                    out.add(val.var)
-        elif isinstance(node, Sum):
-            walk(node.body, bound | {node.token})
-        elif isinstance(node, Product):
-            for f in node.factors:
-                walk(f, bound)
-        elif isinstance(node, Quotient):
-            walk(node.num, bound)
-            walk(node.den, bound)
-
-    walk(e, frozenset())
-    return frozenset(out)
+    _check_estimand(e)
+    bits = enumerate(reversed(bin(e._free)))  # bit i is the i-th digit from the right
+    return frozenset(_KEYS[i][1] for i, bit in bits if bit == "1")
 
 
 def _mentions(e: Estimand, token: str) -> bool:
-    if isinstance(e, ProbTerm):
-        return any(
-            not v.literal and v.token == token for v in e.joint + e.given
-        )
-    if isinstance(e, Sum):
-        return e.token == token or _mentions(e.body, token)
-    if isinstance(e, Product):
-        return any(_mentions(f, token) for f in e.factors)
-    if isinstance(e, Quotient):
-        return _mentions(e.num, token) or _mentions(e.den, token)
-    return False
+    i = _BITS.get(token)
+    return i is not None and e._syms >> i & 1 == 1
 
 
 # --- simplification ------------------------------------------------------------
@@ -389,30 +487,31 @@ def simplify(e: Estimand) -> Estimand:
     P(a|b,C) * P(b|C) -> P(a,b|C); collapse of a sum whose bound symbol occurs
     in exactly one joint position, sum_{z} P(...,z,...|C) -> P(...|C); and
     cancellation of syntactically identical quotient factors.  The result
-    evaluates identically to the input on every joint table.
+    evaluates identically to the input on every joint table.  Each pass
+    rewrites every distinct node once, after its children, and a node's
+    rewrite is kept for later passes.
     """
+    _check_estimand(e)
+    once: dict[Estimand, Estimand] = {}
     for _ in range(1000):
-        e2 = _simplify_once(e)
-        if e2 == e:
+        for node in _postorder(e, once):
+            once[node] = _rewrite(node, once)
+        e2 = once[e]
+        if e2 is e:
             return e
         e = e2
     return e
 
 
-def _simplify_once(e: Estimand) -> Estimand:
-    if isinstance(e, (One, ProbTerm)):
-        return e
+def _rewrite(e: Estimand, once: Mapping[Estimand, Estimand]) -> Estimand:
+    """One rewriting step at ``e``, whose children rewrite as in ``once``."""
     if isinstance(e, Product):
-        factors = [_simplify_once(f) for f in e.factors]
-        factors = [f for f in factors if not isinstance(f, One)]
-        merged = _merge_chain(factors)
-        return prod_of(merged)
+        return prod_of(_merge_chain([once[f] for f in e.factors if once[f] is not ONE]))
     if isinstance(e, Quotient):
-        num = _simplify_once(e.num)
-        den = _simplify_once(e.den)
-        if num == den:
+        num, den = once[e.num], once[e.den]
+        if num is den:
             return ONE
-        if isinstance(den, One):
+        if den is ONE:
             return num
         out = _cancel(num, den)
         if isinstance(out, Quotient):
@@ -421,9 +520,8 @@ def _simplify_once(e: Estimand) -> Estimand:
                 return extracted
         return out
     if isinstance(e, Sum):
-        body = _simplify_once(e.body)
-        return _collapse_sum(Sum(e.var, e.token, body))
-    raise EstimandError(f"not an estimand node: {e!r}")
+        return _collapse_sum(Sum(e.var, e.token, once[e.body]))
+    return e
 
 
 def _merge_chain(factors: list[Estimand]) -> list[Estimand]:
@@ -510,164 +608,135 @@ def _cancel(num: Estimand, den: Estimand) -> Estimand:
 
 def render(e: Estimand) -> str:
     """Canonical text for an estimand; ``parse_estimand`` inverts it."""
-    return _render(e)
-
-
-def _render(e: Estimand) -> str:
-    if isinstance(e, One):
-        return "1"
-    if isinstance(e, ProbTerm):
-        return e.render()
-    if isinstance(e, Sum):
-        return f"sum_{{{e.token}}} " + _render(e.body)
-    if isinstance(e, Product):
-        parts = []
-        last = len(e.factors) - 1
-        for i, f in enumerate(e.factors):
-            needs_parens = (isinstance(f, Sum) and i < last) or (
-                isinstance(f, Quotient) and i > 0
-            )
-            parts.append(f"({_render(f)})" if needs_parens else _render(f))
-        return " * ".join(parts)
-    if isinstance(e, Quotient):
-        num = e.num
-        num_txt = f"({_render(num)})" if isinstance(num, (Product, Sum)) else _render(num)
-        den = e.den
-        den_txt = (
-            f"({_render(den)})"
-            if isinstance(den, (Product, Quotient, Sum))
-            else _render(den)
-        )
-        return f"{num_txt} / {den_txt}"
-    raise EstimandError(f"not an estimand node: {e!r}")
+    _check_estimand(e)
+    out: list[str] = []
+    todo: list[Estimand | str] = [e]  # text and nodes still to write, last first
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, ProbTerm):
+            out.append(item.render())
+        elif isinstance(item, Sum):
+            todo += [item.body, f"sum_{{{item.token}}} "]
+        elif isinstance(item, Product):
+            last = len(item.factors) - 1
+            for i, f in reversed(list(enumerate(item.factors))):
+                wrap = (isinstance(f, Sum) and i < last) or (isinstance(f, Quotient) and i > 0)
+                todo += [")", f, "("] if wrap else [f]
+                todo += [" * "] if i else []
+        elif isinstance(item, Quotient):
+            num, den = item.num, item.den
+            wrap = isinstance(den, (Product, Quotient, Sum))
+            todo += [")", den, "(", " / "] if wrap else [den, " / "]
+            todo += [")", num, "("] if isinstance(num, (Product, Sum)) else [num]
+        else:
+            out.append("1")
+    return "".join(out)
 
 
 # --- parsing -------------------------------------------------------------------
 
 
 class _Parser(Scanner):
+    """The grammar on explicit stacks: one frame per open expression, and the
+    variable of each open binder, taken from its first use in the body."""
+
     def error(self, msg: str) -> EstimandParseError:
         return EstimandParseError(msg, self.pos)
 
-    # grammar ------------------------------------------------------------
-
     def parse(self) -> Estimand:
-        self.skip_ws()
-        e = self.expr(frozenset())
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.error("unexpected trailing text")
-        return e
-
-    def expr(self, bound: frozenset[str]) -> Estimand:
-        out = self.factor(bound)
+        # a frame is (closer, binders, operand so far, pending operator); the
+        # closer is None at the top, ")" for a parenthesis, "sum" for a sum
+        frames: list[tuple] = [(None, (), None, None)]
+        self.binders: dict[str, str | None] = {}
         while True:
             self.skip_ws()
-            if self.literal("*"):
+            if self.literal("sum_{"):
+                frames.append(("sum", self.binder_list(), None, None))
+                continue
+            if self.literal("("):
+                frames.append((")", (), None, None))
+                continue
+            e = self.atom()
+            # fold the finished factor into the open expressions it ends
+            while True:
+                closer, binders, left, op = frames[-1]
+                if left is not None:
+                    e = Product((left, e)) if op == "*" else Quotient(left, e)
                 self.skip_ws()
-                rhs = self.factor(bound)
-                out = Product((out, rhs))
-            elif self.literal("/"):
-                self.skip_ws()
-                rhs = self.factor(bound)
-                out = Quotient(out, rhs)
-            else:
-                return out
+                op = self.peek()
+                if op in ("*", "/"):
+                    self.pos += 1
+                    frames[-1] = (closer, binders, e, op)
+                    break
+                frames.pop()
+                if closer is None:
+                    if self.pos != len(self.text):
+                        raise self.error("unexpected trailing text")
+                    return e
+                if closer == ")":
+                    self.expect(")")
+                for tok in reversed(binders):
+                    e = Sum(self.binders.pop(tok) or tok.upper(), tok, e)
 
-    def factor(self, bound: frozenset[str]) -> Estimand:
-        self.skip_ws()
-        if self.literal("sum_{"):
-            binders: list[str] = []
+    def binder_list(self) -> list[str]:
+        binders: list[str] = []
+        while True:
+            self.skip_ws()
+            tok = self.match_re(SYM_RE, "a bound symbol")
+            if tok in self.binders:
+                self.pos -= len(tok)
+                raise self.error(f"duplicate bound variable {tok!r}")
+            self.binders[tok] = None
+            binders.append(tok)
+            self.skip_ws()
+            if not self.literal(","):
+                self.expect("}")
+                return binders
+
+    def atom(self) -> Estimand:
+        if self.literal("P("):
+            sides: list[list[Val]] = [[]]  # the joint, then the given terms
             while True:
                 self.skip_ws()
-                tok = self.match_re(SYM_RE, "a bound symbol")
-                if tok in bound or tok in binders:
-                    self.pos -= len(tok)
-                    raise self.error(f"duplicate bound variable {tok!r}")
-                binders.append(tok)
+                sides[-1].append(self.assignment())
                 self.skip_ws()
-                if self.literal(","):
-                    continue
-                self.expect("}")
-                break
-            body = self.expr(bound | set(binders))
-            out = body
-            for tok in reversed(binders):
-                out = Sum(_binder_var(out, tok), tok, out)
-            return out
-        if self.literal("P("):
-            joint = self.terms(bound)
-            given: tuple[Val, ...] = ()
-            self.skip_ws()
-            if self.literal("|"):
-                given = self.terms(bound)
-                self.skip_ws()
+                if not self.literal(","):
+                    if len(sides) == 2 or not self.literal("|"):
+                        break
+                    sides.append([])
             self.expect(")")
             try:
-                return ProbTerm(joint, given)
+                return ProbTerm(*map(tuple, sides))
             except EstimandError as exc:
                 raise self.error(str(exc)) from None
-        if self.literal("("):
-            inner = self.expr(bound)
-            self.skip_ws()
-            self.expect(")")
-            return inner
         if self.peek() == "1" and not VALUE_RE.match(self.text, self.pos + 1):
             self.pos += 1
             return ONE
         raise self.error("expected a probability term, sum, or parenthesis")
 
-    def terms(self, bound: frozenset[str]) -> tuple[Val, ...]:
-        out: list[Val] = []
-        while True:
-            self.skip_ws()
-            out.append(self.assignment(bound))
-            self.skip_ws()
-            if not self.literal(","):
-                return tuple(out)
-
-    def assignment(self, bound: frozenset[str]) -> Val:
+    def assignment(self) -> Val:
         start = self.pos
         name = self.match_re(NAME_RE, "a variable or symbol")
         self.skip_ws()
         if self.literal("="):
             self.skip_ws()
             value = self.match_re(VALUE_RE, "a value token")
-            if value in bound:
-                return Val(name, value, literal=False)
-            return Val(name, value, literal=True)
-        if not SYM_RE.fullmatch(name):
+            if value not in self.binders:
+                return Val(name, value, literal=True)
+            val = Val(name, value, literal=False)
+        elif SYM_RE.fullmatch(name):
+            val = Val(name.upper(), name, literal=False)
+        else:
             self.pos = start
             raise self.error(
                 f"{name!r} needs an explicit '=value' (bare symbols are lowercase)"
             )
-        return Val(name.upper(), name, literal=False)
-
-
-def _binder_var(body: Estimand, token: str) -> str:
-    """Variable a binder ranges over: first matching symbol occurrence wins."""
-
-    def walk(node: Estimand) -> str | None:
-        if isinstance(node, ProbTerm):
-            for val in node.joint + node.given:
-                if not val.literal and val.token == token:
-                    return val.var
-            return None
-        if isinstance(node, Sum):
-            if node.token == token:
-                return None  # shadowed deeper; cannot happen after parse checks
-            return walk(node.body)
-        if isinstance(node, Product):
-            for f in node.factors:
-                got = walk(f)
-                if got:
-                    return got
-            return None
-        if isinstance(node, Quotient):
-            return walk(node.num) or walk(node.den)
-        return None
-
-    return walk(body) or token.upper()
+        if self.binders.get(val.token, "") is None:
+            # the first use of a bound symbol names the variable it ranges over
+            self.binders[val.token] = val.var
+        return val
 
 
 def parse_estimand(text: str) -> Estimand:

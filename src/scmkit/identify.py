@@ -11,6 +11,7 @@ interventionally, certifying each refusal.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import zlib
 from dataclasses import dataclass
@@ -209,31 +210,39 @@ def _fresh(var: str, used: set[str]) -> str:
 
 
 def _standardize(e: Estimand, free_vals: Mapping[str, Val], used: set[str]) -> Estimand:
-    """Replace internal placeholder symbols with query symbols and fresh binders."""
+    """Replace internal placeholder symbols with query symbols and fresh binders.
 
-    def walk(node: Estimand, env: dict[str, Val]) -> Estimand:
-        if isinstance(node, ProbTerm):
-            def conv(val: Val) -> Val:
-                target = env.get(val.var)
-                if target is None:
+    Occurrences are visited in written order on an explicit stack, so a node
+    reached twice is rewritten in each scope and binders get fresh symbols in
+    the order they are written.
+    """
+    # a task is (node, each variable's symbol in scope), or (builder, arity)
+    # once the node's parts are the last ``arity`` entries of ``built``
+    todo: list[tuple] = [(e, dict(free_vals))]
+    built: list[Estimand] = []
+    while todo:
+        node, env = todo.pop()
+        if isinstance(env, int):
+            parts = built[len(built) - env:]
+            del built[len(built) - env:]
+            built.append(node(*parts))
+        elif isinstance(node, ProbTerm):
+            for val in node.joint + node.given:
+                if val.var not in env:
                     raise EstimandError(f"no symbol in scope for {val.var}")
-                return target
-            return ProbTerm(
-                tuple(conv(v) for v in node.joint),
-                tuple(conv(v) for v in node.given),
-            )
-        if isinstance(node, Sum):
+            built.append(ProbTerm(tuple(env[v.var] for v in node.joint),
+                                  tuple(env[v.var] for v in node.given)))
+        elif isinstance(node, Sum):
             token = _fresh(node.var, used)
-            env2 = dict(env)
-            env2[node.var] = Val(node.var, token, literal=False)
-            return Sum(node.var, token, walk(node.body, env2))
-        if isinstance(node, Product):
-            return Product(tuple(walk(f, env) for f in node.factors))
-        if isinstance(node, Quotient):
-            return Quotient(walk(node.num, env), walk(node.den, env))
-        return node
-
-    return walk(e, dict(free_vals))
+            todo.append((functools.partial(Sum, node.var, token), 1))
+            todo.append((node.body, {**env, node.var: Val(node.var, token, literal=False)}))
+        elif isinstance(node, (Product, Quotient)):
+            build = Quotient if isinstance(node, Quotient) else lambda *fs: Product(fs)
+            todo.append((build, len(node._kids)))
+            todo += ((kid, env) for kid in reversed(node._kids))
+        else:
+            built.append(node)
+    return built[0]
 
 
 def identify(g: Admg, q: CausalQuery) -> IdentifyResult:

@@ -16,6 +16,7 @@ from collections import Counter, defaultdict
 import numpy as np
 
 from scmkit.expr import (
+    ONE,
     ConditioningOnZero,
     EstimandError,
     JointTable,
@@ -26,6 +27,7 @@ from scmkit.expr import (
     Sum,
     UnboundSymbol,
     Val,
+    prod_of,
 )
 from scmkit.graph import Admg, CiStatement, GraphError, d_separated
 from scmkit.lexer import VALUE
@@ -547,6 +549,208 @@ def _scan(e, table, binding, env):
     raise EstimandError(f"not an estimand node: {e!r}")
 
 
+# --- recursive estimand walks ----------------------------------------------------
+# The walks scmkit used before estimand nodes were interned: each recursion
+# follows the tree, compares by structure and rebuilds what it returns.
+# ``simplify``, ``render`` and ``identify._standardize`` must agree with them.
+
+
+def simplify_by_recursion(e):
+    for _ in range(1000):
+        e2 = _simplify_once_by_recursion(e)
+        if e2 == e:
+            return e
+        e = e2
+    return e
+
+
+def _simplify_once_by_recursion(e):
+    if isinstance(e, (One, ProbTerm)):
+        return e
+    if isinstance(e, Product):
+        factors = [_simplify_once_by_recursion(f) for f in e.factors]
+        factors = [f for f in factors if not isinstance(f, One)]
+        return prod_of(_merge_chain_by_scan(factors))
+    if isinstance(e, Quotient):
+        num = _simplify_once_by_recursion(e.num)
+        den = _simplify_once_by_recursion(e.den)
+        if num == den:
+            return ONE
+        if isinstance(den, One):
+            return num
+        out = _cancel_by_scan(num, den)
+        if isinstance(out, Quotient):
+            extracted = _extract_conditional_by_sets(out)
+            if extracted is not None:
+                return extracted
+        return out
+    if isinstance(e, Sum):
+        body = _simplify_once_by_recursion(e.body)
+        return _collapse_sum_by_recursion(Sum(e.var, e.token, body))
+    raise EstimandError(f"not an estimand node: {e!r}")
+
+
+def _merge_chain_by_scan(factors):
+    for i, a in enumerate(factors):
+        if not isinstance(a, ProbTerm):
+            continue
+        for j, b in enumerate(factors):
+            if i == j or not isinstance(b, ProbTerm):
+                continue
+            if set(a.given) != set(b.joint) | set(b.given):
+                continue
+            joint_vars = {v.var for v in a.joint} | {v.var for v in b.joint}
+            if len(joint_vars) != len(a.joint) + len(b.joint):
+                continue
+            merged = ProbTerm(
+                joint=tuple(sorted(a.joint + b.joint, key=lambda v: v.var)),
+                given=b.given,
+            )
+            lo, hi = min(i, j), max(i, j)
+            return factors[:lo] + [merged] + factors[lo + 1 : hi] + factors[hi + 1 :]
+    return factors
+
+
+def _mentions_by_recursion(e, token):
+    if isinstance(e, ProbTerm):
+        return any(not v.literal and v.token == token for v in e.joint + e.given)
+    if isinstance(e, Sum):
+        return e.token == token or _mentions_by_recursion(e.body, token)
+    if isinstance(e, Product):
+        return any(_mentions_by_recursion(f, token) for f in e.factors)
+    if isinstance(e, Quotient):
+        return _mentions_by_recursion(e.num, token) or _mentions_by_recursion(e.den, token)
+    return False
+
+
+def _collapse_sum_by_recursion(e):
+    token = e.token
+    body = e.body
+    if isinstance(body, ProbTerm):
+        candidates = [body]
+        rest = []
+    elif isinstance(body, Product):
+        candidates = [f for f in body.factors if _mentions_by_recursion(f, token)]
+        rest = [f for f in body.factors if not _mentions_by_recursion(f, token)]
+    else:
+        return e
+    if len(candidates) != 1 or not isinstance(candidates[0], ProbTerm):
+        return e
+    term = candidates[0]
+    in_joint = [v for v in term.joint if not v.literal and v.token == token]
+    in_given = [v for v in term.given if not v.literal and v.token == token]
+    if len(in_joint) != 1 or in_given:
+        return e
+    remaining = tuple(v for v in term.joint if v is not in_joint[0])
+    reduced = ProbTerm(remaining, term.given) if remaining else ONE
+    return prod_of(rest + [reduced]) if rest else reduced
+
+
+def _extract_conditional_by_sets(q):
+    num, den = q.num, q.den
+    if not (isinstance(num, ProbTerm) and isinstance(den, ProbTerm)):
+        return None
+    if set(num.given) != set(den.given):
+        return None
+    if not set(den.joint) < set(num.joint):
+        return None
+    remaining = tuple(v for v in num.joint if v not in set(den.joint))
+    given = tuple(sorted(den.joint + num.given, key=lambda v: v.var))
+    return ProbTerm(remaining, given)
+
+
+def _cancel_by_scan(num, den):
+    nf = list(num.factors) if isinstance(num, Product) else [num]
+    df = list(den.factors) if isinstance(den, Product) else [den]
+    changed = False
+    for d in list(df):
+        if d in nf:
+            nf.remove(d)
+            df.remove(d)
+            changed = True
+    if not changed:
+        return Quotient(num, den)
+    if not df:
+        return prod_of(nf)
+    return Quotient(prod_of(nf), prod_of(df))
+
+
+def render_by_recursion(e):
+    if isinstance(e, One):
+        return "1"
+    if isinstance(e, ProbTerm):
+        return e.render()
+    if isinstance(e, Sum):
+        return f"sum_{{{e.token}}} " + render_by_recursion(e.body)
+    if isinstance(e, Product):
+        parts = []
+        last = len(e.factors) - 1
+        for i, f in enumerate(e.factors):
+            needs_parens = (isinstance(f, Sum) and i < last) or (
+                isinstance(f, Quotient) and i > 0
+            )
+            text = render_by_recursion(f)
+            parts.append(f"({text})" if needs_parens else text)
+        return " * ".join(parts)
+    if isinstance(e, Quotient):
+        num, den = e.num, e.den
+        num_txt = render_by_recursion(num)
+        if isinstance(num, (Product, Sum)):
+            num_txt = f"({num_txt})"
+        den_txt = render_by_recursion(den)
+        if isinstance(den, (Product, Quotient, Sum)):
+            den_txt = f"({den_txt})"
+        return f"{num_txt} / {den_txt}"
+    raise EstimandError(f"not an estimand node: {e!r}")
+
+
+def standardize_by_recursion(e, free_vals, used):
+    """``identify._standardize`` as one recursion per occurrence."""
+    from scmkit.identify import _fresh
+
+    def walk(node, env):
+        if isinstance(node, ProbTerm):
+            def conv(val):
+                target = env.get(val.var)
+                if target is None:
+                    raise EstimandError(f"no symbol in scope for {val.var}")
+                return target
+            return ProbTerm(
+                tuple(conv(v) for v in node.joint),
+                tuple(conv(v) for v in node.given),
+            )
+        if isinstance(node, Sum):
+            token = _fresh(node.var, used)
+            env2 = dict(env)
+            env2[node.var] = Val(node.var, token, literal=False)
+            return Sum(node.var, token, walk(node.body, env2))
+        if isinstance(node, Product):
+            return Product(tuple(walk(f, env) for f in node.factors))
+        if isinstance(node, Quotient):
+            return Quotient(walk(node.num, env), walk(node.den, env))
+        return node
+
+    return walk(e, dict(free_vals))
+
+
+def random_query_text(r, names):
+    """A layer-1 or layer-2 query over ``names``: one or two outcomes, up to
+    two interventions and up to two conditions, with symbols or values."""
+    names = list(names)
+    r.shuffle(names)
+    n_out = int(r.integers(1, min(2, len(names)) + 1))
+    n_do = int(r.integers(0, min(2, len(names) - n_out) + 1))
+    n_cond = int(r.integers(0, min(2, len(names) - n_out - n_do) + 1))
+
+    def term(v):
+        return v if r.random() < 0.7 else f"{v}={int(r.integers(0, 2))}"
+
+    out = ",".join(map(term, names[:n_out]))
+    rest = [f"do({term(v)})" for v in names[n_out:n_out + n_do]]
+    rest += map(term, names[n_out + n_do:n_out + n_do + n_cond])
+    return f"P({out}|{','.join(rest)})" if rest else f"P({out})"
+
+
 def bootstrap_by_replicate(e, d, binding=None, B=1000, level=0.95, seed=0):
     """Percentile bootstrap one replicate at a time, each resample a fresh
     ``JointTable`` evaluated by ``dict_scan_eval``, with the replicate seeds
@@ -757,6 +961,8 @@ def load_table_by_rows(source):
             header = next(reader)
         except StopIteration:
             raise DataError("empty file") from None
+        except csv.Error as exc:
+            raise DataError(f"line {reader.line_num}: {exc}") from None
         columns = tuple(h.strip() for h in header)
         if any(not c for c in columns):
             raise DataError("empty column name in header")

@@ -552,12 +552,25 @@ def test_byte_order_mark_is_accepted_in_data_and_graph_files(tmp_path):
 # --- refusal contract ------------------------------------------------------------------
 
 
+def _chain_graph(n):
+    names = [f"V{i}" for i in range(n)]
+    return "".join(f"var {v}\n" for v in names) + "".join(
+        f"{a} -> {b}\n" for a, b in zip(names, names[1:])
+    )
+
+
+def _chain_effect(n):
+    """What ``identify`` prints for P(V{n-1}|do(V{n-2})) on the chain: each
+    other variable summed against its marginal, in name order."""
+    others = sorted(f"v{i}" for i in range(n - 2))
+    given = ",".join(sorted(others + [f"v{n - 2}"]))
+    return "".join(f"sum_{{{v}}} P({v}) * " for v in others) + f"P(v{n - 1}|{given})\n"
+
+
 def _write_refusal_inputs(tmp):
     names = [f"V{i}" for i in range(1200)]
-    (tmp / "chain.cg").write_text(
-        "".join(f"var {v}\n" for v in names)
-        + "".join(f"{a} -> {b}\n" for a, b in zip(names, names[1:]))
-    )
+    (tmp / "chain.cg").write_text(_chain_graph(1200))
+    (tmp / "chain150.cg").write_text(_chain_graph(150))
     # the sink V0 sorts first, so ordering the mechanisms descends the chain
     (tmp / "chain.scm").write_text("exo U {0: 0.5, 1: 0.5}\n" + "".join(
         f"endo {v} ({p}) {{(0) -> 0, (1) -> 1}}\n"
@@ -567,6 +580,7 @@ def _write_refusal_inputs(tmp):
     (tmp / "cycle.scm").write_text(
         "endo A (B) {(0) -> 0, (1) -> 1}\nendo B (A) {(0) -> 0, (1) -> 1}\n"
     )
+    (tmp / "wide_header.csv").write_text("X" * 200_000 + ",Y\n0,1\n")
     (tmp / "bad.scm").write_text(
         Path(path("med.scm")).read_text().replace("{0: 0.5,", "{0: 0.5.5,", 1)
     )
@@ -581,6 +595,12 @@ REFUSALS = {
     "identify on a 1200-node chain": (
         ["identify", "--graph", "{tmp}/chain.cg", "--query", "P(V1|do(V0))"],
         0, "P(v1|v0)\n", ""),
+    "identify the last effect on a 150-node chain": (
+        ["identify", "--graph", "{tmp}/chain150.cg", "--query", "P(V149|do(V148))"],
+        0, _chain_effect(150), ""),
+    "identify the last effect on a 1200-node chain": (
+        ["identify", "--graph", "{tmp}/chain.cg", "--query", "P(V1199|do(V1198))"],
+        0, _chain_effect(1200), ""),
     "counterfactual on a 1200-mechanism chain": (
         ["counterfactual", "--scm", "{tmp}/chain.scm", "--query", "P(V0=1)"],
         0, "probability: 0.500000\n", ""),
@@ -608,6 +628,9 @@ REFUSALS = {
         ["pnps", "--data", path("d8.csv"), "--exposure", "X", "--outcome", "X",
          "--px1", "0.5", "--px0", "0.5"],
         1, "", PNPS_ROLES),
+    "header name over the csv field limit": (
+        ["discover", "--data", "{tmp}/wide_header.csv"],
+        1, "", "error: line 1: field larger than field limit (131072)\n"),
     "recover target naming a variable twice": (
         ["recover", "--graph", path("mar.cg"), "--data", path("dmiss.csv"),
          "--target", "Y=0,Y=1"],

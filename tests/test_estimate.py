@@ -366,6 +366,16 @@ def test_reader_agrees_with_row_by_row_oracle(tmp_path):
     assert any(k.startswith("line N: new-line character") for k in kinds)
 
 
+def test_header_field_over_the_csv_limit_is_refused_with_its_line():
+    wide = "x" * (csv.field_size_limit() + 1)
+    limit = f"field larger than field limit ({csv.field_size_limit()})"
+    for text, line in ((f"{wide},Y\n0,1\n", 1), (f'"a\nb",{wide}\n0,1\n', 2)):
+        for read in (load_table, gen.load_table_by_rows):
+            with pytest.raises(DataError) as info:
+                read(io.StringIO(text))
+            assert str(info.value) == f"line {line}: {limit}"
+
+
 def test_load_skips_blank_lines_and_strips_tokens():
     d = load_table(io.StringIO(" X , Y \n\n 0 , NA \n\n1 ,  10\n"))
     assert d.columns == ("X", "Y")

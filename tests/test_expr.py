@@ -2,6 +2,7 @@ import copy
 import itertools
 import math
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -472,3 +473,110 @@ def test_joint_table_codes_and_weights_are_read_only():
     # tables compare by identity
     assert t == t
     assert t != JointTable(t.variables, t.domains, dict(t.mass))
+
+
+# --- interned nodes -----------------------------------------------------------------
+
+
+def _random_estimands(seed, count, depth=3):
+    r = gen.rng(seed)
+    for _ in range(count):
+        variables = ["X", "Y", "Z", "W"][: int(r.integers(2, 5))]
+        yield gen.random_estimand(r, variables, depth=depth)
+
+
+def test_simplify_and_render_match_the_recursive_oracles():
+    for e in _random_estimands(13, 2000, depth=4):
+        want = gen.simplify_by_recursion(e)
+        assert simplify(e) is want
+        assert render(e) == gen.render_by_recursion(e)
+        assert render(want) == gen.render_by_recursion(want)
+
+
+def test_free_variables_match_a_scoped_walk():
+    def by_walk(e, bound=frozenset()):
+        if isinstance(e, ProbTerm):
+            return {v.var for v in e.joint + e.given if not v.literal and v.token not in bound}
+        if isinstance(e, Sum):
+            return by_walk(e.body, bound | {e.token})
+        kids = e.factors if isinstance(e, Product) else (
+            (e.num, e.den) if isinstance(e, Quotient) else ())
+        return set().union(*(by_walk(k, bound) for k in kids))
+
+    for e in _random_estimands(14, 1000):
+        assert free_variables(e) == by_walk(e)
+    inner = parse_estimand("sum_{t} P(Y=t) * P(Z=t)")
+    assert free_variables(Product((ProbTerm((Val("X", "t"),)), inner))) == {"X"}
+
+
+def test_nodes_with_equal_fields_are_one_node():
+    for e in _random_estimands(15, 300):
+        assert parse_estimand(render(e)) is e
+    x, y, z = (parse_estimand(f"P({s})") for s in "xyz")
+    assert Product((x, Product((y, z)))) is Product((Product((x, y)), z))
+    assert Val("X", "1", 1) is Val("X", "1", literal=True)
+    # comparison and hashing are by identity, not generated from the fields
+    for cls in (Val, ProbTerm, Sum, Product, Quotient, type(ONE)):
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+    with pytest.raises(AttributeError):
+        x.joint = ()
+
+
+@pytest.mark.parametrize("copy_of", [
+    lambda e: pickle.loads(pickle.dumps(e)), copy.deepcopy, copy.copy,
+])
+def test_estimand_copies_are_the_same_node(copy_of):
+    nodes = [ONE, Val("X", "x"), Val("X", "1", True)]
+    nodes += list(_random_estimands(16, 100))
+    for e in nodes:
+        assert copy_of(e) is e
+    assert copy_of(nodes[3:]) == nodes[3:]
+
+
+def test_threads_building_the_same_fields_get_one_node():
+    texts = [render(e) for e in _random_estimands(17, 200)]
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def build(k):
+        barrier.wait()
+        results[k] = [parse_estimand(t) for t in texts]
+
+    threads = [threading.Thread(target=build, args=(k,)) for k in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for built in results[1:]:
+        assert all(a is b for a, b in zip(results[0], built))
+
+
+def test_binder_ranges_over_the_variable_of_its_first_use():
+    cases = {
+        "sum_{t} P(Y=t) * P(X=t)": ["Y"],
+        "sum_{t,u} P(X=u|Y=t)": ["Y", "X"],
+        "sum_{t} P(x)": ["T"],
+        "sum_{t} sum_{u} P(A=u) * P(B=t)": ["B", "A"],
+        "P(Z=t) * sum_{t} (P(y) / P(W=t))": ["W"],
+    }
+    for text, want in cases.items():
+        got, todo = [], [parse_estimand(text)]
+        while todo:  # binders in the order they are written
+            e = todo.pop()
+            if isinstance(e, Sum):
+                got.append(e.var)
+                todo.append(e.body)
+            elif isinstance(e, Product):
+                todo.extend(reversed(e.factors))
+            elif isinstance(e, Quotient):
+                todo += [e.den, e.num]
+        assert got == want, text
+
+
+def test_not_an_estimand_node_is_refused():
+    for bad in (Val("X", "x"), "P(x)", None):
+        for fn in (simplify, render, free_variables):
+            with pytest.raises(EstimandError, match="not an estimand node"):
+                fn(bad)
+        with pytest.raises(EstimandError, match="not an estimand node"):
+            Product((parse_estimand("P(x)"), bad))

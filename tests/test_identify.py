@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -311,3 +312,30 @@ def test_witness_found_for_small_nonidentifiable_graphs():
                 gen.brute_marginal(w.model_b, cell), abs=1e-9
             )
         cases += 1
+
+
+def test_identify_matches_the_recursive_walks_on_random_admg_queries(monkeypatch):
+    identify_module = sys.modules[identify.__module__]
+    r = gen.rng(39)
+    pairs, shown = [], set()
+    while len(pairs) < 2000:
+        g = gen.random_admg(r, int(r.integers(2, 7)))
+        q = parse_query(gen.random_query_text(r, sorted(g.nodes)))
+        res = identify(g, q)
+        if isinstance(res, Identified):
+            pairs.append((g, q, res.estimand))
+    monkeypatch.setattr(identify_module, "_standardize", gen.standardize_by_recursion)
+    for g, q, got in pairs:
+        want = identify(g, q).estimand
+        assert got is want
+        assert render(got) == gen.render_by_recursion(want)
+        text = render(simplify(got))
+        assert text == gen.render_by_recursion(gen.simplify_by_recursion(want))
+        shown.add(text)
+    assert len(shown) > 500
+
+
+def test_conditional_backdoor_query_names_its_denominator_binder_fresh():
+    res = identify(BACKDOOR, parse_query("P(Y|do(X),Z)"))
+    assert render(res.estimand) == "(P(y|x,z) * P(z)) / (sum_{y2} P(Y=y2|x,z) * P(z))"
+    assert render(simplify(res.estimand)) == "P(y|x,z)"
