@@ -25,6 +25,7 @@ from .expr import (
     Sum,
     UnboundSymbol,
     Val,
+    _walk,
 )
 
 __all__ = ["eval_rows"]
@@ -53,7 +54,7 @@ def eval_rows(
             raise UnboundSymbol(f"variable {var} not in the joint table")
     ev = _RowEvaluation(table, weights)
     with np.errstate(divide="ignore", invalid="ignore"):
-        values = ev.eval(e, binding, {})
+        values = _walk(ev.eval, e, binding, {})
     return values, ev.marked
 
 
@@ -105,9 +106,8 @@ class _RowEvaluation:
             self.marginals[cols] = marginal
         return marginal[:, g]
 
-    def eval(
-        self, e: Estimand, binding: Mapping[str, str], env: dict[str, str]
-    ) -> np.ndarray:
+    def eval(self, e: Estimand, binding: Mapping[str, str], env: dict[str, str]):
+        """A visit for ``_walk``: the per-row values of ``e``."""
         if isinstance(e, One):
             return self.zero + 1.0
         if isinstance(e, ProbTerm):
@@ -136,16 +136,16 @@ class _RowEvaluation:
             total = self.zero
             for value in self.table.domains[e.var]:
                 env[e.token] = value
-                total = total + self.eval(e.body, binding, env)
+                total = total + (yield e.body, binding, env)
             del env[e.token]
             return total
         if isinstance(e, Product):
             out = self.zero + 1.0
             for f in e.factors:
-                out = out * self.eval(f, binding, env)
+                out = out * (yield f, binding, env)
             return out
         if isinstance(e, Quotient):
-            den = self.eval(e.den, binding, env)
+            den = yield e.den, binding, env
             self.mark(den == 0.0, lambda: "quotient denominator is zero")
-            return self.eval(e.num, binding, env) / den
+            return (yield e.num, binding, env) / den
         raise EstimandError(f"not an estimand node: {e!r}")

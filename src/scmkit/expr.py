@@ -448,21 +448,23 @@ def eval_estimand(
 # --- walks and symbol facts --------------------------------------------------------
 
 
-def _postorder(root: Estimand, done: Mapping) -> list[Estimand]:
-    """The distinct nodes under ``root`` that are not keys of ``done``, each
-    after its children."""
-    order: list[Estimand] = []
-    seen: set[Estimand] = set()
-    todo = [(root, False)]
-    while todo:
-        node, ready = todo.pop()
-        if ready:
-            order.append(node)
-        elif node not in seen and node not in done:
-            seen.add(node)
-            todo.append((node, True))
-            todo.extend((kid, False) for kid in node._kids)
-    return order
+def _walk(visit, *args):
+    """``visit(*args)``, run on an explicit stack of generators.  A visit
+    yields the arguments of each sub-walk it needs, is sent that walk's
+    result, and returns its own; so it reads like plain recursion, runs its
+    steps in the same order, and never meets the recursion limit."""
+    stack, value = [visit(*args)], None
+    while True:
+        try:
+            sub = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            value = done.value
+        else:
+            stack.append(visit(*sub))
+            value = None
 
 
 def free_variables(e: Estimand) -> frozenset[str]:
@@ -493,10 +495,16 @@ def simplify(e: Estimand) -> Estimand:
     """
     _check_estimand(e)
     once: dict[Estimand, Estimand] = {}
-    for _ in range(1000):
-        for node in _postorder(e, once):
+
+    def rewrite(node: Estimand):
+        if node not in once:
+            for kid in node._kids:
+                yield (kid,)
             once[node] = _rewrite(node, once)
-        e2 = once[e]
+        return once[node]
+
+    for _ in range(1000):
+        e2 = _walk(rewrite, e)
         if e2 is e:
             return e
         e = e2
@@ -610,75 +618,74 @@ def render(e: Estimand) -> str:
     """Canonical text for an estimand; ``parse_estimand`` inverts it."""
     _check_estimand(e)
     out: list[str] = []
-    todo: list[Estimand | str] = [e]  # text and nodes still to write, last first
-    while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif isinstance(item, ProbTerm):
-            out.append(item.render())
-        elif isinstance(item, Sum):
-            todo += [item.body, f"sum_{{{item.token}}} "]
-        elif isinstance(item, Product):
-            last = len(item.factors) - 1
-            for i, f in reversed(list(enumerate(item.factors))):
-                wrap = (isinstance(f, Sum) and i < last) or (isinstance(f, Quotient) and i > 0)
-                todo += [")", f, "("] if wrap else [f]
-                todo += [" * "] if i else []
-        elif isinstance(item, Quotient):
-            num, den = item.num, item.den
-            wrap = isinstance(den, (Product, Quotient, Sum))
-            todo += [")", den, "(", " / "] if wrap else [den, " / "]
-            todo += [")", num, "("] if isinstance(num, (Product, Sum)) else [num]
-        else:
-            out.append("1")
+    _walk(_render, e, out)
     return "".join(out)
+
+
+def _render(e: Estimand, out: list[str]):
+    """A visit: writes the text of ``e`` to ``out``."""
+    if isinstance(e, Sum):
+        out.append(f"sum_{{{e.token}}} ")
+        yield e.body, out
+    elif isinstance(e, Product):
+        last = len(e.factors) - 1
+        for i, f in enumerate(e.factors):
+            wrap = (isinstance(f, Sum) and i < last) or (isinstance(f, Quotient) and i > 0)
+            yield from _operand(f, out, " * " if i else "", wrap)
+    elif isinstance(e, Quotient):
+        yield from _operand(e.num, out, "", isinstance(e.num, (Product, Sum)))
+        yield from _operand(e.den, out, " / ", isinstance(e.den, (Product, Quotient, Sum)))
+    else:
+        out.append(e.render() if isinstance(e, ProbTerm) else "1")
+
+
+def _operand(e: Estimand, out: list[str], before: str, wrap: bool):
+    """Part of a visit: writes ``before``, then ``e`` in parentheses if ``wrap``."""
+    out.append(before + "(" if wrap else before)
+    yield e, out
+    if wrap:
+        out.append(")")
 
 
 # --- parsing -------------------------------------------------------------------
 
 
 class _Parser(Scanner):
-    """The grammar on explicit stacks: one frame per open expression, and the
-    variable of each open binder, taken from its first use in the body."""
+    """The grammar as a visit per ``expr``, run by ``_walk``; each open
+    binder's variable is taken from its first use in the body."""
 
     def error(self, msg: str) -> EstimandParseError:
         return EstimandParseError(msg, self.pos)
 
     def parse(self) -> Estimand:
-        # a frame is (closer, binders, operand so far, pending operator); the
-        # closer is None at the top, ")" for a parenthesis, "sum" for a sum
-        frames: list[tuple] = [(None, (), None, None)]
         self.binders: dict[str, str | None] = {}
+        e = _walk(self.expr)
+        if self.pos != len(self.text):
+            raise self.error("unexpected trailing text")
+        return e
+
+    def expr(self):
+        """A visit: the ``expr`` at the cursor, with a sub-walk for the
+        ``expr`` inside each sum or parenthesis."""
+        e = op = None
         while True:
             self.skip_ws()
             if self.literal("sum_{"):
-                frames.append(("sum", self.binder_list(), None, None))
-                continue
-            if self.literal("("):
-                frames.append((")", (), None, None))
-                continue
-            e = self.atom()
-            # fold the finished factor into the open expressions it ends
-            while True:
-                closer, binders, left, op = frames[-1]
-                if left is not None:
-                    e = Product((left, e)) if op == "*" else Quotient(left, e)
-                self.skip_ws()
-                op = self.peek()
-                if op in ("*", "/"):
-                    self.pos += 1
-                    frames[-1] = (closer, binders, e, op)
-                    break
-                frames.pop()
-                if closer is None:
-                    if self.pos != len(self.text):
-                        raise self.error("unexpected trailing text")
-                    return e
-                if closer == ")":
-                    self.expect(")")
+                binders = self.binder_list()
+                f = yield ()
                 for tok in reversed(binders):
-                    e = Sum(self.binders.pop(tok) or tok.upper(), tok, e)
+                    f = Sum(self.binders.pop(tok) or tok.upper(), tok, f)
+            elif self.literal("("):
+                f = yield ()
+                self.expect(")")
+            else:
+                f = self.atom()
+            e = f if op is None else Product((e, f)) if op == "*" else Quotient(e, f)
+            self.skip_ws()
+            op = self.peek()
+            if op not in ("*", "/"):
+                return e
+            self.pos += 1
 
     def binder_list(self) -> list[str]:
         binders: list[str] = []

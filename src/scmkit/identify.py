@@ -11,7 +11,6 @@ interventionally, certifying each refusal.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import zlib
 from dataclasses import dataclass
@@ -25,6 +24,7 @@ from .expr import (
     Quotient,
     Sum,
     Val,
+    _walk,
     free_variables,
     prod_of,
     sum_over,
@@ -122,7 +122,7 @@ def _pt(joint_vars: Iterable[str], given_vars: Iterable[str] = ()) -> ProbTerm:
 
 @dataclass(frozen=True)
 class _Dist:
-    """Distribution over ``order`` threaded through the recursion.
+    """Distribution over ``order`` threaded through the sub-walks of ``_id``.
 
     When ``expr`` is a plain probability term covering exactly ``order``,
     marginals and conditionals stay plain terms; otherwise they are built
@@ -163,19 +163,22 @@ class _Dist:
         return Quotient(num, den)
 
 
-def _id(y: frozenset[str], x: frozenset[str], P: _Dist, g: Admg) -> Estimand:
+def _id(y: frozenset[str], x: frozenset[str], P: _Dist, g: Admg):
+    """A visit for ``_walk``: the estimand of P(y | do(x)) from ``P`` on ``g``."""
     v = g.nodes
     if not x:
         return P.marginal(y).expr
     anc = g.ancestors(y)
     if v != anc:
-        return _id(y, x & anc, P.marginal(anc), g.induced(anc))
+        return (yield y, x & anc, P.marginal(anc), g.induced(anc))
     w = (v - x) - g.without_incoming(x).ancestors(y)
     if w:
-        return _id(y, x | w, P, g)
+        return (yield y, x | w, P, g)
     comps = c_components(g.induced(v - x))
     if len(comps) > 1:
-        factors = [_id(s, v - s, P, g) for s in comps]
+        factors = []
+        for s in comps:
+            factors.append((yield s, v - s, P, g))
         return sum_over(((u, u) for u in sorted(v - y - x)), prod_of(factors))
     s = comps[0]
     comps_g = c_components(g)
@@ -192,7 +195,7 @@ def _id(y: frozenset[str], x: frozenset[str], P: _Dist, g: Admg) -> Estimand:
     ordered = sorted(s_prime, key=pos.__getitem__)
     factors = [P.conditional(u, tuple(P.order[: pos[u]])) for u in ordered]
     P2 = _Dist(tuple(ordered), prod_of(factors))
-    return _id(y, x & s_prime, P2, g.induced(s_prime))
+    return (yield y, x & s_prime, P2, g.induced(s_prime))
 
 
 def _fresh(var: str, used: set[str]) -> str:
@@ -209,40 +212,31 @@ def _fresh(var: str, used: set[str]) -> str:
     return f"{base}{k}"
 
 
-def _standardize(e: Estimand, free_vals: Mapping[str, Val], used: set[str]) -> Estimand:
-    """Replace internal placeholder symbols with query symbols and fresh binders.
+def _standardize(e: Estimand, env: Mapping[str, Val], used: set[str]):
+    """A visit for ``_walk``: ``e`` with internal placeholder symbols replaced
+    by query symbols (``env`` maps each variable to its symbol in scope) and
+    fresh binders.
 
-    Occurrences are visited in written order on an explicit stack, so a node
-    reached twice is rewritten in each scope and binders get fresh symbols in
-    the order they are written.
+    Occurrences are visited in written order, so a node reached twice is
+    rewritten in each scope and binders get fresh symbols in the order they
+    are written.
     """
-    # a task is (node, each variable's symbol in scope), or (builder, arity)
-    # once the node's parts are the last ``arity`` entries of ``built``
-    todo: list[tuple] = [(e, dict(free_vals))]
-    built: list[Estimand] = []
-    while todo:
-        node, env = todo.pop()
-        if isinstance(env, int):
-            parts = built[len(built) - env:]
-            del built[len(built) - env:]
-            built.append(node(*parts))
-        elif isinstance(node, ProbTerm):
-            for val in node.joint + node.given:
-                if val.var not in env:
-                    raise EstimandError(f"no symbol in scope for {val.var}")
-            built.append(ProbTerm(tuple(env[v.var] for v in node.joint),
-                                  tuple(env[v.var] for v in node.given)))
-        elif isinstance(node, Sum):
-            token = _fresh(node.var, used)
-            todo.append((functools.partial(Sum, node.var, token), 1))
-            todo.append((node.body, {**env, node.var: Val(node.var, token, literal=False)}))
-        elif isinstance(node, (Product, Quotient)):
-            build = Quotient if isinstance(node, Quotient) else lambda *fs: Product(fs)
-            todo.append((build, len(node._kids)))
-            todo += ((kid, env) for kid in reversed(node._kids))
-        else:
-            built.append(node)
-    return built[0]
+    if isinstance(e, ProbTerm):
+        for val in e.joint + e.given:
+            if val.var not in env:
+                raise EstimandError(f"no symbol in scope for {val.var}")
+        return ProbTerm(tuple(env[v.var] for v in e.joint), tuple(env[v.var] for v in e.given))
+    if isinstance(e, Sum):
+        token = _fresh(e.var, used)
+        return Sum(e.var, token, (yield e.body, {**env, e.var: Val(e.var, token)}, used))
+    if isinstance(e, Product):
+        factors = []
+        for f in e.factors:
+            factors.append((yield f, env, used))
+        return Product(factors)
+    if isinstance(e, Quotient):
+        return Quotient((yield e.num, env, used), (yield e.den, env, used))
+    return e
 
 
 def identify(g: Admg, q: CausalQuery) -> IdentifyResult:
@@ -273,7 +267,7 @@ def identify(g: Admg, q: CausalQuery) -> IdentifyResult:
     else:
         p0 = _Dist(g.topological_order(), _pt(g.nodes))
         try:
-            num = _id(y | zs, xs, p0, g)
+            num = _walk(_id, y | zs, xs, p0, g)
         except _Hedge as h:
             return NonIdentifiable(frozenset(h.forest), frozenset(h.subforest))
         if zs:
@@ -292,7 +286,7 @@ def identify(g: Admg, q: CausalQuery) -> IdentifyResult:
         t.var: Val(t.var, t.token, t.literal) for t in q.outcome + q.do + q.condition
     }
     used = {t.token for t in q.outcome + q.do + q.condition}
-    return Identified(_standardize(internal, free_vals, used))
+    return Identified(_walk(_standardize, internal, free_vals, used))
 
 
 # --- non-identifiability witness ----------------------------------------------------

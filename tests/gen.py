@@ -15,6 +15,7 @@ from collections import Counter, defaultdict
 
 import numpy as np
 
+from scmkit.evaluate import _resolve, _RowEvaluation
 from scmkit.expr import (
     ONE,
     ConditioningOnZero,
@@ -27,6 +28,7 @@ from scmkit.expr import (
     Sum,
     UnboundSymbol,
     Val,
+    _Parser,
     prod_of,
 )
 from scmkit.graph import Admg, CiStatement, GraphError, d_separated
@@ -547,6 +549,109 @@ def _scan(e, table, binding, env):
             raise ConditioningOnZero("quotient denominator is zero")
         return _scan(e.num, table, binding, env) / den
     raise EstimandError(f"not an estimand node: {e!r}")
+
+
+# --- evaluation and parsing by recursion and frames ------------------------------
+# The evaluator and the parser scmkit used before its estimand walks ran on
+# ``expr._walk``: ``eval_rows`` and ``parse_estimand`` must agree with them.
+
+
+def eval_rows_by_recursion(e, table: JointTable, weights, binding=None):
+    """``evaluate.eval_rows`` with one recursion per node."""
+    binding = dict(binding or {})
+    for var in binding:
+        if var not in table.domains:
+            raise UnboundSymbol(f"variable {var} not in the joint table")
+    ev = _RowEvaluationByRecursion(table, weights)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = ev.eval(e, binding, {})
+    return values, ev.marked
+
+
+class _RowEvaluationByRecursion(_RowEvaluation):
+    def eval(self, e, binding, env):
+        if isinstance(e, One):
+            return self.zero + 1.0
+        if isinstance(e, ProbTerm):
+            assignment = []
+            for val in e.joint + e.given:
+                col = self.table.index(val.var)
+                token = _resolve(val, binding, env)
+                assignment.append((col, self.table.value_codes[val.var].get(token)))
+            p_all = self.prob(assignment)
+            if not e.given:
+                return p_all
+            p_given = self.prob(assignment[len(e.joint):])
+            self.mark(p_given == 0.0, lambda: ",".join(
+                f"{v.var}={_resolve(v, binding, env)}" for v in e.given
+            ))
+            return p_all / p_given
+        if isinstance(e, Sum):
+            if e.token in env:
+                raise EstimandError(f"symbol {e.token!r} bound twice along one path")
+            if e.var not in self.table.domains:
+                raise UnboundSymbol(f"variable {e.var} not in the joint table")
+            if not self.table.domains[e.var]:
+                raise ConditioningOnZero(f"no observed value of {e.var}")
+            total = self.zero
+            for value in self.table.domains[e.var]:
+                env[e.token] = value
+                total = total + self.eval(e.body, binding, env)
+            del env[e.token]
+            return total
+        if isinstance(e, Product):
+            out = self.zero + 1.0
+            for f in e.factors:
+                out = out * self.eval(f, binding, env)
+            return out
+        if isinstance(e, Quotient):
+            den = self.eval(e.den, binding, env)
+            self.mark(den == 0.0, lambda: "quotient denominator is zero")
+            return self.eval(e.num, binding, env) / den
+        raise EstimandError(f"not an estimand node: {e!r}")
+
+
+def parse_estimand_by_frames(text: str):
+    """``expr.parse_estimand`` with one loop over a stack of frames, one
+    frame per open expression."""
+    return _FrameParser(text).parse()
+
+
+class _FrameParser(_Parser):
+    def parse(self):
+        # a frame is (closer, binders, operand so far, pending operator); the
+        # closer is None at the top, ")" for a parenthesis, "sum" for a sum
+        frames = [(None, (), None, None)]
+        self.binders = {}
+        while True:
+            self.skip_ws()
+            if self.literal("sum_{"):
+                frames.append(("sum", self.binder_list(), None, None))
+                continue
+            if self.literal("("):
+                frames.append((")", (), None, None))
+                continue
+            e = self.atom()
+            # fold the finished factor into the open expressions it ends
+            while True:
+                closer, binders, left, op = frames[-1]
+                if left is not None:
+                    e = Product((left, e)) if op == "*" else Quotient(left, e)
+                self.skip_ws()
+                op = self.peek()
+                if op in ("*", "/"):
+                    self.pos += 1
+                    frames[-1] = (closer, binders, e, op)
+                    break
+                frames.pop()
+                if closer is None:
+                    if self.pos != len(self.text):
+                        raise self.error("unexpected trailing text")
+                    return e
+                if closer == ")":
+                    self.expect(")")
+                for tok in reversed(binders):
+                    e = Sum(self.binders.pop(tok) or tok.upper(), tok, e)
 
 
 # --- recursive estimand walks ----------------------------------------------------

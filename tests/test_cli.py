@@ -567,10 +567,23 @@ def _chain_effect(n):
     return "".join(f"sum_{{{v}}} P({v}) * " for v in others) + f"P(v{n - 1}|{given})\n"
 
 
+def _chain_zero_stratum(n):
+    """What ``estimate`` prints for P(V{n-1}=1|do(V{n-2}=1)) on the chain from
+    data whose rows are all 0s and all 1s: the innermost term's stratum, with
+    every summed variable at its first value, 0, was never observed."""
+    given = sorted(f"V{i}" for i in range(n - 1))
+    cells = ",".join(f"{v}={int(v == f'V{n - 2}')}" for v in given)
+    return f"error: conditioning on a zero-probability event: {cells}\n"
+
+
 def _write_refusal_inputs(tmp):
     names = [f"V{i}" for i in range(1200)]
     (tmp / "chain.cg").write_text(_chain_graph(1200))
     (tmp / "chain150.cg").write_text(_chain_graph(150))
+    (tmp / "chain700.cg").write_text(_chain_graph(700))
+    (tmp / "chain700.csv").write_text(
+        ",".join(names[:700]) + "\n" + "".join(",".join(c * 700) + "\n" for c in "01")
+    )
     # the sink V0 sorts first, so ordering the mechanisms descends the chain
     (tmp / "chain.scm").write_text("exo U {0: 0.5, 1: 0.5}\n" + "".join(
         f"endo {v} ({p}) {{(0) -> 0, (1) -> 1}}\n"
@@ -601,6 +614,10 @@ REFUSALS = {
     "identify the last effect on a 1200-node chain": (
         ["identify", "--graph", "{tmp}/chain.cg", "--query", "P(V1199|do(V1198))"],
         0, _chain_effect(1200), ""),
+    "estimate the last effect on a 700-node chain": (
+        ["estimate", "--graph", "{tmp}/chain700.cg", "--query", "P(V699=1|do(V698=1))",
+         "--data", "{tmp}/chain700.csv"],
+        3, "", _chain_zero_stratum(700)),
     "counterfactual on a 1200-mechanism chain": (
         ["counterfactual", "--scm", "{tmp}/chain.scm", "--query", "P(V0=1)"],
         0, "probability: 0.500000\n", ""),

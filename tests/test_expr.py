@@ -2,6 +2,7 @@ import copy
 import itertools
 import math
 import pickle
+import re
 import threading
 
 import numpy as np
@@ -102,6 +103,44 @@ def test_roundtrip_random_asts():
         variables = ["X", "Y", "Z", "W"][: int(r.integers(2, 5))]
         e = gen.random_estimand(r, variables)
         assert parse_estimand(render(e)) == e
+
+
+def _parse_outcome(text):
+    """Each parser's node, or its error type, message and column, for one text."""
+    out = []
+    for parse in (parse_estimand, gen.parse_estimand_by_frames):
+        try:
+            out.append(("ok", parse(text)))
+        except EstimandError as exc:
+            out.append((type(exc), str(exc), getattr(exc, "pos", None)))
+    return out
+
+
+def test_parser_agrees_with_the_frame_loop_on_valid_and_mutated_texts():
+    r = gen.rng(16)
+    pieces = ["sum_{", "sum_{x,y} ", "P(", "(", ")", "}", "|", ",", "=", " * ", "/",
+              "1", " ", "x", "y2", "X=", "Y=1", "Z=z", "x,", "P(x)", "_", "0"]
+    accepted = refused = 0
+    for i in range(4000):
+        variables = ["X", "Y", "Z", "W"][: int(r.integers(2, 5))]
+        text = render(gen.random_estimand(r, variables, depth=int(r.integers(0, 5))))
+        if r.random() < 0.5:  # sums over t, whose variable comes from its first use
+            v = variables[int(r.integers(0, len(variables)))]
+            text = text.replace(f"sum_{{{v.lower()}}}", "sum_{t}")
+            text = re.sub(rf"(?<=[(|,]){v.lower()}(?=[,|)])", f"{v}=t", text)
+        if i % 2:
+            for _ in range(int(r.integers(1, 4))):
+                at = int(r.integers(0, len(text) + 1))
+                cut = at + int(r.integers(0, 3)) * int(r.random() < 0.5)
+                piece = pieces[int(r.integers(0, len(pieces)))] if r.random() < 0.7 else ""
+                text = text[:at] + piece + text[cut:]
+        new, old = _parse_outcome(text)
+        assert new == old, text
+        if new[0] == "ok":
+            accepted += 1
+        else:
+            refused += 1
+    assert accepted > 2200 and refused > 1000
 
 
 def test_empty_product_rejected():
@@ -282,6 +321,39 @@ def test_eval_rows_marks_rows_and_raises_when_all_are_marked():
         eval_rows(e, t, np.array([[0.0, 1.0]]))
     with pytest.raises(ConditioningOnZero, match="X=1$"):
         eval_rows(e, t, np.array([[1.0, 0.0], [1.0, 0.0]]))
+
+
+def _rows_outcome(fn, *args):
+    """Values and marked rows as raw bytes, or the error type and message."""
+    try:
+        values, marked = fn(*args)
+    except (ArithmeticError, EstimandError) as exc:
+        return type(exc), str(exc)
+    return values.shape, values.tobytes(), marked.tobytes()
+
+
+def test_eval_rows_matches_the_recursive_evaluator_bit_for_bit():
+    r = gen.rng(63)
+    kinds, partly_marked = set(), 0
+    for _ in range(2400):
+        variables = ["X", "Y", "Z"][: int(r.integers(1, 4))]
+        t = gen.sparse_joint(r, variables, [int(k) for k in r.integers(1, 4, size=len(variables))])
+        weights = r.dirichlet(np.ones(len(t.weights)), size=int(r.integers(1, 6)))
+        weights[r.random(weights.shape) < 0.4] = 0.0  # zero strata
+        weights[weights.sum(axis=1) == 0.0, 0] = 1.0
+        weights /= weights.sum(axis=1, keepdims=True)
+        named = variables + ["W"] * (r.random() < 0.1)  # W is not in the table
+        e = gen.random_estimand(r, named, depth=int(r.integers(1, 5)))
+        binding = {v: str(int(r.integers(0, 4))) for v in named if r.random() < 0.9}
+        want = _rows_outcome(gen.eval_rows_by_recursion, e, t, weights, binding)
+        assert _rows_outcome(eval_rows, e, t, weights, binding) == want
+        if isinstance(want[0], type):
+            kinds.add(want[0])
+        else:
+            kinds.add("ok")
+            partly_marked += 0 < np.frombuffer(want[2], bool).sum() < len(weights)
+    assert kinds == {"ok", ConditioningOnZero, UnboundSymbol}
+    assert partly_marked > 50
 
 
 # --- simplification --------------------------------------------------------------

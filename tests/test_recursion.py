@@ -1,10 +1,11 @@
 """Estimand code runs in constant stack depth.
 
-``expr`` and ``identify`` walk estimands on explicit stacks, so the depth of
-an estimand never meets the interpreter's recursion limit.  One test runs
-deep estimands under a tiny limit; another reads the source of both modules
-and checks that no function reaches itself through calls, so recursion
-cannot come back unnoticed.
+``expr``, ``identify`` and ``evaluate`` walk estimands through ``expr._walk``,
+which keeps its frames on an explicit stack, so the depth of an estimand
+never meets the interpreter's recursion limit.  One test runs deep estimands
+under a tiny limit; another reads the source of the three modules and checks
+that no function reaches itself through calls, so recursion cannot come back
+unnoticed.
 """
 
 import ast
@@ -17,15 +18,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "scmkit"
 
-# ``_id`` recurses on the graph, not on the estimand: each call removes nodes
-# or splits the graph into confounded components, so its depth is bounded by
-# the number of graph nodes and is a few calls on a chain of any length.
-ALLOWED_CYCLES = {"identify._id"}
-
 DEEP = r'''
 import sys
 
-from scmkit.expr import parse_estimand, render, simplify
+from scmkit.expr import JointTable, eval_estimand, parse_estimand, render, simplify
 from scmkit.graph import parse_graph
 from scmkit.identify import identify, parse_query
 
@@ -47,6 +43,11 @@ right = "P(x) / (" * 1999 + "P(x) / P(y)" + ")" * 1999
 assert render(simplify(parse_estimand(right))) == right
 left = "/".join(["P(x)"] * 2000)
 assert render(simplify(parse_estimand(left))) == "1" + " / P(x)" * 1998
+
+t = JointTable(("X",), {"X": ("0", "1")}, {("0",): 0.5, ("1",): 0.5})
+alternating = "P(x) / (" * 1000 + "P(x)" + ")" * 1000
+assert eval_estimand(parse_estimand(alternating), t, {"X": "0"}) == 0.5
+assert eval_estimand(parse_estimand(nested), t, {"X": "0"}) == 0.5
 print("ok")
 '''
 
@@ -176,12 +177,14 @@ def on_cycles(edges: dict[str, set[str]]) -> set[str]:
     return found
 
 
-def test_no_function_in_expr_or_identify_lies_on_a_call_cycle():
-    sources = {m: (SRC / f"{m}.py").read_text(encoding="utf-8") for m in ("expr", "identify")}
+def test_no_function_in_expr_identify_or_evaluate_lies_on_a_call_cycle():
+    sources = {m: (SRC / f"{m}.py").read_text(encoding="utf-8")
+               for m in ("expr", "identify", "evaluate")}
     edges = call_graph(sources)
-    assert {"expr.simplify", "expr.render", "expr._Parser.parse",
-            "identify._standardize", "identify._id"} <= set(edges)
-    assert on_cycles(edges) == ALLOWED_CYCLES
+    assert {"expr._walk", "expr.simplify", "expr.render", "expr._Parser.parse",
+            "expr._Parser.expr", "identify._standardize", "identify._id",
+            "evaluate._RowEvaluation.eval"} <= set(edges)
+    assert on_cycles(edges) == set()
 
 
 def test_the_guard_sees_recursion_through_names_methods_and_callbacks():
