@@ -1,12 +1,14 @@
 """Datasets, empirical joints, plug-in estimates and bootstrap intervals.
 
-A dataset is stored in plain Python: its distinct code rows, sorted, with
-their counts, and each row's index among them.  Reading data, projecting
-columns and the G-squared tests of ``fit`` and ``discover --data`` read that
-storage and never load numpy.  The numpy views of a dataset (``codes``,
-``distinct``), the empirical joint and the bootstrap import numpy on first
-use, and the estimand algebra is imported only by the functions that
-evaluate an estimand.
+A dataset is stored in plain Python: its distinct code rows, sorted, as one
+list of codes per column, with their counts, and each row's index among
+them.  Reading data, projecting columns, the G-squared tests of ``fit`` and
+``discover --data``, the empirical joint (a ``JointTable`` over the same
+code lists) and plug-in estimates read that storage and never load numpy.
+Only the numpy views of a dataset (``codes``, ``distinct``) and the
+bootstrap, whose draws numpy's generator defines, import numpy, and the
+estimand algebra is imported only by the functions that evaluate an
+estimand.
 """
 
 from __future__ import annotations
@@ -341,15 +343,15 @@ class Estimate:
 
 def empirical_joint(d: Dataset) -> JointTable:
     """Relative frequencies of the distinct rows of complete data, in sorted
-    order; refuses missing data."""
+    order; refuses missing data.  The table shares the dataset's code lists."""
     from .expr import JointTable
 
     if d.has_missing:
         raise MissingDataPresent(
             "dataset contains missing cells; run recoverability analysis instead"
         )
-    rows, count = d.distinct
-    return JointTable._coded(d.columns, d.domains, rows, count / d.n)
+    n = d.n
+    return JointTable._coded(d.columns, d.domains, d._cols, [c / n for c in d._count])
 
 
 def plug_in(

@@ -1,17 +1,22 @@
-"""Evaluation of estimands over integer-coded cells, with numpy.
+"""Evaluation of estimands over the coded cells of a joint table.
 
-:func:`eval_rows` evaluates an estimand on many distributions at once, each a
-row of weights over the distinct cells of one
-:class:`~scmkit.expr.JointTable`.  :func:`scmkit.expr.eval_estimand` and
-:meth:`~scmkit.expr.JointTable.prob` evaluate a table's own weights as one
-row; the estimand algebra itself stays free of numpy.
+One visit, :meth:`_Evaluation.eval`, walks an estimand and combines values
+only by ``+``, ``*``, ``/`` and ``== 0.0``, so the same visit serves two
+backends:
+
+- :func:`eval_one`, behind :func:`scmkit.expr.eval_estimand` and
+  :meth:`~scmkit.expr.JointTable.prob`, evaluates the table's own weights
+  in plain Python floats and loads no numpy.  Each marginal is summed in
+  cell order, as ``np.bincount`` sums it, so its values are those of the
+  numpy backend bit for bit.
+- :func:`eval_rows` evaluates many distributions at once with numpy, each a
+  row of weights over the table's cells; the bootstrap uses it for its
+  blocks of replicates.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from .expr import (
     ConditioningOnZero,
@@ -28,7 +33,21 @@ from .expr import (
     _walk,
 )
 
-__all__ = ["eval_rows"]
+if TYPE_CHECKING:
+    import numpy as np
+
+__all__ = ["eval_one", "eval_rows"]
+
+
+def eval_one(
+    e: Estimand, table: JointTable, binding: Mapping[str, str] | None = None
+) -> float:
+    """The value of an estimand on the table's own distribution.
+
+    The first zero conditioning event or quotient denominator raises
+    :class:`ConditioningOnZero` before anything is divided by it.
+    """
+    return _evaluate(_Evaluation(table), e, binding)
 
 
 def eval_rows(
@@ -46,16 +65,22 @@ def eval_rows(
     :class:`ConditioningOnZero` is raised, with the context of the event that
     marked the last row, as soon as every row is marked.  With one row that
     is the first zero event, so a refusal takes precedence over a later
-    :class:`UnboundSymbol` exactly as in a single evaluation.
+    :class:`UnboundSymbol` exactly as in :func:`eval_one`.
     """
-    binding = dict(binding or {})
-    for var in binding:
-        if var not in table.domains:
-            raise UnboundSymbol(f"variable {var} not in the joint table")
+    import numpy as np
+
     ev = _RowEvaluation(table, weights)
     with np.errstate(divide="ignore", invalid="ignore"):
-        values = _walk(ev.eval, e, binding, {})
+        values = _evaluate(ev, e, binding)
     return values, ev.marked
+
+
+def _evaluate(ev: "_Evaluation", e: Estimand, binding: Mapping[str, str] | None):
+    binding = dict(binding or {})
+    for var in binding:
+        if var not in ev.table.domains:
+            raise UnboundSymbol(f"variable {var} not in the joint table")
+    return _walk(ev.eval, e, binding, {})
 
 
 def _resolve(val: Val, binding: Mapping[str, str], env: Mapping[str, str]) -> str:
@@ -68,51 +93,61 @@ def _resolve(val: Val, binding: Mapping[str, str], env: Mapping[str, str]) -> st
     raise UnboundSymbol(f"no value bound for symbol {val.token!r} (variable {val.var})")
 
 
-class _RowEvaluation:
-    """State of one :func:`eval_rows` pass: marginals computed so far and the
-    marked rows."""
+class _Evaluation:
+    """State of one evaluation of the table's own weights, in plain floats:
+    the marginals computed so far, each indexed by the groups of
+    :meth:`~scmkit.expr.JointTable.groups` on its columns."""
 
-    def __init__(self, table: JointTable, weights: np.ndarray):
+    zero = 0.0
+
+    def __init__(self, table: JointTable):
         self.table = table
-        self.weights = weights
-        rows = weights.shape[0]
-        self.marked = np.zeros(rows, dtype=bool)
-        self.zero = np.zeros(rows)
-        self.marginals: dict[tuple[int, ...], np.ndarray] = {}
+        self.marginals: dict[tuple[int, ...], object] = {}
 
-    def mark(self, zero: np.ndarray, context) -> None:
-        if zero.any():
-            self.marked |= zero
-            if self.marked.all():
-                raise ConditioningOnZero(context())
+    def mark(self, zero: bool, context) -> None:
+        if zero:
+            raise ConditioningOnZero(context())
 
-    def prob(self, assignment: list[tuple[int, int | None]]) -> np.ndarray:
-        """Per-row probability of (column, code) pairs; a ``None`` code is a
-        value outside the domain and carries zero mass."""
+    def sums(self, cols: tuple[int, ...]) -> list[float] | dict[int, float]:
+        """Each group's weight on ``cols``, added in cell order: a list over
+        the possible groups, or a dict over the groups present when there
+        are more possible groups than cells."""
+        keys, size = self.table.groups(cols)
+        weights = self.table._weights
+        if size > len(weights):
+            marginal: dict[int, float] = {}
+            get = marginal.get
+            for k, w in zip(keys, weights):
+                marginal[k] = get(k, 0.0) + w
+            return marginal
+        dense = [0.0] * size
+        for k, w in zip(keys, weights):
+            dense[k] += w
+        return dense
+
+    def prob(self, assignment: list[tuple[int, int | None]]):
+        """Probability of (column, code) pairs; a ``None`` code is a value
+        outside the domain and carries zero mass."""
         assignment = sorted(assignment)
         cols = tuple(c for c, _ in assignment)
-        codes = tuple(code for _, code in assignment)
-        inverse, count, lookup = self.table.groups(cols)
-        g = lookup.get(codes)
-        if g is None:
+        codes = [code for _, code in assignment]
+        if None in codes:
             return self.zero
         marginal = self.marginals.get(cols)
         if marginal is None:
-            rows = len(self.weights)
-            flat = (np.arange(rows)[:, None] * count + inverse).ravel()
-            marginal = np.bincount(
-                flat, weights=self.weights.ravel(), minlength=rows * count
-            ).reshape(rows, count)
-            self.marginals[cols] = marginal
-        return marginal[:, g]
+            marginal = self.marginals[cols] = self.sums(cols)
+        try:
+            return marginal[self.table.group_of(cols, codes)]
+        except KeyError:  # no cell has these codes
+            return self.zero
 
     def eval(self, e: Estimand, binding: Mapping[str, str], env: dict[str, str]):
-        """A visit for ``_walk``: the per-row values of ``e``."""
+        """A visit for ``_walk``: the value of ``e``."""
         if isinstance(e, One):
             return self.zero + 1.0
         if isinstance(e, ProbTerm):
             # values outside a column's observed domain simply carry zero mass;
-            # a zero-mass conditioning event marks the row
+            # a zero-mass conditioning event marks the distribution
             assignment = []
             for val in e.joint + e.given:
                 col = self.table.index(val.var)
@@ -149,3 +184,37 @@ class _RowEvaluation:
             self.mark(den == 0.0, lambda: "quotient denominator is zero")
             return (yield e.num, binding, env) / den
         raise EstimandError(f"not an estimand node: {e!r}")
+
+
+class _RowEvaluation(_Evaluation):
+    """State of one :func:`eval_rows` pass: the marked rows, and marginals
+    that map each group present to its row of values."""
+
+    def __init__(self, table: JointTable, weights: np.ndarray):
+        import numpy as np
+
+        super().__init__(table)
+        self.weights = weights
+        rows = weights.shape[0]
+        self.marked = np.zeros(rows, dtype=bool)
+        self.zero = np.zeros(rows)
+
+    def mark(self, zero: np.ndarray, context) -> None:
+        if zero.any():
+            self.marked |= zero
+            if self.marked.all():
+                raise ConditioningOnZero(context())
+
+    def sums(self, cols: tuple[int, ...]) -> dict[int, np.ndarray]:
+        """Each present group's row of weights on ``cols``, added in cell
+        order by ``np.bincount`` over the groups numbered as they first
+        occur."""
+        import numpy as np
+
+        keys, _ = self.table.groups(cols)
+        number = {k: g for g, k in enumerate(dict.fromkeys(keys))}
+        inverse = np.array(list(map(number.__getitem__, keys)), np.intp)
+        rows, count = len(self.weights), len(number)
+        flat = (np.arange(rows)[:, None] * count + inverse).ravel()
+        marginal = np.bincount(flat, weights=self.weights.ravel(), minlength=rows * count)
+        return dict(zip(number, marginal.reshape(rows, count).T))

@@ -311,17 +311,18 @@ def sum_over(binders: Iterable[tuple[str, str]], body: Estimand) -> Estimand:
 class JointTable:
     """Exact distribution over finite discrete variables, as coded cells.
 
-    ``codes`` is a read-only ``(K, V)`` array of distinct cells: ``[k, j]`` is
-    the index of cell ``k``'s value in the domain of ``variables[j]``, and a
-    code past the end of a domain is a value no estimand token names.
-    ``weights`` holds the cells' probabilities (read-only; zero-mass cells may
-    be omitted).  Tables compare by identity.
+    The table is stored in plain Python, the way a ``Dataset`` stores its
+    distinct rows: one list of codes per variable (``_cols``) and one list of
+    cell probabilities (``_weights``).  A cell's code for ``variables[j]`` is
+    the index of its value in that variable's domain, and the code one past
+    the end of a domain is a value no estimand token names.  Zero-mass cells
+    may be omitted.  ``codes``, the ``(K, V)`` matrix of cells, and
+    ``weights`` are read-only numpy views built on first read; evaluation
+    never builds them.  Tables compare by identity.
     """
 
     variables: tuple[str, ...]
     domains: Mapping[str, tuple[str, ...]]
-    codes: np.ndarray
-    weights: np.ndarray
 
     def __init__(
         self,
@@ -331,8 +332,6 @@ class JointTable:
     ):
         """Encode ``mass``, full assignments (tuples aligned with ``variables``)
         to probabilities, in insertion order; its total must be 1 within 1e-12."""
-        import numpy as np
-
         if len(set(variables)) != len(variables):
             raise EstimandError("duplicate variable in joint table")
         for v in variables:
@@ -357,37 +356,56 @@ class JointTable:
             total += p
         if not abs(total - 1.0) <= 1e-12:
             raise EstimandError(f"total mass {total!r} is not 1")
-        shape = (len(codes), len(variables))
-        self._set(variables, domains, np.array(codes, np.intp).reshape(shape),
-                  np.fromiter(mass.values(), float, len(codes)))
+        self._set(variables, domains, tuple(map(list, zip(*codes))),
+                  list(map(float, mass.values())))
 
     @classmethod
-    def _coded(cls, variables, domains, codes, weights) -> "JointTable":
-        """A table over distinct cells already encoded and weighted.  The
-        engine builds these from counts and enumerations, so the total is
-        not checked again."""
+    def _coded(cls, variables, domains, cols, weights) -> "JointTable":
+        """A table over distinct cells already encoded, one list of codes per
+        variable, with a list of their weights.  The engine builds these from
+        counts and enumerations, so the total is not checked again."""
         t = cls.__new__(cls)
-        t._set(variables, domains, codes, weights)
+        t._set(variables, domains, cols, weights)
         return t
 
-    def _set(self, variables, domains, codes, weights) -> None:
-        codes.flags.writeable = weights.flags.writeable = False
-        self.__dict__.update(variables=variables, domains=domains, codes=codes,
-                             weights=weights, _grouped={})
+    def _set(self, variables, domains, cols, weights) -> None:
+        self.__dict__.update(variables=variables, domains=domains, _cols=cols,
+                             _weights=weights, _grouped={})
 
     def __reduce__(self):
-        # rebuilt through _coded, so a copy's arrays are read-only and its
-        # cached views are recomputed
-        return JointTable._coded, (self.variables, self.domains, self.codes, self.weights)
+        # rebuilt through _coded, so a copy's cached views are recomputed
+        return JointTable._coded, (self.variables, self.domains, self._cols, self._weights)
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """Read-only ``(K, V)`` numpy array of the cells' codes."""
+        import numpy as np
+
+        codes = np.empty((len(self._weights), len(self.variables)), np.intp)
+        for j, col in enumerate(self._cols):
+            codes[:, j] = col
+        codes.flags.writeable = False
+        return codes
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Read-only numpy array of the cells' probabilities."""
+        import numpy as np
+
+        weights = np.array(self._weights, float)
+        weights.flags.writeable = False
+        return weights
 
     @cached_property
     def mass(self) -> dict[tuple[str | None, ...], float]:
         """Probabilities keyed by full assignments, in cell order, decoded on
-        first use; a code past the end of a domain decodes to ``None``."""
-        from .estimate import decode_rows
-
-        keys = decode_rows(self.codes, [self.domains[v] for v in self.variables])
-        return dict(zip(keys, self.weights.tolist()))
+        first use; the code past the end of a domain decodes to ``None``."""
+        decoded = [
+            list(map((*self.domains[v], None).__getitem__, col))
+            for v, col in zip(self.variables, self._cols)
+        ]
+        keys = zip(*decoded) if decoded else [()] * len(self._weights)
+        return dict(zip(keys, self._weights))
 
     @cached_property
     def value_codes(self) -> dict[str, dict[str, int]]:
@@ -402,25 +420,37 @@ class JointTable:
         except ValueError:
             raise UnboundSymbol(f"variable {var} not in the joint table") from None
 
-    def groups(self, cols: tuple[int, ...]) -> tuple[np.ndarray, int, dict]:
-        """Group of every cell by its codes on ``cols``, the group count, and
-        a map from a code tuple to its group."""
+    def groups(self, cols: tuple[int, ...]) -> tuple[list[int], int]:
+        """Every cell's group by its codes on ``cols``, and the number of
+        possible groups.  A group is the codes read as one mixed-radix number
+        (:meth:`group_of`), in which each digit also has room for the code
+        one past the end of its domain."""
         got = self._grouped.get(cols)
         if got is None:
-            from .estimate import group_rows
-
-            group, distinct = group_rows(self.codes[:, list(cols)])
-            lookup = {tuple(row): g for g, row in enumerate(distinct.tolist())}
-            got = self._grouped[cols] = (group, len(distinct), lookup)
+            keys, size = [0] * len(self._weights), 1
+            for i, j in enumerate(cols):
+                digits = len(self.domains[self.variables[j]]) + 1
+                col = self._cols[j]
+                # the first column's codes are its groups already
+                keys = [k * digits + c for k, c in zip(keys, col)] if i else col
+                size *= digits
+            got = self._grouped[cols] = (keys, size)
         return got
+
+    def group_of(self, cols: tuple[int, ...], codes) -> int:
+        """The group of the cells whose codes on ``cols`` are ``codes``."""
+        group = 0
+        for j, c in zip(cols, codes):
+            group = group * (len(self.domains[self.variables[j]]) + 1) + c
+        return group
 
     def prob(self, assignment: Mapping[str, str]) -> float:
         """Marginal probability of a partial assignment; a value outside a
         variable's domain has probability zero."""
-        from .evaluate import _RowEvaluation
+        from .evaluate import _Evaluation
 
         pairs = [(self.index(v), self.value_codes[v].get(x)) for v, x in assignment.items()]
-        return float(_RowEvaluation(self, self.weights[None, :]).prob(pairs)[0])
+        return _Evaluation(self).prob(pairs)
 
 
 # --- evaluation --------------------------------------------------------------
@@ -436,13 +466,13 @@ def eval_estimand(
     ``binding`` maps variable names to values for the estimand's free symbols.
     Raises :class:`ConditioningOnZero` when a conditioning event or quotient
     denominator has zero probability, and :class:`UnboundSymbol` when a free
-    symbol has no binding.  The numpy evaluator is imported here, so the
-    algebra, parser and renderer load without numpy.
+    symbol has no binding.  The evaluator is imported here, so the algebra,
+    parser and renderer load without it; it reads the table's plain-Python
+    cells and loads no numpy.
     """
-    from .evaluate import eval_rows
+    from .evaluate import eval_one
 
-    values, _ = eval_rows(e, table, table.weights[None, :], binding)
-    return float(values[0])
+    return eval_one(e, table, binding)
 
 
 # --- walks and symbol facts --------------------------------------------------------

@@ -416,13 +416,14 @@ def d_separated(
 
 def c_components(g: Admg) -> tuple[frozenset[str], ...]:
     """Partition of the nodes into connected components of the bidirected part."""
-    unseen = set(g.nodes)
+    seen: set[str] = set()
     comps: list[frozenset[str]] = []
-    while unseen:
-        # each component starts at the smallest node left, so they come sorted
-        comp = frozenset(_reach([min(unseen)], g._siblings))
-        unseen -= comp
-        comps.append(comp)
+    for v in sorted(g.nodes):
+        # each component starts at its smallest node, so they come sorted
+        if v not in seen:
+            comp = frozenset(_reach([v], g._siblings))
+            seen |= comp
+            comps.append(comp)
     return tuple(comps)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Union
 
 from .expr import (
     Estimand,
@@ -212,14 +212,16 @@ def _fresh(var: str, used: set[str]) -> str:
     return f"{base}{k}"
 
 
-def _standardize(e: Estimand, env: Mapping[str, Val], used: set[str]):
+def _standardize(e: Estimand, env: dict[str, Val], used: set[str]):
     """A visit for ``_walk``: ``e`` with internal placeholder symbols replaced
     by query symbols (``env`` maps each variable to its symbol in scope) and
     fresh binders.
 
     Occurrences are visited in written order, so a node reached twice is
     rewritten in each scope and binders get fresh symbols in the order they
-    are written.
+    are written.  ``env`` is one dict for the whole walk: a ``Sum`` binds its
+    variable for the visit of its body and then restores the entry it
+    shadowed, which the depth-first order makes safe.
     """
     if isinstance(e, ProbTerm):
         for val in e.joint + e.given:
@@ -228,7 +230,14 @@ def _standardize(e: Estimand, env: Mapping[str, Val], used: set[str]):
         return ProbTerm(tuple(env[v.var] for v in e.joint), tuple(env[v.var] for v in e.given))
     if isinstance(e, Sum):
         token = _fresh(e.var, used)
-        return Sum(e.var, token, (yield e.body, {**env, e.var: Val(e.var, token)}, used))
+        shadowed = env.get(e.var)
+        env[e.var] = Val(e.var, token)
+        body = yield e.body, env, used
+        if shadowed is None:
+            del env[e.var]
+        else:
+            env[e.var] = shadowed
+        return Sum(e.var, token, body)
     if isinstance(e, Product):
         factors = []
         for f in e.factors:

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 if TYPE_CHECKING:
     from .estimate import Dataset
     from .expr import JointTable
@@ -64,6 +62,8 @@ def mediation_effects_scm(
     te = nde - nie_reversed holds exactly.  The outcome is coded by its
     index in the model's domain.
     """
+    import numpy as np
+
     from .scm import ScmError, enumerate_worlds, solve_worlds
 
     if len({exposure, mediator, outcome}) < 3:

@@ -13,9 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-import numpy as np
-
-from .estimate import DataError, Dataset, Estimate, group_rows
+from .estimate import DataError, Dataset, Estimate, _grouped
 from .expr import (
     Estimand, JointTable, ProbTerm, Val, eval_estimand, lit, prod_of, sum_over, sym,
 )
@@ -232,23 +230,25 @@ def _augmented_joint(mg: MGraph, d: Dataset) -> JointTable:
     for v in subs:
         if v not in d.columns:
             raise DataError(f"dataset lacks column {v}")
-    rows, count = d.distinct
-    codes = rows[:, [d.column_index(v) for v in subs]]
-    missing = codes < 0
-    for v, col in zip(subs, missing.T):
-        if v not in mg.partial and col.any():
+    cols = [d._cols[d.column_index(v)] for v in subs]
+    for v, col in zip(subs, cols):
+        if v not in mg.partial and -1 in col:
             raise DataError(
                 f"column {v} has missing cells but the m-graph declares it "
                 "fully observed"
             )
     partial = [j for j, v in enumerate(subs) if v in mg.partial]
-    codes = np.where(missing, [len(d.domains[v]) for v in subs], codes)
-    # indicator codes index (MISSING, OBSERVED)
-    group, distinct = group_rows(np.hstack([codes, ~missing[:, partial]]))
+    # a missing code becomes one past its domain; indicator codes index
+    # (MISSING, OBSERVED)
+    coded = [
+        [len(d.domains[v]) if c < 0 else c for c in col] for v, col in zip(subs, cols)
+    ]
+    coded += [[int(c >= 0) for c in cols[j]] for j in partial]
+    cells, count, _ = _grouped(list(zip(*coded)), d._count)
     variables = tuple(subs) + tuple(mg.indicator(subs[j]) for j in partial)
     domains = {v: d.domains[v] if v in subs else (MISSING, OBSERVED) for v in variables}
-    weights = np.bincount(group, weights=count) / d.n
-    return JointTable._coded(variables, domains, distinct, weights)
+    n = d.n
+    return JointTable._coded(variables, domains, cells, [c / n for c in count])
 
 
 def recover_estimate(

@@ -331,7 +331,8 @@ def observational_joint(m: DiscreteScm, max_states: int = DEFAULT_STATE_CAP) -> 
         cells[:, j] = codes[v]
     group, distinct = group_rows(cells)
     domains = {v: m.endo_domains[v] for v in variables}
-    return JointTable._coded(variables, domains, distinct, np.bincount(group, weights))
+    cols = tuple(distinct.T.tolist())
+    return JointTable._coded(variables, domains, cols, np.bincount(group, weights).tolist())
 
 
 def intervene(m: DiscreteScm, do: Mapping[str, str]) -> DiscreteScm:

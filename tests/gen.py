@@ -31,7 +31,7 @@ from scmkit.expr import (
     _Parser,
     prod_of,
 )
-from scmkit.graph import Admg, CiStatement, GraphError, d_separated
+from scmkit.graph import Admg, CiStatement, GraphError, _reach, d_separated
 from scmkit.lexer import VALUE
 from scmkit.scm import (
     _ENDO_LINE_RE,
@@ -898,6 +898,40 @@ def eval_sum_by_hand(table: JointTable, y, x, z):
             raise ZeroDivisionError
         total += (pyxz / pxz) * pz
     return total
+
+
+def c_components_by_min(g: Admg):
+    """``graph.c_components`` as it was: each component grown from the
+    smallest node not yet in one, found by ``min`` once per component."""
+    unseen, comps = set(g.nodes), []
+    while unseen:
+        comp = frozenset(_reach([min(unseen)], g._siblings))
+        unseen -= comp
+        comps.append(comp)
+    return tuple(comps)
+
+
+def augmented_joint_by_arrays(mg, d) -> JointTable:
+    """``recover._augmented_joint`` as it was, with numpy: the distinct rows
+    of the substantive columns and observed flags, grouped by ``group_rows``."""
+    from scmkit.estimate import DataError, group_rows
+
+    subs = sorted(mg.substantive)
+    rows, count = d.distinct
+    codes = rows[:, [d.column_index(v) for v in subs]]
+    missing = codes < 0
+    for v, col in zip(subs, missing.T):
+        if v not in mg.partial and col.any():
+            raise DataError(
+                f"column {v} has missing cells but the m-graph declares it fully observed"
+            )
+    partial = [j for j, v in enumerate(subs) if v in mg.partial]
+    codes = np.where(missing, [len(d.domains[v]) for v in subs], codes)
+    group, distinct = group_rows(np.hstack([codes, ~missing[:, partial]]))
+    variables = tuple(subs) + tuple(mg.indicator(subs[j]) for j in partial)
+    domains = {v: d.domains[v] if v in subs else ("miss", "obs") for v in variables}
+    weights = np.bincount(group, weights=count) / d.n
+    return JointTable._coded(variables, domains, tuple(distinct.T.tolist()), weights.tolist())
 
 
 # --- testable implications by exhaustive search ----------------------------------

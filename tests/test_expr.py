@@ -260,6 +260,32 @@ def test_eval_matches_dict_scan_oracle():
     assert kinds == {"ok", ConditioningOnZero, UnboundSymbol}
 
 
+def test_eval_estimand_matches_the_recursive_row_evaluator_bit_for_bit():
+    # the plain-float evaluator against the numpy one on the table's own row:
+    # the same float bits, or the same refusal type and message
+    r = gen.rng(64)
+    kinds = set()
+    for _ in range(1500):
+        variables = ["X", "Y", "Z"][: int(r.integers(1, 4))]
+        sizes = [int(k) for k in r.integers(1, 4, size=len(variables))]
+        if r.random() < 0.5:
+            t = gen.random_joint(r, variables, sizes)
+        else:
+            t = gen.sparse_joint(r, variables, sizes, keep=0.3)  # zero strata
+        named = variables + ["W"] * (r.random() < 0.1)  # W is not in the table
+        e = gen.random_estimand(r, named, depth=int(r.integers(1, 5)))
+        binding = {v: str(int(r.integers(0, 4))) for v in named if r.random() < 0.9}
+        want = _rows_outcome(gen.eval_rows_by_recursion, e, t, t.weights[None, :], binding)
+        got = _outcome(eval_estimand, e, t, binding)
+        if isinstance(want[0], type):
+            assert got == want
+        else:
+            assert got[0] == "ok" and type(got[1]) is float
+            assert np.array([got[1]]).tobytes() == want[1]
+        kinds.add(want[0] if isinstance(want[0], type) else "ok")
+    assert kinds == {"ok", ConditioningOnZero, UnboundSymbol}
+
+
 def test_eval_rows_matches_one_evaluation_per_row():
     # rows are sparse tables over one support; a row is marked exactly when
     # evaluating it alone hits a zero event before any other error
@@ -509,6 +535,9 @@ def test_joint_table_mass_and_prob_match_a_dict_scan_bit_for_bit():
                     )
                     got = t.prob(dict(zip(picked, assignment)))
                     assert type(got) is float and got == want
+                    if picked:
+                        term = ProbTerm(tuple(map(Val, picked, assignment, [True] * k)))
+                        assert got == gen.dict_scan_eval(term, t) == eval_estimand(term, t)
         assert t.prob({}) == sum(mass.values())
 
 

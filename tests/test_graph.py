@@ -188,6 +188,7 @@ def test_c_components_is_partition():
     for _ in range(50):
         g = gen.random_admg(r, int(r.integers(2, 8)))
         comps = c_components(g)
+        assert comps == gen.c_components_by_min(g)
         union = set()
         for comp in comps:
             assert not (union & comp)

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 import gen
-from scmkit.expr import eval_estimand, free_variables, render, simplify
+from scmkit.expr import Val, _walk, eval_estimand, free_variables, render, simplify
 from scmkit.graph import UnknownVariable, parse_graph
 from scmkit.identify import (
     CausalQuery,
@@ -338,6 +338,21 @@ def test_identify_matches_the_recursive_walks_on_random_admg_queries(monkeypatch
         assert text == gen.render_by_recursion(gen.simplify_by_recursion(want))
         shown.add(text)
     assert len(shown) > 500
+
+
+def test_standardize_restores_each_binder_it_shadows():
+    # every sum rebinds a variable that is free outside it, and a later
+    # sibling must see the free symbol again
+    standardize = sys.modules[identify.__module__]._standardize
+    r = gen.rng(41)
+    names = ["X", "Y", "Z"]
+    free = {v: Val(v, v.lower()) for v in names}
+    for _ in range(500):
+        e = gen.random_estimand(r, names, depth=int(r.integers(1, 5)))
+        env = dict(free)
+        got = _walk(standardize, e, env, {"x", "y", "z"})
+        assert got is gen.standardize_by_recursion(e, free, {"x", "y", "z"})
+        assert env == free
 
 
 def test_conditional_backdoor_query_names_its_denominator_binder_fresh():

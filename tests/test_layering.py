@@ -1,9 +1,10 @@
 """Which modules each entry point loads, checked in fresh interpreters.
 
 ``import scmkit`` resolves its exports lazily, and each CLI subcommand imports
-only the modules on its path, so symbolic work, ``fit`` and ``discover --data``
-never load numpy, and model work never compiles the estimand algebra or the
-graph code.
+only the modules on its path, so symbolic work, ``fit``, ``discover --data``
+and the plug-in answers on data (``estimate`` without ``--bootstrap``,
+``pnps --data``, ``recover``, ``mediate --graph --data``) never load numpy,
+and model work never compiles the estimand algebra or the graph code.
 """
 
 import json
@@ -159,6 +160,40 @@ def test_independence_tests_on_data_load_no_numpy(path):
     code, modules = loaded_after_run(MODULE_SETS[path][0])
     assert code == 0
     assert "numpy" not in modules
+
+
+@pytest.mark.parametrize(
+    "path", ["estimate", "pnps --data", "recover", "mediate --graph --data"]
+)
+def test_plug_in_answers_on_data_load_no_numpy(path):
+    code, modules = loaded_after_run(MODULE_SETS[path][0])
+    assert code == 0
+    assert "numpy" not in modules
+
+
+def test_bootstrap_interval_is_unchanged_on_a_fixed_seed(tmp_path):
+    # 10, 13, ..., 31 copies of the 8 binary rows in order; the pinned lines
+    # are those printed when the point estimate ran on the numpy evaluator
+    rows = [f"{x},{y},{z}" for x in "01" for y in "01" for z in "01"]
+    lines = [row for i, row in enumerate(rows) for _ in range(10 + 3 * i)]
+    csv = tmp_path / "boot.csv"
+    csv.write_text("X,Y,Z\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    argv = ["estimate", "--graph", data("backdoor.cg"), "--query", "P(Y=1|do(X=1))",
+            "--data", str(csv), "--bootstrap", "200", "--seed", "5"]
+    proc = fresh(
+        "import io, json\n"
+        "import scmkit.cli\n"
+        "out = io.StringIO()\n"
+        f"code = scmkit.cli.run({argv!r}, out, io.StringIO())\n"
+        "print(json.dumps([code, out.getvalue()]))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, (
+        "estimand: sum_{z} P(Y=1|X=1,z) * P(z)\n"
+        "estimate: 0.556551\n"
+        "n: 164\n"
+        "ci: [0.457448, 0.645498] level=0.95 B=200 seed=5\n"
+    )]
 
 
 @pytest.mark.parametrize("argv", MODEL.values(), ids=MODEL.keys())

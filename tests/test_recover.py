@@ -266,6 +266,36 @@ def test_augmented_joint_decodes_missing_cells_to_none():
     assert t.prob({"Y": "1"}) == 0.5
 
 
+def test_augmented_joint_matches_the_numpy_oracle():
+    r = gen.rng(81)
+    graphs = [mar_mgraph(), parse_mgraph(gen.TWO_SIDED),
+              parse_mgraph(gen.TWO_SIDED + "var W\nW -> X\n")]
+    kinds = set()
+    for _ in range(300):
+        mg = graphs[int(r.integers(0, len(graphs)))]
+        columns = sorted(mg.substantive) + ["V"]  # V is not in the m-graph
+        r.shuffle(columns)
+        rows = [
+            tuple(None if r.random() < 0.25 else str(int(r.integers(0, 3))) for _ in columns)
+            for _ in range(int(r.integers(1, 30)))
+        ]
+        d = Dataset(columns, rows)
+        try:
+            want = gen.augmented_joint_by_arrays(mg, d)
+        except DataError as exc:
+            with pytest.raises(DataError) as info:
+                _augmented_joint(mg, d)
+            assert str(info.value) == str(exc)
+            kinds.add(DataError)
+            continue
+        got = _augmented_joint(mg, d)
+        assert (got.variables, got.domains) == (want.variables, want.domains)
+        assert got._cols == want._cols and got._weights == want._weights
+        assert got.mass == want.mass
+        kinds.add("ok")
+    assert kinds == {"ok", DataError}
+
+
 def test_sum_over_never_observed_variable_is_refused():
     # X has no observed cell, so its domain is empty: the sum over x must be
     # a refusal, not an empty sum of 0

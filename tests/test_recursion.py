@@ -183,7 +183,7 @@ def test_no_function_in_expr_identify_or_evaluate_lies_on_a_call_cycle():
     edges = call_graph(sources)
     assert {"expr._walk", "expr.simplify", "expr.render", "expr._Parser.parse",
             "expr._Parser.expr", "identify._standardize", "identify._id",
-            "evaluate._RowEvaluation.eval"} <= set(edges)
+            "evaluate._Evaluation.eval"} <= set(edges)
     assert on_cycles(edges) == set()
 
 
