@@ -5,10 +5,9 @@ list of codes per column, with their counts, and each row's index among
 them.  Reading data, projecting columns, the G-squared tests of ``fit`` and
 ``discover --data``, the empirical joint (a ``JointTable`` over the same
 code lists) and plug-in estimates read that storage and never load numpy.
-Only the numpy views of a dataset (``codes``, ``distinct``) and the
-bootstrap, whose draws numpy's generator defines, import numpy, and the
-estimand algebra is imported only by the functions that evaluate an
-estimand.
+Only the bootstrap, whose draws numpy's generator defines, imports numpy,
+and the estimand algebra is imported only by the functions that evaluate
+an estimand.
 """
 
 from __future__ import annotations
@@ -37,8 +36,6 @@ __all__ = [
     "MissingDataPresent",
     "TooManyDegenerateResamples",
     "load_table",
-    "group_rows",
-    "decode_rows",
     "empirical_joint",
     "plug_in",
     "bootstrap_interval",
@@ -136,35 +133,6 @@ class Dataset:
     def has_missing(self) -> bool:
         return any(-1 in col for col in self._cols)
 
-    @cached_property
-    def distinct(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct code rows in lexicographic order and how many times
-        each occurs, as read-only numpy arrays built on first read."""
-        import numpy as np
-
-        rows, count = self._distinct_array(), np.array(self._count, np.intp)
-        rows.flags.writeable = count.flags.writeable = False
-        return rows, count
-
-    @cached_property
-    def codes(self) -> np.ndarray:
-        """Read-only ``(n, columns)`` numpy array of every row's codes, built
-        on first read, in the smallest signed dtype that also holds one past
-        the widest domain."""
-        import numpy as np
-
-        codes = self._distinct_array()[np.frombuffer(self._index, np.int64)]
-        codes.flags.writeable = False
-        return codes
-
-    def _distinct_array(self) -> np.ndarray:
-        import numpy as np
-
-        rows = np.empty((len(self._count), len(self.columns)), _code_dtype(self.domains))
-        for j, col in enumerate(self._cols):
-            rows[:, j] = col
-        return rows
-
     def column_index(self, name: str) -> int:
         try:
             return self.columns.index(name)
@@ -231,43 +199,11 @@ def _encode(
     return domains, list(zip(*coded)) if coded else [()] * len(keys), empty
 
 
-def group_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group of every row of an integer matrix, and the distinct rows in
-    lexicographic order; group ``g`` is distinct row ``g``."""
-    import numpy as np
-
-    order = np.lexsort(codes.T[::-1]) if codes.shape[1] else np.arange(len(codes))
-    ranked = codes[order]
-    first = np.ones(len(codes), dtype=bool)
-    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    group = np.empty_like(order)
-    group[order] = np.cumsum(first) - 1
-    return group, ranked[first]
-
-
-def decode_rows(codes: np.ndarray, domains) -> list[tuple]:
-    """Rows of an integer matrix decoded through each column's domain; -1 or
-    a code past the end of a domain decodes to ``None``."""
-    import numpy as np
-
-    cols = [
-        np.array((*dom, None), dtype=object)[codes[:, j]].tolist()
-        for j, dom in enumerate(domains)
-    ]
-    return list(zip(*cols)) if cols else [()] * len(codes)
-
-
 def _distinct(names: Iterable[str]) -> tuple[str, ...]:
     names = tuple(names)
     if len(set(names)) != len(names):
         raise DataError("duplicate column names")
     return names
-
-
-def _code_dtype(domains: Mapping[str, tuple[str, ...]]) -> np.dtype:
-    import numpy as np
-
-    return np.min_scalar_type(-1 - max(map(len, domains.values()), default=0))
 
 
 def load_table(source: str | os.PathLike | IO[str]) -> Dataset:
@@ -395,7 +331,7 @@ def bootstrap_interval(
     n = d.n
     joint = empirical_joint(d)
     point = eval_estimand(e, joint, binding)
-    pvals = joint.weights
+    pvals = np.array(joint._weights)
 
     values: list[np.ndarray] = []
     dropped = 0
@@ -429,8 +365,8 @@ def bootstrap_interval(
 
 def _quantiles(values: np.ndarray, levels: Sequence[float]) -> list[float]:
     """Quantiles of ``values`` by numpy's default ``linear`` rule, equal to
-    ``np.quantile`` bit for bit; ``np.quantile`` reaches ``np.unique``, which
-    imports ``numpy.ma`` on first use."""
+    ``np.quantile`` bit for bit; ``np.quantile`` imports ``numpy.ma`` on
+    first use."""
     import numpy as np
 
     ranked = np.sort(values).tolist()

@@ -23,12 +23,9 @@ import threading
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .lexer import NAME_RE, SYM_RE, VALUE_RE, Scanner
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "Val",
@@ -316,9 +313,8 @@ class JointTable:
     cell probabilities (``_weights``).  A cell's code for ``variables[j]`` is
     the index of its value in that variable's domain, and the code one past
     the end of a domain is a value no estimand token names.  Zero-mass cells
-    may be omitted.  ``codes``, the ``(K, V)`` matrix of cells, and
-    ``weights`` are read-only numpy views built on first read; evaluation
-    never builds them.  Tables compare by identity.
+    may be omitted.  :func:`eval_estimand` reads these lists and loads no
+    numpy.  Tables compare by identity.
     """
 
     variables: tuple[str, ...]
@@ -375,26 +371,6 @@ class JointTable:
     def __reduce__(self):
         # rebuilt through _coded, so a copy's cached views are recomputed
         return JointTable._coded, (self.variables, self.domains, self._cols, self._weights)
-
-    @cached_property
-    def codes(self) -> np.ndarray:
-        """Read-only ``(K, V)`` numpy array of the cells' codes."""
-        import numpy as np
-
-        codes = np.empty((len(self._weights), len(self.variables)), np.intp)
-        for j, col in enumerate(self._cols):
-            codes[:, j] = col
-        codes.flags.writeable = False
-        return codes
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """Read-only numpy array of the cells' probabilities."""
-        import numpy as np
-
-        weights = np.array(self._weights, float)
-        weights.flags.writeable = False
-        return weights
 
     @cached_property
     def mass(self) -> dict[tuple[str | None, ...], float]:

@@ -111,7 +111,8 @@ def pnps_bounds(
 ) -> PnPsResult:
     """Tight bounds from observational plus experimental information.
 
-    ``px1`` and ``px0`` are P(Y=y1 | do(X=x1)) and P(Y=y1 | do(X=x0)).
+    ``px1`` and ``px0`` are P(Y=y1 | do(X=x1)) and P(Y=y1 | do(X=x0)); one
+    within 1e-9 outside its consistency band is read at the band's edge.
     """
     _check_roles(x, y, BoundsError)
     for p, name in ((px1, "px1"), (px0, "px0")):
@@ -131,20 +132,20 @@ def pnps_bounds(
     p_x0y0 = obs.prob({x: x0, y: y0})
     # Tian-Pearl consistency: Y_x = Y wherever X = x, so
     # P(x, y1) <= P(y1 | do(x)) <= 1 - P(x, y0)
-    for name, p, xv, lo, hi in (
-        ("px1", px1, x1, p_x1y1, 1.0 - p_x1y0),
-        ("px0", px0, x0, p_x0y1, 1.0 - p_x0y0),
-    ):
+    bands = [("px1", px1, x1, p_x1y1, 1.0 - p_x1y0), ("px0", px0, x0, p_x0y1, 1.0 - p_x0y0)]
+    for name, p, xv, lo, hi in bands:
         if not lo - 1e-9 <= p <= hi + 1e-9:
             raise InconsistentInputs(
                 f"{name}={p} is incompatible with the observational table: "
                 f"P({x}={xv},{y}={y1}) <= {name} <= 1 - P({x}={xv},{y}={y0}) "
                 f"requires {lo:.6f} <= {name} <= {hi:.6f}"
             )
+    # an input accepted within the slack is read at the band's edge
+    px1, px0 = (min(max(p, lo), hi) for _, p, _, lo, hi in bands)
 
     pns_lo = max(0.0, px1 - px0, p_y - px0, px1 - p_y)
     pns_hi = min(px1, 1.0 - px0, p_x1y1 + p_x0y0, px1 - px0 + p_x1y0 + p_x0y1)
-    pns: Bound = (pns_lo, min(1.0, pns_hi))
+    pns = _bound("PNS", pns_lo, pns_hi)
 
     notes: list[str] = []
     pn: Bound | None
@@ -152,17 +153,27 @@ def pnps_bounds(
         pn = None
         notes.append(f"PN undefined: P({x}={x1}, {y}={y1}) = 0")
     else:
-        pn_lo = max(0.0, (p_y - px0) / p_x1y1)
-        pn_hi = min(1.0, (1.0 - px0 - p_x0y0) / p_x1y1)
-        pn = (pn_lo, pn_hi)
+        pn = _bound("PN", (p_y - px0) / p_x1y1, (1.0 - px0 - p_x0y0) / p_x1y1)
 
     ps: Bound | None
     if p_x0y0 == 0.0:
         ps = None
         notes.append(f"PS undefined: P({x}={x0}, {y}={y0}) = 0")
     else:
-        ps_lo = max(0.0, (px1 - p_y) / p_x0y0)
-        ps_hi = min(1.0, (px1 - p_x1y1) / p_x0y0)
-        ps = (ps_lo, ps_hi)
+        ps = _bound("PS", (px1 - p_y) / p_x0y0, (px1 - p_x1y1) / p_x0y0)
 
     return PnPsResult(pn=pn, ps=ps, pns=pns, mode="bounds", notes=tuple(notes))
+
+
+def _bound(name: str, lo: float, hi: float) -> Bound:
+    """``(lo, hi)`` clipped to [0, 1].  With a binary exposure and outcome
+    and inputs in their bands the bounds are never empty, so a rounding error
+    that leaves ``lo`` above ``hi`` meets them at ``hi``; a wider gap comes
+    from wider domains, which the bounds do not cover."""
+    lo, hi = max(lo, 0.0), min(hi, 1.0)
+    if lo - hi > 1e-9:
+        raise InconsistentInputs(
+            f"{name} bounds are empty ({lo:.6f} > {hi:.6f}); the Tian-Pearl bounds"
+            " assume a binary exposure and outcome"
+        )
+    return (lo, hi) if lo <= hi else (max(hi, 0.0),) * 2

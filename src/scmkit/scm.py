@@ -313,25 +313,25 @@ def holds(
 
 
 def observational_joint(m: DiscreteScm, max_states: int = DEFAULT_STATE_CAP) -> JointTable:
-    """Exact joint over the endogenous variables, by exogenous enumeration."""
-    from .estimate import group_rows
+    """Exact joint over the endogenous variables, by exogenous enumeration.
+    The states are grouped by their codes read as one mixed-radix number, so
+    the cells come out in lexicographic order of their codes."""
     from .expr import JointTable
 
     variables = tuple(sorted(m.endogenous))
     dims = [len(m.endo_domains[v]) for v in variables]
     joint_size = math.prod(dims)
-    # refuse before enumerating; an exogenous overflow is reported first
-    if m.exo_state_count() <= max_states < joint_size:
-        raise StateSpaceOverflow(
-            f"{joint_size} joint states exceed the cap of {max_states}"
-        )
+    # refuse before enumerating; an exogenous overflow is reported first, and
+    # a joint too wide for an int64 key is refused under any cap
+    cap = min(max_states, np.iinfo(np.intp).max)
+    if m.exo_state_count() <= max_states and cap < joint_size:
+        raise StateSpaceOverflow(f"{joint_size} joint states exceed the cap of {cap}")
     weights, (codes,) = enumerate_worlds(m, [{}], max_states)
-    cells = np.empty((len(weights), len(variables)), dtype=np.intp)
-    for j, v in enumerate(variables):
-        cells[:, j] = codes[v]
-    group, distinct = group_rows(cells)
+    # with no variables every state has the scalar key 0
+    key = np.broadcast_to(np.ravel_multi_index([codes[v] for v in variables], dims), len(weights))
+    keys, group = np.unique(key, return_inverse=True)
+    cols = tuple(col.tolist() for col in np.unravel_index(keys, dims)) if variables else ()
     domains = {v: m.endo_domains[v] for v in variables}
-    cols = tuple(distinct.T.tolist())
     return JointTable._coded(variables, domains, cols, np.bincount(group, weights).tolist())
 
 
@@ -382,8 +382,11 @@ def counterfactual_query(m: DiscreteScm, q: CounterfactualQuery) -> float:
 
 
 def sample(m: DiscreteScm, n: int, seed: int) -> "Dataset":
-    """Ancestral sampling; identical (model, n, seed) gives identical rows."""
-    from .estimate import Dataset, _encode, _grouped, decode_rows, group_rows
+    """Ancestral sampling; identical (model, n, seed) gives identical rows.
+
+    Each drawn code row is keyed to its first occurrence, as the CSV reader
+    keys its records, so only the distinct rows are decoded and encoded."""
+    from .estimate import Dataset, _encode, _stored
 
     if n < 1:
         raise ScmError("sample size must be at least 1")
@@ -394,16 +397,12 @@ def sample(m: DiscreteScm, n: int, seed: int) -> "Dataset":
     }
     (codes,) = solve_worlds(m, exo, n, [{}])
     out_cols = tuple(sorted(m.endogenous))
-    # the draws are grouped once, in their stored code dtype; only their
-    # distinct rows are decoded and encoded
-    drawn = np.empty((n, len(out_cols)), np.result_type(np.uint8, *codes.values()))
-    for j, v in enumerate(out_cols):
-        drawn[:, j] = codes[v]
-    group, distinct = group_rows(drawn)
-    keys = decode_rows(distinct, [m.endo_domains[v] for v in out_cols])
-    domains, coded, _ = _encode(out_cols, keys)
-    cols, count, slot = _grouped(coded, np.bincount(group).tolist())
-    return Dataset._coded(out_cols, domains, cols, count, np.array(slot)[group].tolist())
+    drawn = zip(*(codes[v].tolist() for v in out_cols)) if out_cols else [()] * n
+    seen: dict[tuple[int, ...], int] = {}
+    first = list(map(seen.setdefault, drawn, itertools.count()))
+    doms = [m.endo_domains[v] for v in out_cols]
+    domains, coded, _ = _encode(out_cols, [tuple(map(tuple.__getitem__, doms, k)) for k in seen])
+    return Dataset._coded(out_cols, domains, *_stored(coded, list(seen.values()), first))
 
 
 def latent_projection(m: DiscreteScm) -> Admg:

@@ -914,11 +914,10 @@ def c_components_by_min(g: Admg):
 def augmented_joint_by_arrays(mg, d) -> JointTable:
     """``recover._augmented_joint`` as it was, with numpy: the distinct rows
     of the substantive columns and observed flags, grouped by ``group_rows``."""
-    from scmkit.estimate import DataError, group_rows
+    from scmkit.estimate import DataError
 
     subs = sorted(mg.substantive)
-    rows, count = d.distinct
-    codes = rows[:, [d.column_index(v) for v in subs]]
+    codes = np.array([d._cols[d.column_index(v)] for v in subs], np.intp).T
     missing = codes < 0
     for v, col in zip(subs, missing.T):
         if v not in mg.partial and col.any():
@@ -930,8 +929,72 @@ def augmented_joint_by_arrays(mg, d) -> JointTable:
     group, distinct = group_rows(np.hstack([codes, ~missing[:, partial]]))
     variables = tuple(subs) + tuple(mg.indicator(subs[j]) for j in partial)
     domains = {v: d.domains[v] if v in subs else ("miss", "obs") for v in variables}
-    weights = np.bincount(group, weights=count) / d.n
+    weights = np.bincount(group, weights=d._count) / d.n
     return JointTable._coded(variables, domains, tuple(distinct.T.tolist()), weights.tolist())
+
+
+# --- grouping rows with numpy ------------------------------------------------------
+
+
+def group_rows(codes):
+    """Group of every row of an integer matrix, and the distinct rows in
+    lexicographic order; group ``g`` is distinct row ``g``."""
+    order = np.lexsort(codes.T[::-1]) if codes.shape[1] else np.arange(len(codes))
+    ranked = codes[order]
+    first = np.ones(len(codes), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    group = np.empty_like(order)
+    group[order] = np.cumsum(first) - 1
+    return group, ranked[first]
+
+
+def decode_rows(codes, domains) -> list[tuple]:
+    """Rows of an integer matrix decoded through each column's domain; -1 or
+    a code past the end of a domain decodes to ``None``."""
+    cols = [
+        np.array((*dom, None), dtype=object)[codes[:, j]].tolist()
+        for j, dom in enumerate(domains)
+    ]
+    return list(zip(*cols)) if cols else [()] * len(codes)
+
+
+def sample_by_arrays(m: DiscreteScm, n, seed):
+    """``scm.sample`` as it was: the draws grouped by ``group_rows`` in their
+    stored code dtype, then only the distinct rows decoded and encoded."""
+    from scmkit.estimate import Dataset, _encode, _grouped
+    from scmkit.scm import solve_worlds
+
+    rng = np.random.default_rng(seed)
+    exo = {
+        u: rng.choice(len(spec.domain), size=n, p=np.asarray(spec.probs))
+        for u, spec in m.exogenous.items()
+    }
+    (codes,) = solve_worlds(m, exo, n, [{}])
+    out_cols = tuple(sorted(m.endogenous))
+    drawn = np.empty((n, len(out_cols)), np.result_type(np.uint8, *codes.values()))
+    for j, v in enumerate(out_cols):
+        drawn[:, j] = codes[v]
+    group, distinct = group_rows(drawn)
+    keys = decode_rows(distinct, [m.endo_domains[v] for v in out_cols])
+    domains, coded, _ = _encode(out_cols, keys)
+    cols, count, slot = _grouped(coded, np.bincount(group).tolist())
+    return Dataset._coded(out_cols, domains, cols, count, np.array(slot)[group].tolist())
+
+
+def observational_joint_by_arrays(m: DiscreteScm) -> JointTable:
+    """``scm.observational_joint`` as it was: the enumerated states grouped
+    by ``group_rows`` over their code rows."""
+    from scmkit.scm import enumerate_worlds
+
+    variables = tuple(sorted(m.endogenous))
+    weights, (codes,) = enumerate_worlds(m, [{}])
+    cells = np.empty((len(weights), len(variables)), dtype=np.intp)
+    for j, v in enumerate(variables):
+        cells[:, j] = codes[v]
+    group, distinct = group_rows(cells)
+    domains = {v: m.endo_domains[v] for v in variables}
+    cols = tuple(distinct.T.tolist())
+    return JointTable._coded(variables, domains, cols, np.bincount(group, weights).tolist())
 
 
 # --- testable implications by exhaustive search ----------------------------------
@@ -1084,8 +1147,8 @@ def chi2_sf_by_series(x, dof):
 def load_table_by_rows(source):
     """``estimate.load_table`` reading every row: all csv records are kept,
     then each column's cells are cleaned and encoded with numpy, one index
-    per cell.  Returns the columns, domains, decoded rows and codes, or
-    raises the reader's ``DataError``."""
+    per cell.  Returns the columns, domains, decoded rows and each row's
+    codes, or raises the reader's ``DataError``."""
     from types import SimpleNamespace
 
     from scmkit.estimate import MISSING_TOKEN, DataError
@@ -1136,13 +1199,10 @@ def load_table_by_rows(source):
                 empty = min(empty, int(np.argmax(coded[-1] == rank[""])))
         if empty < len(rows):
             raise DataError(f"row {empty + 1} has an empty cell")
-        dtype = np.min_scalar_type(-1 - max(map(len, domains.values()), default=0))
-        codes = np.empty((len(rows), len(columns)), dtype=dtype)
-        for j, col in enumerate(coded):
-            codes[:, j] = col
+        codes = np.array(coded, np.intp).T.tolist()
         decoded = tuple(
             tuple(None if k < 0 else domains[c][k] for c, k in zip(columns, row))
-            for row in codes.tolist()
+            for row in codes
         )
         return SimpleNamespace(columns=columns, domains=domains, rows=decoded, codes=codes)
 
@@ -1196,3 +1256,137 @@ def two_sided_by_hand(y):
         * both.count((x, y)) / sum(1 for b in both if b[0] == x)
         for x in ("0", "1")
     )
+
+
+# --- seeded fuzz of the data subcommands ---------------------------------------------
+
+FUZZ_COLUMNS = ("X", "Y", "Z", "M")
+FUZZ_QUERIES = (
+    "P(Y=1|do(X=1))", "P(Y=0|do(X=0),Z=1)", "P(Y=2|do(X=1))", "P(Y=1|do(X=7))",
+    "P(y|do(x))", "P(Q=1|do(X=1))", "P(Y=1|do(X=1)", "P(Z=1|do(X=0))",
+)
+FUZZ_FLOATS = ("0", "1", "-0.5", "1.5", "nan", "inf", "1e-300", "0.05", "0.999999")
+
+
+def fuzz_data_call(r, tmp, i) -> list[str]:
+    """Arguments of one call of a data subcommand, with its files written
+    under ``tmp``: a small CSV over X, Y, Z, M or some of them, four in nine
+    with one flaw (a missing, empty or ragged cell, a quoted line break, a
+    duplicate or empty header name), some padded or with blank lines or a
+    byte-order mark; a graph to match; and flags that are sometimes out of
+    range.  ``pnps`` reads its experimental inputs within 1e-9 of an end of
+    the band the rows allow, or out of range."""
+    if r.random() < 0.7:
+        columns = list(FUZZ_COLUMNS)
+    else:
+        columns = [str(c) for c in r.permutation(FUZZ_COLUMNS)[: int(r.integers(1, 4))]]
+    sizes = {c: int(r.choice([1, 2, 2, 2, 2, 3, 3])) for c in columns}
+    rows = [
+        [str(int(r.integers(0, sizes[c]))) for c in columns]
+        for _ in range(int(r.integers(0, 40)))
+    ]
+    header = list(columns)
+    flaw = int(r.integers(0, 18))
+    if rows and flaw < 6:
+        row = rows[int(r.integers(0, len(rows)))]
+        at = int(r.integers(0, len(row)))
+        if flaw < 3:
+            row[at] = "NA"
+        elif flaw == 3:
+            row[at] = ""
+        elif flaw == 4:
+            row.append("1")
+        else:
+            row[at] = '"a\nb"'
+    elif flaw == 6:
+        header.append(header[0])
+    elif flaw == 7:
+        header.append("")
+    if r.random() < 0.1:
+        rows = [[f" {cell} " for cell in row] for row in rows]
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    if r.random() < 0.1:
+        lines.insert(int(r.integers(1, len(lines) + 1)), "")
+    text = "\n".join(lines) + "\n"
+    if r.random() < 0.05:
+        text = "\ufeff" + text
+    data = tmp / f"d{i}.csv"
+    data.write_text(text, encoding="utf-8", newline="")
+    # X -> Z -> Y with X -> Y, which mediate needs, and some other edges
+    order = ["X", "Z", "Y", "M"] if r.random() < 0.85 else [str(c) for c in r.permutation(FUZZ_COLUMNS)]
+    extra = 0.3 if r.random() < 0.5 else 0.0
+    edges = [
+        (a, b) for k, a in enumerate(order) for b in order[k + 1:]
+        if (a, b) in (("X", "Z"), ("Z", "Y"), ("X", "Y")) or r.random() < extra
+    ]
+    graph = tmp / f"g{i}.cg"
+    graph.write_text(
+        "".join(f"var {v}\n" for v in order) + "".join(f"{a} -> {b}\n" for a, b in edges)
+        + ("X <-> Y\n" if r.random() < 0.1 else ""),
+        encoding="utf-8",
+    )
+    # the commands that print intervals are drawn more often
+    command = str(r.choice([
+        "estimate", "estimate --bootstrap", "estimate --bootstrap", "fit", "discover",
+        "pnps", "pnps", "pnps", "mediate", "recover",
+    ]))
+    if command.startswith("estimate"):
+        query = FUZZ_QUERIES[0] if r.random() < 0.6 else str(r.choice(FUZZ_QUERIES))
+        argv = ["estimate", "--graph", str(graph), "--query", query, "--data", str(data)]
+        if command.endswith("--bootstrap"):
+            argv += ["--bootstrap", "100" if r.random() < 0.9 else str(r.choice(["99", "0"]))]
+            if r.random() < 0.2:
+                argv.append(f"--level={r.choice(FUZZ_FLOATS)}")
+            argv.append(f"--seed={int(r.integers(-1, 1000))}")
+    elif command in ("fit", "discover"):
+        argv = [command] + (["--graph", str(graph)] if command == "fit" else [])
+        argv += ["--data", str(data)]
+        if r.random() < 0.3:
+            argv.append(f"--alpha={r.choice(FUZZ_FLOATS)}")
+        if command == "fit" and r.random() < 0.3:
+            argv.append("--bonferroni")
+    elif command == "pnps":
+        argv = ["pnps", "--data", str(data)] + _fuzz_experiment(r, columns, rows)
+        if r.random() < 0.1:
+            argv.append(f"{r.choice(['--x1', '--x0', '--y1', '--y0'])}={r.choice(['0', '2', '7'])}")
+        if r.random() < 0.05:
+            argv += ["--outcome", "X"]
+    elif command == "mediate":
+        mediator, outcome = ("Z", "Y") if r.random() < 0.9 else ("M", str(r.choice(["Y", "Z"])))
+        argv = ["mediate", "--graph", str(graph), "--data", str(data), "--exposure", "X",
+                "--mediator", mediator, "--outcome", outcome,
+                "--x0", "0", "--x1", str(r.choice(["1", "1", "2"]))]
+    else:
+        mgraph = tmp / f"m{i}.cg"
+        mgraph.write_text(str(r.choice([
+            "var X\nvar Y\nX -> Y\nmissing Y\nX -> R_Y\n",
+            "var X\nvar Y\nX -> Y\nmissing Y\nY -> R_Y\n",
+            "var X\nvar Y\nX -> Y\nmissing X\nmissing Y\nX -> R_Y\n",
+            "var X\nvar Y\nvar Z\nX -> Y\nZ -> Y\nmissing Z\nX -> R_Z\n",
+        ])), encoding="utf-8")
+        target = "Y=1" if r.random() < 0.6 else str(
+            r.choice(["Y=0", "X=0,Y=1", "Y=2", "Y", "", "Y=1,Y=0", "Q=1", "Z=1"])
+        )
+        argv = ["recover", "--graph", str(mgraph), "--data", str(data), "--target", target]
+    if r.random() < 0.3:
+        argv.append("--porcelain")
+    return argv
+
+
+def _fuzz_experiment(r, columns, rows) -> list[str]:
+    """``--px1``/``--px0`` for ``pnps --data``: each within 1e-9 of an end
+    of its Tian-Pearl band on the rows' (X, Y) frequencies, or a value that
+    is out of range."""
+    both = [
+        (row[columns.index("X")], row[columns.index("Y")])
+        for row in rows if {"X", "Y"} <= set(columns) and len(row) == len(columns)
+    ]
+    n = max(len(both), 1)
+    flags = []
+    for name, x in (("--px1", "1"), ("--px0", "0")):
+        if r.random() < 0.1:
+            flags.append(f"{name}={r.choice(FUZZ_FLOATS)}")
+            continue
+        edge = both.count((x, "1")) / n if r.random() < 0.5 else 1.0 - both.count((x, "0")) / n
+        flags.append(f"{name}={edge + float(r.uniform(-1e-9, 1e-9))!r}")
+    return flags

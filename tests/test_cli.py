@@ -1,7 +1,9 @@
 import io
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -682,3 +684,41 @@ def test_no_subcommand_is_usage_error():
 def test_help_exits_zero():
     code, out, _ = invoke("--help")
     assert code == 0
+
+
+# --- seeded fuzz of the data subcommands ------------------------------------------
+
+_INTERVAL_RE = re.compile(r"\[(\S+), (\S+)\]|^(?:pn|ps|pns)\t(\S+)\t(\S+)$", re.M)
+
+
+def _printed_intervals(argv, out):
+    """Every (lo, hi) pair a call printed: ``[lo, hi]``, a ``pnps``
+    porcelain line with two numbers, or ``estimate --porcelain``'s interval
+    fields."""
+    found = [
+        (float(a or c), float(b or d)) for a, b, c, d in _INTERVAL_RE.findall(out)
+    ]
+    fields = out.split("\t")
+    if argv[0] == "estimate" and "--porcelain" in argv and len(fields) == 5:
+        found.append((float(fields[2]), float(fields[3])))
+    return found
+
+
+def test_data_subcommands_fuzzed_exit_with_a_code_and_print_ordered_intervals(tmp_path):
+    r = gen.rng(97)
+    outcomes, intervals = Counter(), 0
+    for i in range(300):
+        argv = gen.fuzz_data_call(r, tmp_path, i)
+        out, err = io.StringIO(), io.StringIO()
+        code = run(argv, out, err)  # an exception that escapes fails the test
+        assert code in (0, 1, 2, 3), (argv, err.getvalue())
+        for lo, hi in _printed_intervals(argv, out.getvalue()):
+            assert 0.0 <= lo <= hi <= 1.0, (argv, out.getvalue())
+            intervals += 1
+        outcomes[argv[0], code] += 1
+    # every subcommand both answers and refuses, and intervals are printed
+    for command in ("estimate", "fit", "discover", "pnps", "mediate", "recover"):
+        assert outcomes[command, 0] and sum(
+            outcomes[command, c] for c in (1, 2, 3)
+        ), (command, outcomes)
+    assert intervals >= 50, intervals

@@ -155,23 +155,22 @@ def test_data_oracle_is_deterministic():
 
 
 def test_data_runs_group_the_rows_of_the_dataset_once(monkeypatch):
-    # 2,000 rows of three binary columns: sampling groups the rows once, and
-    # every G-squared test reads the at most 8 distinct rows from the
-    # dataset's own lists, so no numpy view of the rows is ever built
+    # 2,000 rows of three binary columns: sampling groups its at most 8
+    # distinct rows once, and every G-squared test reads them from the
+    # dataset's own lists without grouping rows again
     sizes = []
 
-    def counting(codes, group_rows=estimate_module.group_rows):
-        sizes.append(len(codes))
-        return group_rows(codes)
+    def counting(coded, counts, grouped=estimate_module._grouped):
+        sizes.append(len(coded))
+        return grouped(coded, counts)
 
-    monkeypatch.setattr(estimate_module, "group_rows", counting)
+    monkeypatch.setattr(estimate_module, "_grouped", counting)
     d = sample(collider_scm(), 2000, seed=3)
-    assert sizes == [d.n] and len(d._count) <= 8
+    assert sizes == [len(d._count)] and len(d._count) <= 8
     c = discover_cpdag(DataOracle(d), d.columns)
     assert c.directed == {("X", "Z"), ("Y", "Z")}
     fit_indices(collider_graph(), d)
-    assert sizes == [d.n]
-    assert "codes" not in vars(d) and "distinct" not in vars(d)
+    assert sizes == [len(d._count)]
 
 
 def test_data_oracle_refuses_alpha_outside_unit_interval():

@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import io
 import pickle
 import re
@@ -23,7 +24,7 @@ from scmkit.estimate import (
 from scmkit.expr import ConditioningOnZero, eval_estimand, parse_estimand
 from scmkit.graph import parse_graph
 from scmkit.identify import Identified, identify, parse_query
-from scmkit.scm import intervene, observational_joint, parse_scm, sample
+from scmkit.scm import intervene, observational_joint, sample
 
 BACKDOOR = parse_graph("var X\nvar Y\nvar Z\nZ -> X\nZ -> Y\nX -> Y\n")
 
@@ -333,12 +334,19 @@ def _csv_text(r) -> str:
     return "\ufeff" + text if r.random() < 0.1 else text
 
 
+def _row_codes(d):
+    """Each row's codes, read from a dataset's stored lists."""
+    distinct = list(zip(*d._cols)) if d._cols else [()] * len(d._count)
+    return [list(distinct[i]) for i in d._index]
+
+
 def _read_outcome(read, source):
     try:
         d = read(source)
     except DataError as exc:
         return "refused", str(exc)
-    return d.columns, d.domains, d.rows, d.codes.tolist(), d.codes.dtype
+    codes = d.codes if read is gen.load_table_by_rows else _row_codes(d)
+    return d.columns, d.domains, d.rows, codes
 
 
 def test_reader_agrees_with_row_by_row_oracle(tmp_path):
@@ -383,25 +391,11 @@ def test_load_skips_blank_lines_and_strips_tokens():
     assert d.domains == {"X": ("0", "1"), "Y": ("10",)}
 
 
-def test_dataset_codes_are_read_only():
-    d = load_table(io.StringIO("X,Y\n0,1\n1,NA\n"))
-    m = parse_scm("exo U {0: 0.5, 1: 0.5}\nendo X (U) {(0) -> 0, (1) -> 1}")
-    sampled = sample(m, 5, seed=0)
-    for data in (d, d.select(("Y",)), Dataset(d.columns, d.rows), sampled):
-        with pytest.raises(ValueError):
-            data.codes[0, 0] = 0
-
-
-def test_dataset_distinct_rows_are_sorted_counted_and_read_only():
+def test_dataset_distinct_rows_are_sorted_and_counted():
     d = load_table(io.StringIO("X,Y\n1,0\n0,NA\n1,0\n0,1\n0,NA\n1,0\n"))
-    rows, count = d.distinct
-    assert rows.tolist() == [[0, -1], [0, 1], [1, 0]]
-    assert count.tolist() == [2, 1, 3]
-    assert rows.dtype == d.codes.dtype
-    assert d.distinct is d.distinct
-    for array in (rows, count):
-        with pytest.raises(ValueError):
-            array[0] = 0
+    assert d._cols == ([0, 0, 1], [-1, 1, 0])
+    assert d._count == [2, 1, 3]
+    assert list(d._index) == [2, 0, 2, 1, 0, 2]
 
 
 @pytest.mark.parametrize("copy_of", [
@@ -409,15 +403,15 @@ def test_dataset_distinct_rows_are_sorted_counted_and_read_only():
 ])
 def test_dataset_copies_keep_codes_read_only(copy_of):
     d = load_table(io.StringIO("X,Y\n0,1\n1,NA\n0,1\n"))
-    d.distinct, d.rows  # cached views are not carried into the copy
+    d.has_missing, d.rows  # cached views are not carried into the copy
     c = copy_of(d)
-    assert (c.columns, c.domains, c.codes.tolist()) == (d.columns, d.domains, d.codes.tolist())
-    assert c.codes.dtype == d.codes.dtype
-    assert "distinct" not in vars(c) and "rows" not in vars(c)
-    with pytest.raises(ValueError):
-        c.codes[0, 0] = 1
-    assert c.rows == d.rows
-    assert [a.tolist() for a in c.distinct] == [a.tolist() for a in d.distinct]
+    assert (c.columns, c.domains, c._cols, c._count) == (d.columns, d.domains, d._cols, d._count)
+    assert c._index == d._index and c._index.typecode == "q"
+    assert "has_missing" not in vars(c) and "rows" not in vars(c)
+    # a copy is frozen like the original: its code lists cannot be rebound
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c._cols = ()
+    assert c.rows == d.rows and c.has_missing
 
 
 def test_dataset_select_projects_columns():
@@ -429,25 +423,16 @@ def test_dataset_select_projects_columns():
 def test_dataset_codes_index_domains():
     d = load_table(io.StringIO("X,Y,Z\nb,NA,0\na,1,NA\nc,10,NA\na,NA,0\n"))
     assert d.domains == {"X": ("a", "b", "c"), "Y": ("1", "10"), "Z": ("0",)}
-    assert d.codes.tolist() == [[1, -1, 0], [0, 0, -1], [2, 1, -1], [0, -1, 0]]
-    for row, codes in zip(d.rows, d.codes.tolist()):
-        for c, cell, code in zip(d.columns, row, codes):
+    codes = _row_codes(d)
+    assert codes == [[1, -1, 0], [0, 0, -1], [2, 1, -1], [0, -1, 0]]
+    for row, row_codes in zip(d.rows, codes):
+        for c, cell, code in zip(d.columns, row, row_codes):
             assert (cell is None) == (code == -1)
             assert cell is None or d.domains[c][code] == cell
     part = d.select(("Z", "X"))
-    assert (part.codes == d.codes[:, [2, 0]]).all()
+    assert _row_codes(part) == [[row[2], row[0]] for row in codes]
     assert part.has_missing
     assert not d.select(("X",)).has_missing
-
-
-def test_codes_take_the_smallest_dtype_for_their_columns():
-    rows = tuple((str(i), str(i % 2)) for i in range(200))
-    d = Dataset(("W", "X"), rows)
-    assert d.codes.dtype == np.int16
-    assert d.select(("X",)).codes.dtype == np.int8
-    # 128 values need one more code than int8 holds
-    wide = load_table(io.StringIO("X\n" + "\n".join(map(str, range(128)))))
-    assert wide.codes.dtype == np.int16
 
 
 # --- batched bootstrap against one evaluation per replicate ------------------------
@@ -538,8 +523,8 @@ def test_bootstrap_blocks_of_one_replicate(monkeypatch):
 
 
 def test_bootstrap_quantiles_equal_numpy_bit_for_bit():
-    # the interval's percentiles avoid np.quantile, whose np.unique check
-    # imports numpy.ma; they must still be its values exactly
+    # the interval's percentiles avoid np.quantile, which imports
+    # numpy.ma; they must still be its values exactly
     r = gen.rng(53)
     for k in range(50_000):
         n = int(r.integers(1, 301))

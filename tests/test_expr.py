@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import math
 import pickle
@@ -275,7 +276,7 @@ def test_eval_estimand_matches_the_recursive_row_evaluator_bit_for_bit():
         named = variables + ["W"] * (r.random() < 0.1)  # W is not in the table
         e = gen.random_estimand(r, named, depth=int(r.integers(1, 5)))
         binding = {v: str(int(r.integers(0, 4))) for v in named if r.random() < 0.9}
-        want = _rows_outcome(gen.eval_rows_by_recursion, e, t, t.weights[None, :], binding)
+        want = _rows_outcome(gen.eval_rows_by_recursion, e, t, np.array([t._weights]), binding)
         got = _outcome(eval_estimand, e, t, binding)
         if isinstance(want[0], type):
             assert got == want
@@ -364,7 +365,7 @@ def test_eval_rows_matches_the_recursive_evaluator_bit_for_bit():
     for _ in range(2400):
         variables = ["X", "Y", "Z"][: int(r.integers(1, 4))]
         t = gen.sparse_joint(r, variables, [int(k) for k in r.integers(1, 4, size=len(variables))])
-        weights = r.dirichlet(np.ones(len(t.weights)), size=int(r.integers(1, 6)))
+        weights = r.dirichlet(np.ones(len(t._weights)), size=int(r.integers(1, 6)))
         weights[r.random(weights.shape) < 0.4] = 0.0  # zero strata
         weights[weights.sum(axis=1) == 0.0, 0] = 1.0
         weights /= weights.sum(axis=1, keepdims=True)
@@ -523,7 +524,9 @@ def test_joint_table_mass_and_prob_match_a_dict_scan_bit_for_bit():
         domains, mass = make(r, variables, sizes)
         t = JointTable(variables, domains, mass)
         assert list(t.mass.items()) == list(mass.items())
-        assert t.codes.shape == (len(mass), 3)
+        assert list(zip(*t._cols)) == [
+            tuple(domains[v].index(val) for v, val in zip(variables, key)) for key in mass
+        ]
         for k in range(4):
             for picked in itertools.combinations(variables, k):
                 values = [domains[v] + ("9",) for v in picked]
@@ -557,21 +560,17 @@ def test_joint_table_copies_keep_arrays_read_only(copy_of):
     t.mass, t.groups((0,))  # cached views are not carried into the copy
     c = copy_of(t)
     assert (c.variables, dict(c.domains)) == (t.variables, dict(t.domains))
-    assert c.codes.tolist() == t.codes.tolist()
-    assert c.weights.tolist() == t.weights.tolist()
+    assert (c._cols, c._weights) == (t._cols, t._weights)
     assert "mass" not in vars(c) and not c._grouped
-    for array in (c.codes, c.weights):
-        with pytest.raises(ValueError):
-            array[...] = 0
+    # a copy is frozen like the original: its lists cannot be rebound
+    for name in ("_cols", "_weights"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(c, name, [])
     assert c.mass == t.mass and c.prob({"X": "0"}) == t.prob({"X": "0"})
 
 
-def test_joint_table_codes_and_weights_are_read_only():
+def test_joint_tables_compare_by_identity():
     t = gen.sparse_joint(gen.rng(73), ["X", "Y"], [3, 2])
-    for array in (t.codes, t.weights):
-        with pytest.raises(ValueError):
-            array[...] = 0
-    # tables compare by identity
     assert t == t
     assert t != JointTable(t.variables, t.domains, dict(t.mass))
 

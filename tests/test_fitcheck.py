@@ -173,7 +173,7 @@ def test_g_squared_memory_follows_rows_not_domains():
         for _ in range(6000)
     )
     d = Dataset(("U", "V", "Z"), rows)
-    assert d.codes.shape == (6000, 3)  # encoded before the measurement
+    assert (d.n, len(d._cols)) == (6000, 3)  # encoded before the measurement
     tracemalloc.start()
     try:
         stat, dof, p, used, pooled = g_squared_ci(d, "U", "V", ("Z",))

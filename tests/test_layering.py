@@ -4,9 +4,11 @@
 only the modules on its path, so symbolic work, ``fit``, ``discover --data``
 and the plug-in answers on data (``estimate`` without ``--bootstrap``,
 ``pnps --data``, ``recover``, ``mediate --graph --data``) never load numpy,
-and model work never compiles the estimand algebra or the graph code.
+and model work never compiles the estimand algebra or the graph code.  A
+check of the source pins where ``expr`` and ``estimate`` import numpy.
 """
 
+import ast
 import json
 import os
 import re
@@ -102,6 +104,40 @@ def test_each_path_loads_exactly_its_modules(argv, expected):
     assert code == 0
     loaded = {m for m in modules if m.startswith("scmkit.")}
     assert loaded == {f"scmkit.{m}" for m in expected | {"cli", "lexer"}}
+
+
+def numpy_imports(module: str) -> list[str]:
+    """Where a module of the package imports numpy, by the source alone: the
+    qualified name of each enclosing function or class, ``<module>`` at the
+    top level, or ``<type checking>`` under ``if TYPE_CHECKING``."""
+    source = (ROOT / "src" / "scmkit" / f"{module}.py").read_text(encoding="utf-8")
+    found, stack = [], [(ast.parse(source), "<module>")]
+    while stack:
+        node, where = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            names = (
+                [a.name for a in child.names] if isinstance(child, ast.Import)
+                else [child.module or ""] if isinstance(child, ast.ImportFrom) else []
+            )
+            if any(name.split(".")[0] == "numpy" for name in names):
+                found.append(where)
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if where.startswith("<") else f"{where}.{child.name}"
+            elif isinstance(child, ast.If) and ast.unparse(child.test) == "TYPE_CHECKING":
+                inner = "<type checking>"
+            stack.append((child, inner))
+    return sorted(found)
+
+
+def test_only_the_bootstrap_imports_numpy_in_expr_and_estimate():
+    # the detector sees a top-level import and one inside a function
+    assert "<module>" in numpy_imports("scm")
+    assert "mediation_effects_scm" in numpy_imports("mediation")
+    assert numpy_imports("expr") == []
+    assert set(numpy_imports("estimate")) == {
+        "bootstrap_interval", "_quantiles", "<type checking>",
+    }
 
 
 def test_bootstrap_interval_loads_no_masked_arrays(tmp_path):

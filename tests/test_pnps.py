@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import pytest
 
 import gen
+from scmkit.estimate import empirical_joint, load_table
 from scmkit.expr import JointTable
 import scmkit.scm as scm_module
 from scmkit.pnps import BoundsError, InconsistentInputs, pn_ps_exact, pnps_bounds
@@ -242,6 +245,58 @@ def test_bounds_refuse_inconsistent_experiment():
     # within the 1e-9 slack, boundary inputs still pass
     res = pnps_bounds(obs, px1=0.5 - 1e-10, px0=0.5 + 1e-10)
     assert res.pns[0] <= res.pns[1] + 1e-9
+
+
+def _assert_ordered_in_unit_interval(res):
+    for bound in (res.pn, res.ps, res.pns):
+        if bound is not None:
+            lo, hi = bound
+            assert 0.0 <= lo <= hi <= 1.0, res
+
+
+D8 = Path(__file__).parent / "data" / "d8.csv"
+
+
+@pytest.mark.parametrize("px1, px0, name, point", [
+    (0.5, 0.7500000005, "pn", 0.0),
+    (0.8750000005, 0.5, "ps", 1.0),
+    (0.5, 0.2499999995, "pn", 1.0),
+    (0.3749999995, 0.5, "ps", 0.0),
+])
+def test_inputs_inside_the_slack_are_read_at_the_band_edge(px1, px0, name, point):
+    # P(X,Y) on d8.csv is 0.25, 0.25, 0.125, 0.375, so px1 is in [0.375,
+    # 0.875] and px0 in [0.25, 0.75]; read as given, each input made one
+    # bound inverted or leave [0, 1] by about 1e-9
+    obs = empirical_joint(load_table(D8).select(("X", "Y")))
+    res = pnps_bounds(obs, px1, px0)
+    _assert_ordered_in_unit_interval(res)
+    assert getattr(res, name) == (point, point)
+    edge = pnps_bounds(obs, min(max(px1, 0.375), 0.875), min(max(px0, 0.25), 0.75))
+    assert res == edge
+
+
+def test_bounds_near_every_band_edge_are_ordered_in_the_unit_interval():
+    r = gen.rng(55)
+    for _ in range(3000):
+        probs = r.dirichlet([1.0, 1.0, 1.0, 1.0])
+        if r.random() < 0.2:
+            probs[int(r.integers(0, 4))] = 0.0  # an empty cell
+            probs /= probs.sum()
+        keys = [("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")]
+        mass = dict(zip(keys, map(float, probs)))
+        obs = JointTable(("X", "Y"), {"X": ("0", "1"), "Y": ("0", "1")}, mass)
+        bands = [
+            (mass[("1", "1")], 1.0 - mass[("1", "0")]),
+            (mass[("0", "1")], 1.0 - mass[("0", "0")]),
+        ]
+        px = []
+        for lo, hi in bands:
+            edge = lo if r.random() < 0.5 else hi
+            px.append(min(max(edge + float(r.uniform(-1e-9, 1e-9)), 0.0), 1.0))
+        res = pnps_bounds(obs, *px)
+        _assert_ordered_in_unit_interval(res)
+        edges = [min(max(p, lo), hi) for p, (lo, hi) in zip(px, bands)]
+        assert res == pnps_bounds(obs, *edges)
 
 
 def test_exposure_equal_to_outcome_refused_in_both_modes():

@@ -258,7 +258,7 @@ def test_augmented_joint_decodes_missing_cells_to_none():
     t = _augmented_joint(mar_mgraph(), d)
     assert t.variables == ("X", "Y", "R_Y")
     # Y's observed domain is ("1",), so its missing cells take the code 1
-    assert t.codes.tolist() == [[0, 0, 1], [0, 1, 0], [1, 1, 0]]
+    assert t._cols == ([0, 0, 1], [0, 1, 1], [1, 0, 0])
     assert len(t.mass) == 3
     assert list(t.mass.items()) == [
         (("0", "1", "obs"), 0.5), (("0", None, "miss"), 0.25), (("1", None, "miss"), 0.25),

@@ -607,13 +607,71 @@ def test_sample_matches_row_by_row_reference():
         assert (got.columns, got.rows) == (want.columns, want.rows)
         # domains hold only drawn values, so undrawn ones shift no code
         assert got.domains == want.domains
-        assert got.codes.dtype == want.codes.dtype
-        assert (got.codes == want.codes).all()
+        assert (got._cols, got._count, got._index) == (want._cols, want._count, want._index)
 
 
 def test_sample_of_a_model_without_endogenous_variables():
     d = sample(parse_scm("exo U {0: 0.5, 1: 0.5}"), 5, seed=1)
-    assert (d.n, d.columns, d.rows, d.codes.shape) == (5, (), ((),) * 5, (5, 0))
+    assert (d.n, d.columns, d.rows) == (5, (), ((),) * 5)
+    assert (d._cols, d._count, list(d._index)) == ((), [5], [0] * 5)
+
+
+def _binary_chain(k):
+    """V00 -> V01 -> ... with each link flipped by its own coin."""
+    exogenous = {f"U{i:02}": ExogenousVar(("0", "1"), (0.7, 0.3)) for i in range(k)}
+    endogenous = {"V00": EndogenousVar(("U00",), {("0",): "0", ("1",): "1"})}
+    for i in range(1, k):
+        endogenous[f"V{i:02}"] = EndogenousVar(
+            (f"V{i - 1:02}", f"U{i:02}"),
+            {(a, b): str(int(a) ^ int(b)) for a in "01" for b in "01"},
+        )
+    return DiscreteScm(exogenous, endogenous)
+
+
+def _stored(d):
+    return d.columns, d.domains, d._cols, d._count, d._index
+
+
+def test_sample_and_observational_joint_match_the_numpy_grouping_oracles():
+    def cells(t):
+        return t.variables, dict(t.domains), t._cols, t._weights
+
+    r = gen.rng(75)
+    models = []
+    for i in range(300):
+        m = gen.random_scm(r, n_endo=int(r.integers(1, 6)), n_exo=int(r.integers(1, 4)))
+        if i % 2:
+            pinned = r.choice(sorted(m.endogenous), size=int(r.integers(1, 3)))
+            m = intervene(m, {str(v): str(int(r.integers(0, 2))) for v in pinned})
+        models.append((m, int(r.integers(1, 2000))))
+    # a widened domain out of sorted order, and a model with no endogenous variable
+    base = xor_scm()
+    models.append((DiscreteScm(base.exogenous, base.endogenous,
+                               endo_domains={"X": ("1", "0"), "Y": ("1", "9", "0")}), 500))
+    models.append((parse_scm("exo U {0: 0.5, 1: 0.5}"), 5))
+    for seed, (m, n) in enumerate(models):
+        assert _stored(sample(m, n, seed)) == _stored(gen.sample_by_arrays(m, n, seed))
+        assert cells(observational_joint(m)) == cells(gen.observational_joint_by_arrays(m))
+    assert observational_joint(models[-2][0]).domains["Y"] == ("1", "9", "0")
+    assert observational_joint(models[-1][0])._weights == [1.0]
+
+
+def test_sample_is_not_bound_to_an_int64_key():
+    # 70 binary columns have 2**70 possible rows
+    m = _binary_chain(70)
+    d = sample(m, 2000, seed=8)
+    assert d.n == 2000 and len(d.columns) == 70
+    assert _stored(d) == _stored(gen.sample_by_arrays(m, 2000, seed=8))
+
+
+def test_joint_too_wide_for_an_int64_key_is_refused_before_enumerating():
+    m = _binary_chain(70)
+    wide = f"^{2**70} joint states exceed the cap of {2**63 - 1}$"
+    with pytest.raises(StateSpaceOverflow, match=wide):
+        observational_joint(m, max_states=2**80)
+    # under the default cap the exogenous overflow is still reported first
+    with pytest.raises(StateSpaceOverflow, match=f"^{2**70} exogenous states exceed"):
+        observational_joint(m)
 
 
 def test_sample_size_validated():
