@@ -8,10 +8,10 @@ or the G-squared test on data.  Assumes faithfulness and causal sufficiency.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Protocol
 
 from .graph import Admg, GraphError, d_separated
+from .record import Record
 
 if TYPE_CHECKING:
     from .estimate import Dataset
@@ -31,8 +31,7 @@ class DiscoveryError(ValueError):
     """Discovery could not produce a consistent CPDAG."""
 
 
-@dataclass(frozen=True)
-class Cpdag:
+class Cpdag(Record):
     nodes: frozenset[str]
     directed: frozenset[tuple[str, str]]
     undirected: frozenset[tuple[str, str]]

@@ -18,10 +18,11 @@ import math
 import os
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import IO, TYPE_CHECKING, Iterable, Mapping, Sequence
+
+from .record import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -61,8 +62,7 @@ class TooManyDegenerateResamples(ArithmeticError):
     """Too large a share of bootstrap resamples hit an empty stratum."""
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class Dataset:
+class Dataset(Record, eq=False):
     """Rectangular categorical data, stored as integer codes.
 
     A cell's code is its index in its column's ``domains`` entry (the sorted
@@ -262,8 +262,7 @@ def _read_csv(fh: IO[str]) -> Dataset:
     return Dataset._coded(columns, domains, *_stored(coded, list(seen.values()), first, blank))
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(Record):
     value: float
     n: int
     interval: tuple[float, float, float] | None = None  # (low, high, level)

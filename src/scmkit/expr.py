@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Union
 
 from .lexer import NAME_RE, SYM_RE, VALUE_RE, Scanner
+from .record import Record
 
 __all__ = [
     "Val",
@@ -304,8 +304,7 @@ def sum_over(binders: Iterable[tuple[str, str]], body: Estimand) -> Estimand:
 # --- joint tables ------------------------------------------------------------
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class JointTable:
+class JointTable(Record, eq=False):
     """Exact distribution over finite discrete variables, as coded cells.
 
     The table is stored in plain Python, the way a ``Dataset`` stores its

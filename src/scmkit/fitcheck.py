@@ -9,13 +9,13 @@ testable content; the report is then rendered as the literal ``NULL``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import add, floordiv, ge, mod, mul, truediv
 from typing import Iterable
 
 from .estimate import DataError, Dataset, MissingDataPresent
 from .graph import Admg, CiStatement, testable_implications
+from .record import Record
 
 __all__ = [
     "FitEntry",
@@ -28,8 +28,7 @@ __all__ = [
 MIN_STRATUM = 5  # strata with fewer observations are pooled out of the statistic
 
 
-@dataclass(frozen=True)
-class FitEntry:
+class FitEntry(Record):
     statement: CiStatement
     statistic: float
     dof: int
@@ -39,8 +38,7 @@ class FitEntry:
     pooled_strata: int
 
 
-@dataclass(frozen=True)
-class FitReport:
+class FitReport(Record):
     entries: tuple[FitEntry, ...]
     alpha: float
     bonferroni: bool = False

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
 from .lexer import NAME_RE, Scanner
+from .record import Record
 
 __all__ = [
     "Admg",
@@ -245,8 +245,7 @@ class Admg:
         )
 
 
-@dataclass(frozen=True)
-class CiStatement:
+class CiStatement(Record):
     """A conditional-independence statement: left independent of right given `given`."""
 
     left: frozenset[str]

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import zlib
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Union
 
 from .expr import (
@@ -33,6 +32,7 @@ from .expr import (
 from .graph import Admg, UnknownVariable, c_components, d_separated
 from .lexer import SYM_RE
 from .query import CausalQuery, QueryError, QueryTerm, parse_query, query_layer
+from .record import Record
 
 if TYPE_CHECKING:
     from .scm import DiscreteScm
@@ -86,13 +86,11 @@ def backdoor_sets(
 # --- identification ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Identified:
+class Identified(Record):
     estimand: Estimand
 
 
-@dataclass(frozen=True)
-class NonIdentifiable:
+class NonIdentifiable(Record):
     """Refusal with the offending hedge: two nested confounded node sets."""
 
     hedge_forest: frozenset[str]
@@ -120,8 +118,7 @@ def _pt(joint_vars: Iterable[str], given_vars: Iterable[str] = ()) -> ProbTerm:
     )
 
 
-@dataclass(frozen=True)
-class _Dist:
+class _Dist(Record):
     """Distribution over ``order`` threaded through the sub-walks of ``_id``.
 
     When ``expr`` is a plain probability term covering exactly ``order``,
@@ -301,8 +298,7 @@ def identify(g: Admg, q: CausalQuery) -> IdentifyResult:
 # --- non-identifiability witness ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WitnessPair:
+class WitnessPair(Record):
     """Two models certifying a refusal: same observables, different effect."""
 
     model_a: DiscreteScm

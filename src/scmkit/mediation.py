@@ -8,8 +8,9 @@ refused rather than approximated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from .record import Record
 
 if TYPE_CHECKING:
     from .estimate import Dataset
@@ -29,8 +30,7 @@ class ConfoundedMediator(ValueError):
     """The supplied graph is not the unconfounded mediation triangle."""
 
 
-@dataclass(frozen=True)
-class MediationReport:
+class MediationReport(Record):
     te: float
     nde: float
     nie: float

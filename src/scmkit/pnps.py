@@ -8,8 +8,9 @@ Convention: x1 is the treated value, y1 the response value; callers relabel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
+
+from .record import Record
 
 if TYPE_CHECKING:
     from .expr import JointTable
@@ -30,8 +31,7 @@ class InconsistentInputs(BoundsError):
     """No model yields both the experimental inputs and the observations."""
 
 
-@dataclass(frozen=True)
-class PnPsResult:
+class PnPsResult(Record):
     """PN, PS, PNS as exact probabilities or (low, high) bounds.
 
     A component is ``None`` when its conditioning event has probability
@@ -112,7 +112,9 @@ def pnps_bounds(
     """Tight bounds from observational plus experimental information.
 
     ``px1`` and ``px0`` are P(Y=y1 | do(X=x1)) and P(Y=y1 | do(X=x0)); one
-    within 1e-9 outside its consistency band is read at the band's edge.
+    within 1e-9 outside its consistency band is read at the band's edge.  The
+    bounds hold for a binary exposure and outcome, so either one with more
+    than two values of positive probability is refused.
     """
     _check_roles(x, y, BoundsError)
     for p, name in ((px1, "px1"), (px0, "px0")):
@@ -124,6 +126,13 @@ def pnps_bounds(
     for label, var, value in (("x1", x, x1), ("x0", x, x0), ("y1", y, y1), ("y0", y, y0)):
         if value not in obs.domains[var]:
             raise BoundsError(f"{label} value {value!r} not in the domain of {var}")
+    for role, var in (("exposure", x), ("outcome", y)):
+        observed = [v for v in obs.domains[var] if obs.prob({var: v}) > 0.0]
+        if len(observed) > 2:
+            raise BoundsError(
+                f"{role} {var} has {len(observed)} observed values; the Tian-Pearl"
+                " bounds need a binary exposure and outcome"
+            )
 
     p_y = obs.prob({y: y1})
     p_x1y1 = obs.prob({x: x1, y: y1})
@@ -166,14 +175,13 @@ def pnps_bounds(
 
 
 def _bound(name: str, lo: float, hi: float) -> Bound:
-    """``(lo, hi)`` clipped to [0, 1].  With a binary exposure and outcome
-    and inputs in their bands the bounds are never empty, so a rounding error
-    that leaves ``lo`` above ``hi`` meets them at ``hi``; a wider gap comes
-    from wider domains, which the bounds do not cover."""
+    """``(lo, hi)`` clipped to [0, 1].  :func:`pnps_bounds` refuses a wider
+    exposure or outcome and reads its inputs inside their bands, so the
+    bounds are never empty: a rounding error that leaves ``lo`` above ``hi``
+    meets them at ``hi``, and a wider gap is refused as an inconsistency."""
     lo, hi = max(lo, 0.0), min(hi, 1.0)
     if lo - hi > 1e-9:
         raise InconsistentInputs(
-            f"{name} bounds are empty ({lo:.6f} > {hi:.6f}); the Tian-Pearl bounds"
-            " assume a binary exposure and outcome"
+            f"{name} bounds are empty ({lo:.6f} > {hi:.6f}) beyond rounding error"
         )
     return (lo, hi) if lo <= hi else (max(hi, 0.0),) * 2

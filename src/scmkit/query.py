@@ -8,9 +8,8 @@ command both read queries, so this module needs only the lexer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .lexer import NAME_RE, VALUE_RE, Scanner
+from .record import Record
 
 __all__ = ["QueryTerm", "CausalQuery", "QueryError", "parse_query", "query_layer"]
 
@@ -19,8 +18,7 @@ class QueryError(ValueError):
     """Malformed causal query, or a query outside this operation's layer."""
 
 
-@dataclass(frozen=True)
-class QueryTerm:
+class QueryTerm(Record):
     """One variable reference in a query.
 
     ``token`` is a value symbol (``literal=False``) or an explicit value.
@@ -33,8 +31,7 @@ class QueryTerm:
     dos: tuple[tuple[str, str], ...] = ()
 
 
-@dataclass(frozen=True)
-class CausalQuery:
+class CausalQuery(Record):
     outcome: tuple[QueryTerm, ...]
     do: tuple[QueryTerm, ...] = ()
     condition: tuple[QueryTerm, ...] = ()

@@ -10,7 +10,6 @@ is impossible.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .estimate import DataError, Dataset, Estimate, _grouped
@@ -18,6 +17,7 @@ from .expr import (
     Estimand, JointTable, ProbTerm, Val, eval_estimand, lit, prod_of, sum_over, sym,
 )
 from .graph import Admg, GraphError, d_separated, parse_graph
+from .record import Record
 
 __all__ = [
     "MGraph",
@@ -41,8 +41,7 @@ class NotRecoverableError(ValueError):
     """Estimation was requested without an established recovery route."""
 
 
-@dataclass(frozen=True)
-class MGraph:
+class MGraph(Record):
     """Combined graph over substantive variables and missingness indicators.
 
     ``partial`` lists the substantive variables that can be missing; each has
@@ -105,14 +104,12 @@ def parse_mgraph(text: str) -> MGraph:
     return MGraph(g, frozenset(partial))
 
 
-@dataclass(frozen=True)
-class Recoverable:
+class Recoverable(Record):
     estimand: Estimand
     criterion: str
 
 
-@dataclass(frozen=True)
-class NotRecoverable:
+class NotRecoverable(Record):
     """No implemented criterion applies (not a proof of impossibility)."""
 
     reason: str

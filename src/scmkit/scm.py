@@ -11,12 +11,12 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
 from .lexer import NAME, NAME_RE, VALUE
+from .record import Record
 
 if TYPE_CHECKING:
     from .expr import JointTable
@@ -64,8 +64,7 @@ class ZeroEvidence(ArithmeticError):
     """The conditioning evidence of a counterfactual has probability zero."""
 
 
-@dataclass(frozen=True)
-class ExogenousVar:
+class ExogenousVar(Record):
     domain: tuple[str, ...]
     probs: tuple[float, ...]
 
@@ -84,8 +83,7 @@ class ExogenousVar:
             raise ScmError(f"exogenous probabilities sum to {sum(self.probs)!r}, not 1")
 
 
-@dataclass(frozen=True, eq=True)
-class EndogenousVar:
+class EndogenousVar(Record):
     parents: tuple[str, ...]
     table: Mapping[tuple[str, ...], str]
 
@@ -219,8 +217,7 @@ class DiscreteScm:
         )
 
 
-@dataclass(frozen=True)
-class CounterfactualQuery:
+class CounterfactualQuery(Record):
     """P(target holds in the world surgered by `antecedent` | evidence)."""
 
     target: tuple[tuple[str, str], ...]

@@ -4,8 +4,10 @@
 only the modules on its path, so symbolic work, ``fit``, ``discover --data``
 and the plug-in answers on data (``estimate`` without ``--bootstrap``,
 ``pnps --data``, ``recover``, ``mediate --graph --data``) never load numpy,
-and model work never compiles the estimand algebra or the graph code.  A
-check of the source pins where ``expr`` and ``estimate`` import numpy.
+and model work never compiles the estimand algebra or the graph code.  No
+path loads ``dataclasses``, and the paths without numpy load no ``inspect``.
+A check of the source pins where ``expr`` and ``estimate`` import numpy and
+that only the record module imports ``dataclasses``.
 """
 
 import ast
@@ -75,7 +77,9 @@ DATA_ONLY = {
 }
 
 
-# every path also loads scmkit.cli and scmkit.lexer
+# every path also loads these
+EVERY_PATH = {"cli", "lexer", "record"}
+
 MODULE_SETS = {
     "identify": (SYMBOLIC["identify"], {"query", "expr", "graph", "identify"}),
     "discover --graph": (SYMBOLIC["discover --graph"], {"graph", "discover"}),
@@ -103,15 +107,29 @@ def test_each_path_loads_exactly_its_modules(argv, expected):
     code, modules = loaded_after_run(argv)
     assert code == 0
     loaded = {m for m in modules if m.startswith("scmkit.")}
-    assert loaded == {f"scmkit.{m}" for m in expected | {"cli", "lexer"}}
+    assert loaded == {f"scmkit.{m}" for m in expected | EVERY_PATH}
 
 
-def numpy_imports(module: str) -> list[str]:
-    """Where a module of the package imports numpy, by the source alone: the
+@pytest.mark.parametrize("path", MODULE_SETS)
+def test_no_path_loads_dataclasses_and_paths_without_numpy_load_no_inspect(path):
+    code, modules = loaded_after_run(MODULE_SETS[path][0])
+    assert code == 0
+    assert "dataclasses" not in modules
+    # only the model paths load numpy, which imports inspect itself
+    assert ("numpy" in modules) == (path in MODEL)
+    if path not in MODEL:
+        assert "inspect" not in modules
+
+
+def source(module: str) -> str:
+    return (ROOT / "src" / "scmkit" / f"{module}.py").read_text(encoding="utf-8")
+
+
+def imports_of(target: str, text: str) -> list[str]:
+    """Where a module's source imports ``target`` or a submodule of it: the
     qualified name of each enclosing function or class, ``<module>`` at the
     top level, or ``<type checking>`` under ``if TYPE_CHECKING``."""
-    source = (ROOT / "src" / "scmkit" / f"{module}.py").read_text(encoding="utf-8")
-    found, stack = [], [(ast.parse(source), "<module>")]
+    found, stack = [], [(ast.parse(text), "<module>")]
     while stack:
         node, where = stack.pop()
         for child in ast.iter_child_nodes(node):
@@ -119,7 +137,7 @@ def numpy_imports(module: str) -> list[str]:
                 [a.name for a in child.names] if isinstance(child, ast.Import)
                 else [child.module or ""] if isinstance(child, ast.ImportFrom) else []
             )
-            if any(name.split(".")[0] == "numpy" for name in names):
+            if any(name.split(".")[0] == target for name in names):
                 found.append(where)
             inner = where
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -132,12 +150,21 @@ def numpy_imports(module: str) -> list[str]:
 
 def test_only_the_bootstrap_imports_numpy_in_expr_and_estimate():
     # the detector sees a top-level import and one inside a function
-    assert "<module>" in numpy_imports("scm")
-    assert "mediation_effects_scm" in numpy_imports("mediation")
-    assert numpy_imports("expr") == []
-    assert set(numpy_imports("estimate")) == {
+    assert "<module>" in imports_of("numpy", source("scm"))
+    assert "mediation_effects_scm" in imports_of("numpy", source("mediation"))
+    assert imports_of("numpy", source("expr")) == []
+    assert set(imports_of("numpy", source("estimate"))) == {
         "bootstrap_interval", "_quantiles", "<type checking>",
     }
+
+
+def test_only_the_record_error_imports_dataclasses():
+    modules = sorted(p.stem for p in (ROOT / "src" / "scmkit").glob("*.py"))
+    found = {m: imports_of("dataclasses", source(m)) for m in modules}
+    assert {m: where for m, where in found.items() if where} == {"record": ["_frozen"]}
+    # a record class declared the old way would be caught
+    decorated = source("query") + "\nfrom dataclasses import dataclass\n"
+    assert imports_of("dataclasses", decorated) == ["<module>"]
 
 
 def test_bootstrap_interval_loads_no_masked_arrays(tmp_path):

@@ -1,8 +1,10 @@
+import io
 from pathlib import Path
 
 import pytest
 
 import gen
+from scmkit.cli import run
 from scmkit.estimate import empirical_joint, load_table
 from scmkit.expr import JointTable
 import scmkit.scm as scm_module
@@ -215,6 +217,45 @@ def test_bounds_refuse_values_outside_the_domain():
             pnps_bounds(obs, px1=0.6, px0=0.5, **{name: "7"})
         assert type(info.value) is BoundsError
         assert str(info.value) == f"{name} value '7' not in the domain of {var}"
+
+
+# counts of (X, Y) in two tables: X takes a third value in the first and Y
+# in the second.  Unchecked, the binary formulas counted P(X=2, Y=1) into
+# P(Y=1) or dropped P(Y=2) from P(X=x, Y=y0), and both calls printed bounds at
+# exit 0 (pns: [0.200000, 0.400000])
+TERNARY = {
+    "exposure X": {("0", "0"): 3, ("0", "1"): 1, ("1", "0"): 1, ("1", "1"): 3,
+                   ("2", "0"): 1, ("2", "1"): 1},
+    "outcome Y": {("0", "0"): 3, ("0", "1"): 1, ("0", "2"): 1, ("1", "0"): 1,
+                  ("1", "1"): 3, ("1", "2"): 1},
+}
+
+
+@pytest.mark.parametrize("role", TERNARY)
+def test_bounds_refuse_a_ternary_exposure_or_outcome(tmp_path, role):
+    rows = [f"{x},{y}" for (x, y), k in TERNARY[role].items() for _ in range(k)]
+    csv = tmp_path / "ternary.csv"
+    csv.write_text("X,Y\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    obs = empirical_joint(load_table(csv))
+    message = (
+        f"{role} has 3 observed values; the Tian-Pearl bounds need a binary"
+        " exposure and outcome"
+    )
+    with pytest.raises(BoundsError) as info:
+        pnps_bounds(obs, px1=0.5, px0=0.3)
+    assert type(info.value) is BoundsError and str(info.value) == message
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["pnps", "--data", str(csv), "--px1", "0.5", "--px0", "0.3"], out, err) == 1
+    assert out.getvalue() == "" and message in err.getvalue()
+
+
+def test_bounds_count_only_values_with_mass():
+    # a third value in the domain without mass leaves a binary table
+    mass = {("0", "0"): 0.25, ("0", "1"): 0.25, ("1", "0"): 0.125, ("1", "1"): 0.375}
+    binary = JointTable(("X", "Y"), {"X": ("0", "1"), "Y": ("0", "1")}, mass)
+    wide = JointTable(("X", "Y"), {"X": ("0", "1", "2"), "Y": ("0", "1", "2")},
+                      {**mass, ("2", "2"): 0.0})
+    assert pnps_bounds(wide, 0.5, 0.5) == pnps_bounds(binary, 0.5, 0.5)
 
 
 def test_bounds_validate_probabilities():
