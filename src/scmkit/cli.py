@@ -65,7 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("identify", help="symbolic estimand for a causal query")
     p.add_argument("--graph", required=True)
     p.add_argument("--query", required=True)
-    p.add_argument("--porcelain", action="store_true")
 
     p = sub.add_parser("estimate", help="plug-in estimate of an identified query")
     p.add_argument("--graph", required=True)
@@ -74,19 +73,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bootstrap", type=int, metavar="B")
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--porcelain", action="store_true")
 
     p = sub.add_parser("fit", help="fit indices: implied independencies vs data")
     p.add_argument("--graph", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--bonferroni", action="store_true")
-    p.add_argument("--porcelain", action="store_true")
 
     p = sub.add_parser("counterfactual", help="exact counterfactual probability")
     p.add_argument("--scm", required=True)
     p.add_argument("--query", required=True)
-    p.add_argument("--porcelain", action="store_true")
 
     p = sub.add_parser("pnps", help="probabilities of causation, exact or bounds")
     p.add_argument("--scm")
@@ -100,7 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", default="0")
     p.add_argument("--y1", default="1")
     p.add_argument("--y0", default="0")
-    p.add_argument("--porcelain", action="store_true")
 
     p = sub.add_parser("mediate", help="natural direct and indirect effects")
     p.add_argument("--scm")
@@ -111,20 +106,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outcome", required=True)
     p.add_argument("--x0", required=True)
     p.add_argument("--x1", required=True)
-    p.add_argument("--porcelain", action="store_true")
 
     p = sub.add_parser("recover", help="recoverable estimate from incomplete data")
     p.add_argument("--graph", required=True, help="m-graph file")
     p.add_argument("--data", required=True)
     p.add_argument("--target", required=True, help="e.g. 'Y=1' or 'X=0,Y=1'")
-    p.add_argument("--porcelain", action="store_true")
 
     p = sub.add_parser("discover", help="CPDAG from data or a known graph")
     p.add_argument("--data")
     p.add_argument("--graph")
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--porcelain", action="store_true")
 
+    for p in sub.choices.values():
+        p.add_argument("--porcelain", action="store_true")
     return parser
 
 
@@ -175,21 +169,28 @@ def main() -> None:
 # --- command handlers -----------------------------------------------------------
 
 
-def _cmd_identify(args, out, err) -> int:
-    from .expr import render, simplify
-    from .graph import parse_graph
+def _identify(g, q, err):
+    """The estimand of ``q`` on ``g``, or None once the refusal is printed."""
     from .identify import NonIdentifiable, identify
-    from .query import parse_query
 
-    g = parse_graph(_read(args.graph))
-    q = parse_query(args.query)
     result = identify(g, q)
     if isinstance(result, NonIdentifiable):
         print("FAILURE: the query is not identifiable from the observational "
               "distribution", file=err)
         print(result.describe(), file=err)
+        return None
+    return result.estimand
+
+
+def _cmd_identify(args, out, err) -> int:
+    from .expr import render, simplify
+    from .graph import parse_graph
+    from .query import parse_query
+
+    estimand = _identify(parse_graph(_read(args.graph)), parse_query(args.query), err)
+    if estimand is None:
         return EXIT_FAILURE
-    print(render(simplify(result.estimand)), file=out)
+    print(render(simplify(estimand)), file=out)
     return EXIT_OK
 
 
@@ -207,20 +208,15 @@ def _cmd_estimate(args, out, err) -> int:
     from .estimate import bootstrap_interval, load_table, plug_in
     from .expr import render, simplify
     from .graph import parse_graph
-    from .identify import NonIdentifiable, identify
     from .query import parse_query
 
     g = parse_graph(_read(args.graph))
     q = parse_query(args.query)
     d = load_table(args.data)
-    result = identify(g, q)
-    if isinstance(result, NonIdentifiable):
-        print("FAILURE: the query is not identifiable from the observational "
-              "distribution", file=err)
-        print(result.describe(), file=err)
+    estimand = _identify(g, q, err)
+    if estimand is None:
         return EXIT_FAILURE
     _require_literal(q.outcome + q.do + q.condition)
-    estimand = result.estimand
     if args.bootstrap is not None:
         est = bootstrap_interval(
             estimand, d, binding={}, B=args.bootstrap, level=args.level,
@@ -280,10 +276,7 @@ def _cmd_counterfactual(args, out, err) -> int:
         evidence=tuple((t.var, t.token) for t in q.condition),
     )
     value = counterfactual_query(m, cq)
-    if args.porcelain:
-        print(_fmt(value), file=out)
-    else:
-        print(f"probability: {_fmt(value)}", file=out)
+    print(_fmt(value) if args.porcelain else f"probability: {_fmt(value)}", file=out)
     return EXIT_OK
 
 
@@ -303,27 +296,6 @@ def _parse_experiment_file(text: str) -> tuple[float, float]:
     if px1 is None or px0 is None:
         raise ValueError("experiment file must set both px1 and px0")
     return px1, px0
-
-
-def _print_pnps(result, out, err, porcelain: bool) -> None:
-    for name in ("pn", "ps", "pns"):
-        value = getattr(result, name)
-        if porcelain:
-            if value is None:
-                print(f"{name}\tNA", file=out)
-            elif isinstance(value, tuple):
-                print(f"{name}\t{_fmt(value[0])}\t{_fmt(value[1])}", file=out)
-            else:
-                print(f"{name}\t{_fmt(value)}", file=out)
-        else:
-            if value is None:
-                print(f"{name}: undefined", file=out)
-            elif isinstance(value, tuple):
-                print(f"{name}: [{_fmt(value[0])}, {_fmt(value[1])}]", file=out)
-            else:
-                print(f"{name}: {_fmt(value)}", file=out)
-    for note in result.notes:
-        print(f"note: {note}", file=err)
 
 
 def _cmd_pnps(args, out, err) -> int:
@@ -356,7 +328,18 @@ def _cmd_pnps(args, out, err) -> int:
         )
     else:
         raise ValueError("pnps needs exactly one of --scm (exact) or --data (bounds)")
-    _print_pnps(result, out, err, args.porcelain)
+    for name in ("pn", "ps", "pns"):
+        value = getattr(result, name)
+        if value is None:
+            cells, text = ["NA"], "undefined"
+        elif isinstance(value, tuple):
+            cells = [_fmt(v) for v in value]
+            text = f"[{', '.join(cells)}]"
+        else:
+            cells, text = [_fmt(value)], _fmt(value)
+        print("\t".join([name, *cells]) if args.porcelain else f"{name}: {text}", file=out)
+    for note in result.notes:
+        print(f"note: {note}", file=err)
     return EXIT_OK
 
 
@@ -381,26 +364,13 @@ def _cmd_mediate(args, out, err) -> int:
         )
     else:
         raise ValueError("mediate needs --scm, or --graph together with --data")
-    frac = (
-        "NA" if report.mediated_fraction is None else _fmt(report.mediated_fraction)
-    )
+    names = ("te", "nde", "nie", "nie_reversed", "mediated_fraction")
+    values = [getattr(report, name) for name in names]
     if args.porcelain:
-        print(
-            "\t".join(
-                [_fmt(report.te), _fmt(report.nde), _fmt(report.nie),
-                 _fmt(report.nie_reversed), frac]
-            ),
-            file=out,
-        )
-        return EXIT_OK
-    print(f"te: {_fmt(report.te)}", file=out)
-    print(f"nde: {_fmt(report.nde)}", file=out)
-    print(f"nie: {_fmt(report.nie)}", file=out)
-    print(f"nie_reversed: {_fmt(report.nie_reversed)}", file=out)
-    if report.mediated_fraction is None:
-        print("mediated_fraction: undefined", file=out)
+        print("\t".join("NA" if v is None else _fmt(v) for v in values), file=out)
     else:
-        print(f"mediated_fraction: {frac}", file=out)
+        for name, v in zip(names, values):
+            print(f"{name}: {'undefined' if v is None else _fmt(v)}", file=out)
     return EXIT_OK
 
 

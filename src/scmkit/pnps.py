@@ -65,37 +65,23 @@ def pn_ps_exact(
     PS  = P(Y would be y1 under do(x1) | X=x0, Y=y0)
     PNS = P(Y is y1 under do(x1) and y0 under do(x0))
     """
-    from .scm import ScmError, _check_endo_assignment, enumerate_worlds, holds
+    from .scm import ScmError, _conditional_pass
 
     _check_roles(x, y, ScmError)
     for var in (x, y):
         if var not in m.endogenous:
             raise ScmError(f"{var} is not an endogenous variable")
-    # (evidence, surgery, target, note if the evidence has probability zero)
-    queries = (
-        ({x: x1, y: y1}, {x: x0}, {y: y0}, f"PN undefined: P({x}={x1}, {y}={y1}) = 0"),
-        ({x: x0, y: y0}, {x: x1}, {y: y1}, f"PS undefined: P({x}={x0}, {y}={y0}) = 0"),
+    pn, ps, pns = _conditional_pass(m, [
+        ({x: x1, y: y1}, [({x: x0}, {y: y0})]),
+        ({x: x0, y: y0}, [({x: x1}, {y: y1})]),
+        ({}, [({x: x1}, {y: y1}), ({x: x0}, {y: y0})]),
+    ])
+    notes = tuple(
+        f"{name} undefined: P({x}={xv}, {y}={yv}) = 0"
+        for name, value, xv, yv in (("PN", pn, x1, y1), ("PS", ps, x0, y0))
+        if value is None
     )
-    for evidence, do, target, _ in queries:
-        _check_endo_assignment(m, evidence.items(), "evidence")
-        _check_endo_assignment(m, do.items(), "antecedent")
-        _check_endo_assignment(m, target.items(), "target")
-    # one enumeration: the natural world, do(x0) and do(x1)
-    weights, (natural, *surgered) = enumerate_worlds(m, [{}] + [q[1] for q in queries])
-    outcomes = [holds(m, codes, q[2]) for codes, q in zip(surgered, queries)]
-    values: list[float | None] = []
-    notes: list[str] = []
-    for (evidence, _, _, note), outcome in zip(queries, outcomes):
-        ok = holds(m, natural, evidence)
-        den = float(weights[ok].sum())
-        if den == 0.0:
-            values.append(None)
-            notes.append(note)
-        else:
-            values.append(float(weights[ok & outcome].sum()) / den)
-    pn, ps = values
-    pns = float(weights[outcomes[0] & outcomes[1]].sum()) / float(weights.sum())
-    return PnPsResult(pn=pn, ps=ps, pns=pns, mode="exact", notes=tuple(notes))
+    return PnPsResult(pn=pn, ps=ps, pns=pns, mode="exact", notes=notes)
 
 
 def pnps_bounds(
@@ -114,9 +100,14 @@ def pnps_bounds(
     ``px1`` and ``px0`` are P(Y=y1 | do(X=x1)) and P(Y=y1 | do(X=x0)); one
     within 1e-9 outside its consistency band is read at the band's edge.  The
     bounds hold for a binary exposure and outcome, so either one with more
-    than two values of positive probability is refused.
+    than two values of positive probability is refused, as is ``x1 == x0``
+    or ``y1 == y0``.
     """
     _check_roles(x, y, BoundsError)
+    if x1 == x0:
+        raise BoundsError(f"x1 and x0 must be two different values of {x}")
+    if y1 == y0:
+        raise BoundsError(f"y1 and y0 must be two different values of {y}")
     for p, name in ((px1, "px1"), (px0, "px0")):
         if not 0.0 <= p <= 1.0:
             raise BoundsError(f"{name}={p} is not a probability")

@@ -51,6 +51,9 @@ _ENTRY_RUN_RE = re.compile(r"[^,()]*(?:\([^()]*\)[^,()]*)*(?:\([^()]*)?")
 
 DEFAULT_STATE_CAP = 10_000_000
 
+# (do, targets) pairs: in the model surgered by do, every target holds
+_Worlds = Sequence[tuple[Mapping[str, str], Mapping[str, str]]]
+
 
 class ScmError(ValueError):
     """Malformed model, file, or request."""
@@ -237,19 +240,17 @@ def _check_endo_assignment(m: DiscreteScm, pairs: Iterable[tuple[str, str]], wha
 
 
 def enumerate_worlds(
-    m: DiscreteScm,
-    surgeries: Sequence[Mapping[str, Union[str, np.ndarray]]],
-    max_states: int | None = None,
+    m: DiscreteScm, surgeries: Sequence[Mapping[str, Union[str, np.ndarray]]]
 ) -> tuple[np.ndarray, list[dict[str, np.ndarray]]]:
     """Abduction, action and prediction over all exogenous states at once.
 
     The exogenous states of nonzero weight are enumerated once, as index
     arrays, and every surgered world is solved over that one abduction by
     :func:`solve_worlds`, as in a twin network.  Returns the state weights
-    and, per surgery, one code array per variable.
+    and, per surgery, one code array per variable.  More states than
+    ``DEFAULT_STATE_CAP``, read at each call, are refused.
     """
-    cap = DEFAULT_STATE_CAP if max_states is None else max_states
-    count = m.exo_state_count()
+    count, cap = m.exo_state_count(), DEFAULT_STATE_CAP
     if count > cap:
         raise StateSpaceOverflow(f"{count} exogenous states exceed the cap of {cap}")
     names = m.exo_names()
@@ -309,7 +310,7 @@ def holds(
     return mask
 
 
-def observational_joint(m: DiscreteScm, max_states: int = DEFAULT_STATE_CAP) -> JointTable:
+def observational_joint(m: DiscreteScm) -> JointTable:
     """Exact joint over the endogenous variables, by exogenous enumeration.
     The states are grouped by their codes read as one mixed-radix number, so
     the cells come out in lexicographic order of their codes."""
@@ -320,10 +321,10 @@ def observational_joint(m: DiscreteScm, max_states: int = DEFAULT_STATE_CAP) -> 
     joint_size = math.prod(dims)
     # refuse before enumerating; an exogenous overflow is reported first, and
     # a joint too wide for an int64 key is refused under any cap
-    cap = min(max_states, np.iinfo(np.intp).max)
-    if m.exo_state_count() <= max_states and cap < joint_size:
+    cap = min(DEFAULT_STATE_CAP, np.iinfo(np.intp).max)
+    if m.exo_state_count() <= DEFAULT_STATE_CAP and cap < joint_size:
         raise StateSpaceOverflow(f"{joint_size} joint states exceed the cap of {cap}")
-    weights, (codes,) = enumerate_worlds(m, [{}], max_states)
+    weights, (codes,) = enumerate_worlds(m, [{}])
     # with no variables every state has the scalar key 0
     key = np.broadcast_to(np.ravel_multi_index([codes[v] for v in variables], dims), len(weights))
     keys, group = np.unique(key, return_inverse=True)
@@ -341,10 +342,33 @@ def intervene(m: DiscreteScm, do: Mapping[str, str]) -> DiscreteScm:
     return DiscreteScm(m.exogenous, endogenous, endo_domains=m.endo_domains)
 
 
+def _conditional_pass(
+    m: DiscreteScm, questions: Sequence[tuple[Mapping[str, str], _Worlds]]
+) -> list[float | None]:
+    """Each ``(evidence, worlds)`` question answered as by :func:`joint_counterfactual`,
+    or None where its evidence has probability zero, from one enumeration that
+    solves each distinct surgery once, in the order the questions first name it."""
+    surgeries: list[Mapping[str, str]] = [{}]
+    for evidence, worlds in questions:
+        _check_endo_assignment(m, evidence.items(), "evidence")
+        for do, targets in worlds:
+            _check_endo_assignment(m, do.items(), "antecedent")
+            _check_endo_assignment(m, targets.items(), "target")
+            if do not in surgeries:
+                surgeries.append(do)
+    weights, solved = enumerate_worlds(m, surgeries)
+    answers: list[float | None] = []
+    for evidence, worlds in questions:
+        ok = holds(m, solved[0], evidence)
+        den = float(weights[ok].sum())
+        for do, targets in worlds:
+            ok &= holds(m, solved[surgeries.index(do)], targets)
+        answers.append(float(weights[ok].sum()) / den if den != 0.0 else None)
+    return answers
+
+
 def joint_counterfactual(
-    m: DiscreteScm,
-    worlds: Sequence[tuple[Mapping[str, str], Mapping[str, str]]],
-    evidence: Mapping[str, str] | None = None,
+    m: DiscreteScm, worlds: _Worlds, evidence: Mapping[str, str] | None = None
 ) -> float:
     """Probability that every (surgery, outcome) world holds, given evidence.
 
@@ -354,21 +378,10 @@ def joint_counterfactual(
     computation, taken over full exogenous assignments.
     """
     evidence = dict(evidence or {})
-    _check_endo_assignment(m, evidence.items(), "evidence")
-    for do, targets in worlds:
-        _check_endo_assignment(m, do.items(), "antecedent")
-        _check_endo_assignment(m, targets.items(), "target")
-    weights, (natural, *surgered) = enumerate_worlds(
-        m, [{}] + [do for do, _ in worlds]
-    )
-    ok = holds(m, natural, evidence)
-    den = float(weights[ok].sum())
-    for codes, (_, targets) in zip(surgered, worlds):
-        ok &= holds(m, codes, targets)
-    num = float(weights[ok].sum())
-    if den == 0.0:
+    (value,) = _conditional_pass(m, [(evidence, worlds)])
+    if value is None:
         raise ZeroEvidence(f"evidence has probability zero: {evidence}")
-    return num / den
+    return value
 
 
 def counterfactual_query(m: DiscreteScm, q: CounterfactualQuery) -> float:

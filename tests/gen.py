@@ -1274,13 +1274,20 @@ def fuzz_data_call(r, tmp, i) -> list[str]:
     with one flaw (a missing, empty or ragged cell, a quoted line break, a
     duplicate or empty header name), some padded or with blank lines or a
     byte-order mark; a graph to match; and flags that are sometimes out of
-    range.  ``pnps`` reads its experimental inputs within 1e-9 of an end of
-    the band the rows allow, or out of range."""
+    range.  ``pnps`` gets binary X and Y columns, and reads its experimental
+    inputs within 1e-9 of an end of the band the rows allow, or out of range."""
     if r.random() < 0.7:
         columns = list(FUZZ_COLUMNS)
     else:
         columns = [str(c) for c in r.permutation(FUZZ_COLUMNS)[: int(r.integers(1, 4))]]
-    sizes = {c: int(r.choice([1, 2, 2, 2, 2, 3, 3])) for c in columns}
+    # the commands that print intervals are drawn more often
+    command = str(r.choice([
+        "estimate", "estimate --bootstrap", "estimate --bootstrap", "fit", "discover",
+        "pnps", "pnps", "pnps", "mediate", "recover",
+    ]))
+    # the Tian-Pearl bounds need a binary exposure and outcome
+    binary = ("X", "Y") if command == "pnps" else ()
+    sizes = {c: 2 if c in binary else int(r.choice([1, 2, 2, 2, 2, 3, 3])) for c in columns}
     rows = [
         [str(int(r.integers(0, sizes[c]))) for c in columns]
         for _ in range(int(r.integers(0, 40)))
@@ -1325,11 +1332,6 @@ def fuzz_data_call(r, tmp, i) -> list[str]:
         + ("X <-> Y\n" if r.random() < 0.1 else ""),
         encoding="utf-8",
     )
-    # the commands that print intervals are drawn more often
-    command = str(r.choice([
-        "estimate", "estimate --bootstrap", "estimate --bootstrap", "fit", "discover",
-        "pnps", "pnps", "pnps", "mediate", "recover",
-    ]))
     if command.startswith("estimate"):
         query = FUZZ_QUERIES[0] if r.random() < 0.6 else str(r.choice(FUZZ_QUERIES))
         argv = ["estimate", "--graph", str(graph), "--query", query, "--data", str(data)]

@@ -12,8 +12,8 @@ import gen
 from scmkit.cli import run
 from scmkit.estimate import load_table, plug_in
 from scmkit.expr import parse_estimand
-from scmkit.graph import parse_graph
-from scmkit.scm import sample
+from scmkit.graph import parse_graph, serialize_graph
+from scmkit.scm import sample, serialize_scm
 
 DATA = Path(__file__).parent / "data"
 
@@ -705,8 +705,6 @@ def _printed_intervals(argv, out):
 
 
 def test_data_subcommands_fuzzed_exit_with_a_code_and_print_ordered_intervals(tmp_path):
-    # enough calls for 50 printed intervals: pnps refuses the many tables
-    # with a ternary exposure or outcome that the fuzz draws
     r = gen.rng(97)
     outcomes, intervals = Counter(), 0
     for i in range(400):
@@ -724,3 +722,132 @@ def test_data_subcommands_fuzzed_exit_with_a_code_and_print_ordered_intervals(tm
             outcomes[command, c] for c in (1, 2, 3)
         ), (command, outcomes)
     assert intervals >= 50, intervals
+
+
+# --- seeded fuzz of the model and symbolic subcommands ----------------------------
+
+
+def _fuzz_model(r, tmp, i):
+    """A model file from ``gen.random_scm``, three times in eight with one
+    flaw (a cycle, an unknown parent, a missing table entry, a NaN or negative
+    probability, a bad name, a duplicate or foreign line, a cut), and the
+    model's endogenous names."""
+    m = gen.random_scm(r, n_endo=int(r.integers(2, 6)), n_exo=int(r.integers(1, 4)))
+    names = sorted(m.endogenous)
+    text, first = serialize_scm(m), f"endo {names[0]} ("
+    flaw = int(r.integers(0, 24))
+    if flaw < 2:  # the first variable reads Q, or a variable: itself makes a cycle
+        other = "Q" if flaw else str(r.choice(names))
+        text = re.sub(rf"(?<={re.escape(first)})U\d", other, text)
+    elif flaw == 2:
+        text = re.sub(r"\([01,]*\) -> [01], ", "", text, count=1)
+    elif flaw < 5:
+        text = re.sub(r"(?<=\{0: )[^,}]+", "nan" if flaw == 3 else "-0.25", text, count=1)
+    elif flaw == 5:
+        text = text.replace(first, f"endo {names[0]}! (")
+    elif flaw == 6:
+        text += text.splitlines()[0] + "\n"
+    elif flaw == 7:
+        text += "var X\n"
+    elif flaw == 8:
+        text = text[: int(r.integers(0, len(text)))]
+    model = tmp / f"m{i}.scm"
+    model.write_text(text, encoding="utf-8")
+    return str(model), names
+
+
+def _fuzz_graph(r, tmp, i):
+    """A graph file from ``gen.random_admg``, three times in eight with one
+    flaw (a directed cycle, an unknown or badly named node, a malformed or
+    duplicate line, a cut), and the graph's nodes."""
+    g = gen.random_admg(r, int(r.integers(2, 6)))
+    nodes = sorted(g.nodes)
+    text = serialize_graph(g)
+    a, b = sorted(g.directed)[0] if g.directed else (nodes[0], nodes[0])
+    flaw = int(r.integers(0, 16))
+    if flaw < 5:
+        text += [f"{b} -> {a}", f"{a} -> Q", f"{a} => {b}", f"var {a}", "var A-B"][flaw] + "\n"
+    elif flaw == 5:
+        text = text[: int(r.integers(0, len(text)))]
+    graph = tmp / f"g{i}.cg"
+    graph.write_text(text, encoding="utf-8")
+    return str(graph), nodes
+
+
+def _fuzz_value(r):
+    """A binary model's value, or one in five times a value outside it."""
+    return str(r.choice(["0", "1"] * 4 + ["2", "7"]))
+
+
+def fuzz_model_call(r, tmp, i) -> list[str]:
+    """Arguments of one call of ``counterfactual``, ``pnps --scm``,
+    ``mediate --scm``, ``identify`` or ``discover --graph`` on seeded,
+    sometimes malformed, model and graph files, with queries from
+    ``gen.random_query_text`` or malformed ones and values sometimes out of
+    the domain."""
+    command = str(r.choice(["counterfactual", "counterfactual", "pnps", "mediate",
+                            "identify", "identify", "discover"]))
+    if command in ("identify", "discover"):
+        graph, nodes = _fuzz_graph(r, tmp, i)
+        argv = [command, "--graph", graph]
+        if command == "identify":
+            a, b = str(r.choice(nodes)), str(r.choice(nodes))
+            malformed = ["P(Q|do(A))", f"P({a}|do({a}))", f"P({a}|do({b})", "P(", "",
+                         f"P({a}_{{{b}=1}}=1)"]
+            well_formed = r.random() < 0.8
+            argv += ["--query", gen.random_query_text(r, nodes) if well_formed
+                     else str(r.choice(malformed))]
+    else:
+        model, names = _fuzz_model(r, tmp, i)
+        # with two variables the outcome is the exposure
+        x, m, y = ([str(v) for v in r.permutation(names)] * 2)[:3]
+        if r.random() < 0.05:
+            y = x
+        argv = [command, "--scm", model]
+        if command == "counterfactual":
+            query = (f"P({y}_{{{x}={_fuzz_value(r)}}}={_fuzz_value(r)}|{x}={_fuzz_value(r)})"
+                     if r.random() < 0.7 else gen.random_query_text(r, names))
+            if r.random() < 0.1:
+                query = str(r.choice([f"P({y}_{{{x}=1}}=1|", f"P(Q_{{{x}=1}}=1)",
+                                      f"P({y}_{{{x}=1}}=1,{x}_{{{y}=0}}=1)"]))
+            argv += ["--query", query]
+        elif command == "pnps":
+            argv += ["--exposure", x, "--outcome", y]
+            for flag in ("--x1", "--x0", "--y1"):
+                if r.random() < 0.2:
+                    argv.append(f"{flag}={_fuzz_value(r)}")
+        else:
+            argv += ["--exposure", x, "--mediator", m, "--outcome", y,
+                     "--x0", _fuzz_value(r), "--x1", _fuzz_value(r)]
+    if r.random() < 0.3:
+        argv.append("--porcelain")
+    return argv
+
+
+def _numbers(text):
+    """The tokens of ``text`` that read as floats, ``nan`` and ``inf`` included."""
+    found = []
+    for token in re.split(r"[\s\[\],]+", text):
+        try:
+            found.append(float(token))
+        except ValueError:
+            pass
+    return found
+
+
+def test_model_and_symbolic_subcommands_fuzzed_exit_with_a_code_and_print_probabilities(tmp_path):
+    r = gen.rng(98)
+    outcomes = Counter()
+    for i in range(300):
+        argv = fuzz_model_call(r, tmp_path, i)
+        out, err = io.StringIO(), io.StringIO()
+        code = run(argv, out, err)  # an exception that escapes fails the test
+        assert code in (0, 1, 2, 3), (argv, err.getvalue())
+        if argv[0] in ("counterfactual", "pnps"):
+            for p in _numbers(out.getvalue()):
+                assert 0.0 <= p <= 1.0, (argv, out.getvalue())
+        outcomes[argv[0], code] += 1
+    for command in ("counterfactual", "pnps", "mediate", "identify", "discover"):
+        assert outcomes[command, 0] and sum(
+            outcomes[command, c] for c in (1, 2, 3)
+        ), (command, outcomes)

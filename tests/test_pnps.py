@@ -249,6 +249,32 @@ def test_bounds_refuse_a_ternary_exposure_or_outcome(tmp_path, role):
     assert out.getvalue() == "" and message in err.getvalue()
 
 
+D8 = Path(__file__).parent / "data" / "d8.csv"
+
+
+# x1 = x0 makes PN 0 (Y_x0 = Y = y1 wherever X = x1), as exact mode says.
+# Unchecked, pnps --data on d8.csv printed pn: [0.066667, 0.733333] at exit 0
+# for --x1 1 --x0 1, and three intervals for --y1 1 --y0 1
+@pytest.mark.parametrize("one, other, var", [("x1", "x0", "X"), ("y1", "y0", "Y")])
+def test_bounds_refuse_equal_values(one, other, var):
+    message = f"{one} and {other} must be two different values of {var}"
+    obs = empirical_joint(load_table(D8).select(("X", "Y")))
+    with pytest.raises(BoundsError) as info:
+        pnps_bounds(obs, px1=0.6, px0=0.6, **{one: "1", other: "1"})
+    assert type(info.value) is BoundsError and str(info.value) == message
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["pnps", "--data", str(D8), f"--{one}", "1", f"--{other}", "1",
+            "--px1", "0.6", "--px0", "0.6"]
+    assert run(argv, out, err) == 1
+    assert out.getvalue() == "" and message in err.getvalue()
+
+
+def test_exact_answers_equal_exposure_values_with_zero():
+    m = parse_scm((Path(__file__).parent / "data" / "xor.scm").read_text(encoding="utf-8"))
+    exact = pn_ps_exact(m, "X", "Y", x1="1", x0="1")
+    assert (exact.pn, exact.ps, exact.pns) == (0.0, 0.0, 0.0)
+
+
 def test_bounds_count_only_values_with_mass():
     # a third value in the domain without mass leaves a binary table
     mass = {("0", "0"): 0.25, ("0", "1"): 0.25, ("1", "0"): 0.125, ("1", "1"): 0.375}
@@ -294,8 +320,6 @@ def _assert_ordered_in_unit_interval(res):
             lo, hi = bound
             assert 0.0 <= lo <= hi <= 1.0, res
 
-
-D8 = Path(__file__).parent / "data" / "d8.csv"
 
 
 @pytest.mark.parametrize("px1, px0, name, point", [

@@ -401,19 +401,24 @@ def test_drifted_exogenous_mass_is_not_refused():
         JointTable(j.variables, j.domains, dict(j.mass))
 
 
-def test_state_space_cap():
+def test_state_space_cap(monkeypatch):
+    import scmkit.scm
+
     m = xor_scm()
+    monkeypatch.setattr(scmkit.scm, "DEFAULT_STATE_CAP", 3)
     with pytest.raises(StateSpaceOverflow):
-        observational_joint(m, max_states=3)
+        observational_joint(m)
     # one exogenous coin drives three endogenous copies: 2 states, 8 cells
     m = parse_scm(
         "exo U {0: 0.5, 1: 0.5}\n"
         + "".join(f"endo {v} (U) {{(0) -> 0, (1) -> 1}}\n" for v in "XYZ")
     )
+    monkeypatch.setattr(scmkit.scm, "DEFAULT_STATE_CAP", 7)
     with pytest.raises(StateSpaceOverflow, match="8 joint states exceed the cap of 7"):
-        observational_joint(m, max_states=7)
+        observational_joint(m)
+    monkeypatch.setattr(scmkit.scm, "DEFAULT_STATE_CAP", 1)
     with pytest.raises(StateSpaceOverflow, match="2 exogenous states exceed the cap of 1"):
-        observational_joint(m, max_states=1)
+        observational_joint(m)
 
 
 def test_counterfactual_respects_state_cap(monkeypatch):
@@ -664,11 +669,15 @@ def test_sample_is_not_bound_to_an_int64_key():
     assert _stored(d) == _stored(gen.sample_by_arrays(m, 2000, seed=8))
 
 
-def test_joint_too_wide_for_an_int64_key_is_refused_before_enumerating():
+def test_joint_too_wide_for_an_int64_key_is_refused_before_enumerating(monkeypatch):
+    import scmkit.scm
+
     m = _binary_chain(70)
     wide = f"^{2**70} joint states exceed the cap of {2**63 - 1}$"
-    with pytest.raises(StateSpaceOverflow, match=wide):
-        observational_joint(m, max_states=2**80)
+    with monkeypatch.context() as patch:
+        patch.setattr(scmkit.scm, "DEFAULT_STATE_CAP", 2**80)
+        with pytest.raises(StateSpaceOverflow, match=wide):
+            observational_joint(m)
     # under the default cap the exogenous overflow is still reported first
     with pytest.raises(StateSpaceOverflow, match=f"^{2**70} exogenous states exceed"):
         observational_joint(m)
