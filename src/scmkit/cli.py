@@ -9,13 +9,15 @@ inputs that contradict the data).
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import os
 import sys
+from types import SimpleNamespace
 from typing import IO, TYPE_CHECKING
 
 if TYPE_CHECKING:
+    import argparse
+
     from .query import QueryTerm
 
 __all__ = ["run", "main"]
@@ -55,82 +57,124 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+# each subcommand's help line and flags in the order --help lists them, as
+# the keyword arguments argparse's add_argument takes; every subcommand also
+# takes --porcelain, listed last
+_COMMANDS: dict[str, tuple[str, dict[str, dict]]] = {
+    "identify": ("symbolic estimand for a causal query", {
+        "--graph": {"required": True},
+        "--query": {"required": True},
+    }),
+    "estimate": ("plug-in estimate of an identified query", {
+        "--graph": {"required": True},
+        "--query": {"required": True},
+        "--data": {"required": True},
+        "--bootstrap": {"type": int, "metavar": "B"},
+        "--level": {"type": float, "default": 0.95},
+        "--seed": {"type": int, "default": 0},
+    }),
+    "fit": ("fit indices: implied independencies vs data", {
+        "--graph": {"required": True},
+        "--data": {"required": True},
+        "--alpha": {"type": float, "default": 0.05},
+        "--bonferroni": {"action": "store_true"},
+    }),
+    "counterfactual": ("exact counterfactual probability", {
+        "--scm": {"required": True},
+        "--query": {"required": True},
+    }),
+    "pnps": ("probabilities of causation, exact or bounds", {
+        "--scm": {},
+        "--data": {},
+        "--exposure": {"default": "X"},
+        "--outcome": {"default": "Y"},
+        "--px1": {"type": float},
+        "--px0": {"type": float},
+        "--experiment": {"help": "two-line file with px1 and px0"},
+        "--x1": {"default": "1"},
+        "--x0": {"default": "0"},
+        "--y1": {"default": "1"},
+        "--y0": {"default": "0"},
+    }),
+    "mediate": ("natural direct and indirect effects", {
+        "--scm": {},
+        "--graph": {},
+        "--data": {},
+        "--exposure": {"required": True},
+        "--mediator": {"required": True},
+        "--outcome": {"required": True},
+        "--x0": {"required": True},
+        "--x1": {"required": True},
+    }),
+    "recover": ("recoverable estimate from incomplete data", {
+        "--graph": {"required": True, "help": "m-graph file"},
+        "--data": {"required": True},
+        "--target": {"required": True, "help": "e.g. 'Y=1' or 'X=0,Y=1'"},
+    }),
+    "discover": ("CPDAG from data or a known graph", {
+        "--data": {},
+        "--graph": {},
+        "--alpha": {"type": float, "default": 0.05},
+    }),
+}
+_PORCELAIN = {"--porcelain": {"action": "store_true"}}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="scmkit",
         description="Causal inference engine over discrete structural causal models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("identify", help="symbolic estimand for a causal query")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--query", required=True)
-
-    p = sub.add_parser("estimate", help="plug-in estimate of an identified query")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--query", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--bootstrap", type=int, metavar="B")
-    p.add_argument("--level", type=float, default=0.95)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("fit", help="fit indices: implied independencies vs data")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--bonferroni", action="store_true")
-
-    p = sub.add_parser("counterfactual", help="exact counterfactual probability")
-    p.add_argument("--scm", required=True)
-    p.add_argument("--query", required=True)
-
-    p = sub.add_parser("pnps", help="probabilities of causation, exact or bounds")
-    p.add_argument("--scm")
-    p.add_argument("--data")
-    p.add_argument("--exposure", default="X")
-    p.add_argument("--outcome", default="Y")
-    p.add_argument("--px1", type=float)
-    p.add_argument("--px0", type=float)
-    p.add_argument("--experiment", help="two-line file with px1 and px0")
-    p.add_argument("--x1", default="1")
-    p.add_argument("--x0", default="0")
-    p.add_argument("--y1", default="1")
-    p.add_argument("--y0", default="0")
-
-    p = sub.add_parser("mediate", help="natural direct and indirect effects")
-    p.add_argument("--scm")
-    p.add_argument("--graph")
-    p.add_argument("--data")
-    p.add_argument("--exposure", required=True)
-    p.add_argument("--mediator", required=True)
-    p.add_argument("--outcome", required=True)
-    p.add_argument("--x0", required=True)
-    p.add_argument("--x1", required=True)
-
-    p = sub.add_parser("recover", help="recoverable estimate from incomplete data")
-    p.add_argument("--graph", required=True, help="m-graph file")
-    p.add_argument("--data", required=True)
-    p.add_argument("--target", required=True, help="e.g. 'Y=1' or 'X=0,Y=1'")
-
-    p = sub.add_parser("discover", help="CPDAG from data or a known graph")
-    p.add_argument("--data")
-    p.add_argument("--graph")
-    p.add_argument("--alpha", type=float, default=0.05)
-
-    for p in sub.choices.values():
-        p.add_argument("--porcelain", action="store_true")
+    for command, (summary, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name, spec in (flags | _PORCELAIN).items():
+            p.add_argument(name, **spec)
     return parser
+
+
+def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives a call in the plain form: a subcommand,
+    then its flags spelled in full, each value the next word and not
+    starting with '-', every required flag given.  Any other call gives
+    None and is left to argparse, which alone prints help and usage errors."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    flags = _COMMANDS[argv[0]][1] | _PORCELAIN
+    args = {name[2:]: spec.get("default", False if "action" in spec else None)
+            for name, spec in flags.items()}
+    words = iter(argv[1:])
+    for word in words:
+        spec = flags.get(word)
+        if spec is None:
+            return None
+        if "action" in spec:
+            args[word[2:]] = True
+            continue
+        value = next(words, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            args[word[2:]] = spec.get("type", str)(value)
+        except ValueError:
+            return None
+    if any(spec.get("required") and args[name[2:]] is None for name, spec in flags.items()):
+        return None
+    return SimpleNamespace(command=argv[0], **args)
 
 
 def run(argv: list[str], stdout: IO[str] | None = None, stderr: IO[str] | None = None) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code == 0 else EXIT_USAGE
+    args = _parse_plain(argv)
+    if args is None:
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_OK if exc.code == 0 else EXIT_USAGE
     handler = {
         "identify": _cmd_identify,
         "estimate": _cmd_estimate,
@@ -394,7 +438,7 @@ def _parse_target(text: str) -> dict[str, str]:
 def _cmd_recover(args, out, err) -> int:
     from .estimate import load_table
     from .expr import render
-    from .recover import NotRecoverable, parse_mgraph, recover_estimate, recoverability
+    from .recover import NotRecoverable, _evaluate, parse_mgraph, recoverability
 
     mg = parse_mgraph(_read(args.graph))
     d = load_table(args.data)
@@ -403,7 +447,7 @@ def _cmd_recover(args, out, err) -> int:
     if isinstance(decision, NotRecoverable):
         print(f"NOT RECOVERABLE: {decision.reason}", file=err)
         return EXIT_DATA
-    est = recover_estimate(mg, d, target)
+    est = _evaluate(decision, mg, d, target)
     if args.porcelain:
         print(f"{_fmt(est.value)}\t{est.n}", file=out)
         return EXIT_OK

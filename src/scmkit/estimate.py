@@ -220,10 +220,48 @@ def _clean(token: str) -> str | None:
     return None if token == MISSING_TOKEN else token
 
 
+def _unread(exc: Exception | None) -> Iterable[str]:
+    """No lines: the error that reading a file stopped at, if any, raised
+    where the csv module reads on past the lines read before it."""
+    if exc is not None:
+        raise exc
+    yield from ()
+
+
+# data lines read before the reader decides whether keying them pays
+_SAMPLE = 1024
+
+
 def _read_csv(fh: IO[str]) -> Dataset:
-    """One ``csv`` pass keys each record to the position of its first
-    occurrence; only the distinct records are kept, cleaned and encoded."""
-    reader = csv.reader(fh)
+    """Each record is keyed to the position of its first occurrence; only
+    the distinct records are kept, cleaned and encoded.  The file is read as
+    a stream of lines.  While most lines repeat and none holds a quote,
+    every line is one record, so the csv module reads each distinct line
+    once; otherwise it reads every line in file order."""
+    lines = iter(fh)
+    # each distinct data line keyed to the position where it first occurs,
+    # and that position for every data line: for a sample, and for the rest
+    # if at most half of the sample is distinct
+    distinct: dict[str, int] = {}
+    position: list[int] = []
+    head, unread, keyed = "", None, True
+    try:
+        head = next(lines, "")
+        sample = itertools.islice(lines, _SAMPLE)
+        position.extend(map(distinct.setdefault, sample, itertools.count()))
+        keyed = len(distinct) <= _SAMPLE // 2
+        if keyed:
+            position.extend(map(distinct.setdefault, lines, itertools.count(_SAMPLE)))
+    except (OSError, ValueError) as exc:  # an undecodable byte: raised where csv meets it
+        unread = exc
+    in_order = not keyed or '"' in head or '"' in "".join(distinct)
+    read: Iterable[str] = ()
+    if in_order:
+        line_at = dict(zip(distinct.values(), distinct))
+        read = map(line_at.__getitem__, position)
+    # the lines in file order: those already read, then the rest of the file
+    reader = csv.reader(itertools.chain(
+        [head] if head else (), read, _unread(unread), lines if in_order else ()))
     try:
         header = next(reader)
     except StopIteration:
@@ -235,13 +273,24 @@ def _read_csv(fh: IO[str]) -> Dataset:
         raise DataError("empty column name in header")
     if len(set(columns)) != len(columns):
         raise DataError("duplicate header names")
+    starts = list(distinct.values())
+    records = reader if in_order else csv.reader(distinct)
     seen: dict[tuple[str, ...], int] = {}
     first: list[int] = []
     malformed = None
     try:
-        first.extend(map(seen.setdefault, map(tuple, reader), itertools.count()))
+        first.extend(map(seen.setdefault, map(tuple, records),
+                         itertools.count() if in_order else starts))
     except csv.Error as exc:
-        malformed = DataError(f"line {reader.line_num}: {exc}")
+        line = reader.line_num if in_order else starts[len(first)] + 2
+        malformed = DataError(f"line {line}: {exc}")
+    if not in_order and malformed is None:
+        if unread is not None:
+            raise unread
+        if len(seen) < len(first):
+            # lines that give the same record, as "0,1\n" and "0,1\r\n", merge
+            position = list(map(dict(zip(starts, first)).__getitem__, position))
+        first = position
     # a ragged line is reported before a malformed line below it
     for key, at in seen.items():
         if key and len(key) != len(columns):

@@ -260,5 +260,12 @@ def recover_estimate(
     result = recoverability(mg, frozenset(target))
     if isinstance(result, NotRecoverable):
         raise NotRecoverableError(result.reason)
-    value = eval_estimand(result.estimand, _augmented_joint(mg, d), dict(target))
+    return _evaluate(result, mg, d, target)
+
+
+def _evaluate(
+    decision: Recoverable, mg: MGraph, d: Dataset, target: Mapping[str, str]
+) -> Estimate:
+    """The estimate of a target already decided recoverable."""
+    value = eval_estimand(decision.estimand, _augmented_joint(mg, d), dict(target))
     return Estimate(value=value, n=d.n)

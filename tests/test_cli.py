@@ -1,4 +1,6 @@
+import contextlib
 import io
+import json
 import os
 import re
 import subprocess
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import gen
-from scmkit.cli import run
+from scmkit.cli import _COMMANDS, _PORCELAIN, _build_parser, _parse_plain, run
 from scmkit.estimate import load_table, plug_in
 from scmkit.expr import parse_estimand
 from scmkit.graph import parse_graph, serialize_graph
@@ -444,6 +446,28 @@ def test_recover_bad_target_exit_1():
     assert code == 1
 
 
+def test_recover_decides_recoverability_once(monkeypatch):
+    import scmkit.recover
+
+    argv = ["recover", "--graph", path("mar.cg"), "--data", path("dmiss.csv"),
+            "--target", "X=1,Y=1"]
+    want = invoke(*argv)
+    decide, calls = scmkit.recover.recoverability, []
+
+    def counted(*args):
+        calls.append(args)
+        return decide(*args)
+
+    monkeypatch.setattr(scmkit.recover, "recoverability", counted)
+    assert invoke(*argv) == want == (0, (
+        "criterion: mar\n"
+        "estimand: P(y|x,R_Y=obs) * P(x)\n"
+        "estimate: 0.500000\n"
+        "n: 8\n"
+    ), "")
+    assert len(calls) == 1
+
+
 # --- discover ----------------------------------------------------------------------
 
 
@@ -686,6 +710,100 @@ def test_help_exits_zero():
     assert code == 0
 
 
+# --help of the program and of each subcommand, and ten usage errors, as
+# Python 3.11's argparse printed them at 80 columns before the flags moved
+# into one table; argparse words some of them differently in other versions
+USAGE_TEXTS = json.loads((DATA / "cli_usage.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="texts recorded on Python 3.11")
+@pytest.mark.parametrize(
+    "case", USAGE_TEXTS, ids=[" ".join(c["argv"]) or "(no arguments)" for c in USAGE_TEXTS]
+)
+def test_help_and_usage_errors_print_their_recorded_texts(case, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert invoke(*case["argv"]) == (case["code"], case["stdout"], case["stderr"])
+
+
+def _fuzz_flag_value(r, spec):
+    """A value for a flag of the given spec: usually one its type reads,
+    sometimes a negative number, a word starting with '-' or a value the
+    type refuses."""
+    kind = spec.get("type", str)
+    if kind is int:
+        pool = ["0", "7", "200", " 4", "-3", "-0", "x", "1.5"]
+    elif kind is float:
+        pool = ["0.5", "0.05", "1e-3", "nan", "inf", "-0.25", "-1e-3", "abc"]
+    else:
+        pool = ["g.cg", "P(Y=1|do(X=1))", "X=1,Y=1", "1", "", "-a", "--graph", "-h"]
+    return str(r.choice(pool[:4] * 4 + pool[4:]))
+
+
+def fuzz_argv(r) -> list[str]:
+    """A command line for one subcommand drawn from its flags: required
+    flags usually given, others sometimes; flags in any order, some
+    repeated, abbreviated, unknown, joined to their value with '=' or
+    missing it; and now and then -h, an extra word or an unknown
+    subcommand."""
+    command = str(r.choice(list(_COMMANDS)))
+    flags = _COMMANDS[command][1] | _PORCELAIN
+    names = [name for name, spec in flags.items()
+             if r.random() < (0.95 if spec.get("required") else 0.3)]
+    if r.random() < 0.15:
+        names.append(str(r.choice(list(flags))))
+    r.shuffle(names)
+    argv = [command]
+    for name in names:
+        spec, roll = flags[name], r.random()
+        if roll < 0.05:
+            name = name[: int(r.integers(3, len(name)))]
+        elif roll < 0.08:
+            name = "--frob"
+        if "action" in spec:
+            argv.append(name + ("=yes" if r.random() < 0.05 else ""))
+            continue
+        value, roll = _fuzz_flag_value(r, spec), r.random()
+        if roll < 0.08:
+            argv.append(f"{name}={value}")
+        elif roll < 0.11:
+            argv.append(name)
+        else:
+            argv += [name, value]
+    if r.random() < 0.04:
+        argv.insert(int(r.integers(0, len(argv) + 1)), str(r.choice(["-h", "--help"])))
+    if r.random() < 0.03:
+        argv.append("extra")
+    if r.random() < 0.03:
+        argv[0] = str(r.choice(["", "ident", "frob", "--porcelain"]))
+    return argv
+
+
+def _typed(args):
+    """A namespace's fields with their types; NaN equals itself here."""
+    return sorted((k, type(v).__name__, repr(v)) for k, v in vars(args).items())
+
+
+def test_plain_parser_gives_argparse_namespace_or_defers_to_argparse():
+    r = gen.rng(99)
+    parser = _build_parser()  # parse_args leaves the parser as it was
+    kinds = Counter()
+    for _ in range(3000):
+        argv = fuzz_argv(r)
+        plain = _parse_plain(argv)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                want = parser.parse_args(argv)
+        except SystemExit:
+            want = None
+        if plain is not None:
+            assert want is not None and _typed(plain) == _typed(want), argv
+        kinds[plain is not None, want is not None] += 1
+    # plain calls are common, and argparse gets both calls it reads and ones it refuses
+    assert kinds[True, True] > 800, kinds
+    assert kinds[False, True] > 300 and kinds[False, False] > 1000, kinds
+
+
 # --- seeded fuzz of the data subcommands ------------------------------------------
 
 _INTERVAL_RE = re.compile(r"\[(\S+), (\S+)\]|^(?:pn|ps|pns)\t(\S+)\t(\S+)$", re.M)
@@ -851,3 +969,96 @@ def test_model_and_symbolic_subcommands_fuzzed_exit_with_a_code_and_print_probab
         assert outcomes[command, 0] and sum(
             outcomes[command, c] for c in (1, 2, 3)
         ), (command, outcomes)
+
+
+# --- seeded fuzz of graph and m-graph files on data ---------------------------------
+
+# one line appended to a graph file: a directed cycle, an unknown, repeated
+# or badly named node, a repeated edge or a malformed line
+GRAPH_FLAWS = ("Y -> X", "Z -> X", "X -> X", "X -> Q", "var X", "var W", "X -> Z",
+               "var A-B", "var 2X", "X => Y", "X <-> ")
+# one line appended to an m-graph file: an undeclared, nameless or repeated
+# missing variable, an indicator with a child, on its own variable or on one
+# not declared missing
+MGRAPH_FLAWS = ("missing Q", "missing", "missing Y", "R_Y -> X", "Y -> R_Y", "X -> R_X",
+                "R_Y -> R_Y", "missing R_Y")
+
+
+def fuzz_graph_call(r, tmp, i) -> list[str]:
+    """Arguments of one call of ``estimate``, ``fit``, ``mediate --graph
+    --data`` or ``recover`` on a small seeded CSV over X, Z, Y and sometimes
+    M, and a graph (for ``recover`` an m-graph) over X -> Z -> Y with
+    X -> Y that, three times in five, has one flaw: a line from
+    ``GRAPH_FLAWS`` or ``MGRAPH_FLAWS``, a cut, or an m-graph whose
+    ``missing Y`` declaration is dropped, leaving its indicator undeclared."""
+    command = str(r.choice(["estimate", "estimate", "fit", "mediate", "recover", "recover"]))
+    columns = ["X", "Z", "Y"] + (["M"] if r.random() < 0.3 else [])
+    rows = [[str(int(r.integers(0, 2))) for _ in columns]
+            for _ in range(int(r.integers(0, 60)))]
+    if command == "recover" or r.random() < 0.1:
+        for row in rows:
+            if r.random() < 0.3:
+                row[2] = "NA"
+    data = tmp / f"d{i}.csv"
+    data.write_text("".join(",".join(row) + "\n" for row in [columns, *rows]),
+                    encoding="utf-8")
+    lines = [f"var {v}" for v in columns] + ["X -> Z", "Z -> Y", "X -> Y"]
+    flaws = GRAPH_FLAWS
+    if command == "recover":
+        lines += ["missing Y", "X -> R_Y"]
+        flaws += MGRAPH_FLAWS
+    text = "".join(line + "\n" for line in lines)
+    roll = r.random()
+    if roll < 0.1:
+        text = text[: int(r.integers(0, len(text)))]
+    elif roll < 0.2 and command == "recover":
+        text = text.replace("missing Y\n", "")
+    elif roll < 0.6:
+        text += str(r.choice(flaws)) + "\n"
+    graph = tmp / f"g{i}.cg"
+    graph.write_text(text, encoding="utf-8")
+    files = ["--graph", str(graph), "--data", str(data)]
+    if command == "estimate":
+        query = str(r.choice(["P(Y=1|do(X=1))"] * 4 + ["P(Y=0|do(X=0),Z=1)", "P(Q=1|do(X=1))"]))
+        argv = ["estimate", *files, "--query", query]
+        if r.random() < 0.6:
+            argv += ["--bootstrap", "100", "--seed", str(i)]
+    elif command == "fit":
+        argv = ["fit", *files]
+    elif command == "mediate":
+        argv = ["mediate", *files, "--exposure", "X", "--mediator", "Z", "--outcome", "Y",
+                "--x0", "0", "--x1", "1"]
+    else:
+        argv = ["recover", *files, "--target", str(r.choice(["Y=1", "Y=1", "X=1,Y=1", "Y=0"]))]
+    if r.random() < 0.3:
+        argv.append("--porcelain")
+    return argv
+
+
+def _printed_estimates(argv, out):
+    """The point estimate an ``estimate`` or ``recover`` call printed."""
+    if argv[0] not in ("estimate", "recover") or not out:
+        return []
+    if "--porcelain" in argv:
+        return [float(out.split("\t")[0])]
+    return [float(v) for v in re.findall(r"^estimate: (\S+)$", out, re.M)]
+
+
+def test_graph_files_fuzzed_on_data_exit_with_a_code_and_print_probabilities(tmp_path):
+    r = gen.rng(96)
+    outcomes, intervals, estimates = Counter(), 0, 0
+    for i in range(300):
+        argv = fuzz_graph_call(r, tmp_path, i)
+        out, err = io.StringIO(), io.StringIO()
+        code = run(argv, out, err)  # an exception that escapes fails the test
+        assert code in (0, 1, 2, 3), (argv, err.getvalue())
+        for lo, hi in _printed_intervals(argv, out.getvalue()):
+            assert 0.0 <= lo <= hi <= 1.0, (argv, out.getvalue())
+            intervals += 1
+        for p in _printed_estimates(argv, out.getvalue()):
+            assert 0.0 <= p <= 1.0, (argv, out.getvalue())
+            estimates += 1
+        outcomes[argv[0], code] += 1
+    for command in ("estimate", "fit", "mediate", "recover"):
+        assert outcomes[command, 0] and outcomes[command, 1], (command, outcomes)
+    assert intervals >= 10 and estimates >= 40, (intervals, estimates)

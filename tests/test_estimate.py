@@ -4,6 +4,7 @@ import dataclasses
 import io
 import pickle
 import re
+import sys
 from collections import Counter
 
 import numpy as np
@@ -382,6 +383,107 @@ def test_header_field_over_the_csv_limit_is_refused_with_its_line():
             with pytest.raises(DataError) as info:
                 read(io.StringIO(text))
             assert str(info.value) == f"line {line}: {limit}"
+
+
+_WIDE = "x" * (csv.field_size_limit() + 1)
+_LIMIT = f"field larger than field limit ({csv.field_size_limit()})"
+_BULK = "".join(f"{i % 3},{i % 2}\n" for i in range(10_000))
+# more distinct lines than the reader samples, so it reads them in file order
+_DISTINCT = "".join(f"{i},{i % 2}\n" for i in range(2_000))
+
+# texts whose lines the reader dedupes before the csv module reads them, or
+# that hold a quote or start with mostly distinct lines and are read line by
+# line; each with what reading it as a file gives: None for a table, or the
+# refusal
+ENDING_CASES = {
+    "mixed endings": ("X,Y\r\n0,1\n1,0\r1,1\r\n0,0\n", None),
+    "one record in three endings": ("X,Y\n0,1\n0,1\r\n0,1\r1,0\n0,1", None),
+    "blank lines in three endings": ("X,Y\n\n0,1\r\n\r\n1,0\r\r0,1\n", None),
+    "ragged behind repeated endings": (
+        "X,Y\n0,1\r\n0,1\n0,1,1\r0,1\n", "line 4: row has 3 cells, expected 2"),
+    "empty cell behind repeated endings": (
+        "X,Y\n0,1\r\n\n0,1\n0,\r\n", "row 3 has an empty cell"),
+    "NUL in a repeated line": ("X,Y\n0,\x001\n1,0\r\n0,\x001\n0,\x001\r\n", None),
+    "NUL in a repeated ragged line": (
+        "X,Y\n0,1\n\x00,1,1\n0,1\n\x00,1,1\r\n", "line 3: row has 3 cells, expected 2"),
+    "malformed behind repeats": (
+        f"X,Y\n0,1\n0,1\r\n{_WIDE},1\n0,1,1\n", f"line 4: {_LIMIT}"),
+    "ragged before malformed": (
+        f"X,Y\n0,1\n0,1,1\n0,1\r\n{_WIDE}\n", "line 3: row has 3 cells, expected 2"),
+    "malformed repeated": (f"X,Y\n0,1\n{_WIDE}\n1,1\n{_WIDE}\n", f"line 3: {_LIMIT}"),
+    "carriage return inside a line": ("X,Y\n0,1\nb\rc,1\n1,1\n", "line 3: row has 1 cells, expected 2"),
+    "quote after 10,000 lines": ("X,Y\n" + _BULK + '"0",1\n0,1\r\n', None),
+    "quoted line break after 10,000 lines": (
+        "X,Y\n" + _BULK + '"0\n1",1\n2,2\n', None),
+    "ragged after a late quote": (
+        "X,Y\n" + _BULK + '"0",1\n1,1,1\n', "line 10003: row has 3 cells, expected 2"),
+    "malformed after a late quote": (
+        "X,Y\n" + _BULK + f'"0\n1",1\n{_WIDE},1\n', f"line 10004: {_LIMIT}"),
+    "one record in three endings after distinct lines": (
+        "X,Y\n" + _DISTINCT + "0,1\r\n0,1\r\n\n0,1", None),
+    "ragged after distinct lines": (
+        "X,Y\n" + _DISTINCT + "0,1\r\n0,1,1\n", "line 2003: row has 3 cells, expected 2"),
+    "empty cell after distinct lines": (
+        "X,Y\n\n" + _DISTINCT + "0,\r\n", "row 2001 has an empty cell"),
+    "ragged before malformed after distinct lines": (
+        "X,Y\n" + _DISTINCT + f"0,1,1\n{_WIDE}\n", "line 2002: row has 3 cells, expected 2"),
+    "distinct lines after repeated ones": ("X,Y\n" + _BULK[:8_000] + _DISTINCT, None),
+}
+
+
+@pytest.mark.parametrize("text, refusal", ENDING_CASES.values(), ids=ENDING_CASES.keys())
+def test_reader_agrees_with_row_by_row_oracle_on_endings_nuls_and_late_quotes(
+    text, refusal, tmp_path
+):
+    if "\x00" in text and sys.version_info < (3, 11):
+        pytest.skip("the csv module refuses NUL before Python 3.11")
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    got = _read_outcome(load_table, path)
+    assert got == _read_outcome(gen.load_table_by_rows, path)
+    assert got[0] == "refused" if refusal else got[0] == ("X", "Y")
+    if refusal:
+        assert got[1] == refusal
+    # a text stream splits lines at "\n" only, so "b\rc" is one malformed line
+    stream = _read_outcome(load_table, io.StringIO(text))
+    assert stream == _read_outcome(gen.load_table_by_rows, io.StringIO(text))
+
+
+def test_reader_merges_lines_that_differ_only_in_their_ending(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("X,Y\n0,1\n0,1\r\n1,0\r0,1", encoding="utf-8", newline="")
+    d = load_table(path)
+    assert d.rows == (("0", "1"), ("0", "1"), ("1", "0"), ("0", "1"))
+    assert d._count == [3, 1]
+
+
+# past the first 8,192-byte chunk of the file, so the lines above it are read
+_LATE_BYTE = b"0,1\n" * 5000 + b"\xff\n"
+
+
+@pytest.mark.parametrize("head, refusal", [
+    (b"X,Y\n", None),
+    (b"X,X\n", "duplicate header names"),
+    (b"X,Y\n0,1,1\n", None),
+    (b"X,Y\n" + _WIDE.encode() + b",1\n", f"line 2: {_LIMIT}"),
+    (b'X,Y\n"0",1\n', None),
+    (b'X,Y\n"0",1\n' + _WIDE.encode() + b"\n", f"line 3: {_LIMIT}"),
+    (b"X,Y\n" + _DISTINCT.encode() + b"0,1,1\n", None),
+    (b"X,Y\n" + _DISTINCT.encode() + _WIDE.encode() + b"\n", f"line 2002: {_LIMIT}"),
+], ids=["table", "bad header", "ragged line", "malformed line", "quoted", "quoted malformed",
+        "ragged after distinct lines", "malformed after distinct lines"])
+def test_undecodable_byte_is_met_where_the_csv_module_reads_it(head, refusal, tmp_path):
+    # a refusal on the lines above the byte wins; otherwise the decoding error
+    # escapes, also past a ragged line, which is checked after the whole read
+    path = tmp_path / "bad.csv"
+    path.write_bytes(head + _LATE_BYTE)
+    if refusal is None:
+        with pytest.raises(UnicodeDecodeError):
+            load_table(path)
+    else:
+        with pytest.raises(DataError) as info:
+            load_table(path)
+        assert str(info.value) == refusal
 
 
 def test_load_skips_blank_lines_and_strips_tokens():

@@ -6,6 +6,8 @@ and the plug-in answers on data (``estimate`` without ``--bootstrap``,
 ``pnps --data``, ``recover``, ``mediate --graph --data``) never load numpy,
 and model work never compiles the estimand algebra or the graph code.  No
 path loads ``dataclasses``, and the paths without numpy load no ``inspect``.
+A call that is answered loads no ``argparse``, which only help and usage
+errors need.
 A check of the source pins where ``expr`` and ``estimate`` import numpy and
 that only the record module imports ``dataclasses``.
 """
@@ -119,6 +121,25 @@ def test_no_path_loads_dataclasses_and_paths_without_numpy_load_no_inspect(path)
     assert ("numpy" in modules) == (path in MODEL)
     if path not in MODEL:
         assert "inspect" not in modules
+
+
+@pytest.mark.parametrize("path", MODULE_SETS)
+def test_no_answered_call_loads_argparse(path):
+    code, modules = loaded_after_run(MODULE_SETS[path][0])
+    assert code == 0
+    assert not modules & {"argparse", "gettext"}
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["--help"], 0),
+    (["fit", "--help"], 0),
+    (["identify", "--graph", data("backdoor.cg")], 1),
+    (["discover", "--data=" + data("d8.csv"), "--alpha", "x"], 1),
+], ids=["help", "subcommand help", "missing flag", "bad value"])
+def test_help_and_usage_errors_load_argparse(argv, exit_code):
+    code, modules = loaded_after_run(argv)
+    assert code == exit_code
+    assert "argparse" in modules
 
 
 def source(module: str) -> str:
