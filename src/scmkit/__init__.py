@@ -39,7 +39,30 @@ _EXPORTS = {
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = list(_HOME)
+__all__ = [*_HOME, "ScmkitError"]
+
+
+class ScmkitError(Exception):
+    """Base of scmkit's refusals.  Each class keeps a builtin base as well
+    (``ValueError`` or ``ArithmeticError``), and its ``exit_code`` is the
+    command line's exit status: 1 for an input error, 3 when the data cannot
+    support the request."""
+
+    exit_code = 1
+
+
+def _undecodable(path) -> str:
+    """``line N: ...`` for the first byte of a file that UTF-8 cannot decode,
+    its lines split as Python's text files split them."""
+    with open(path, "rb") as fh:
+        try:
+            fh.read().decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            data, at = exc.object, exc.start
+            # the byte is no line break, so its line is the last one counted
+            return (f"line {len(data[:at + 1].splitlines())}: "
+                    f"cannot decode byte 0x{data[at]:02x} as UTF-8: {exc.reason}")
+    return "file changed while it was read"
 
 
 def __getattr__(name):

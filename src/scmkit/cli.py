@@ -4,7 +4,8 @@ and fit indices out.
 Exit codes: 0 success, 1 usage or input error, 2 the query is not
 identifiable (FAILURE), 3 the data cannot support the request (zero stratum,
 missing data, degenerate resamples, zero-probability evidence, experimental
-inputs that contradict the data).
+inputs that contradict the data).  A refusal's code is its ``ScmkitError``
+class's ``exit_code``, 1 for an ``OSError``; any other exception is a bug.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import os
 import sys
 from types import SimpleNamespace
 from typing import IO, TYPE_CHECKING
+
+from . import ScmkitError, _undecodable
 
 if TYPE_CHECKING:
     import argparse
@@ -27,25 +30,9 @@ EXIT_USAGE = 1
 EXIT_FAILURE = 2
 EXIT_DATA = 3
 
-# errors meaning the data cannot support the request, as (module, class);
-# handlers import only the modules their subcommand runs, and a module never
-# imported raised none of its errors
-_DATA_EXCEPTIONS = (
-    ("expr", "ConditioningOnZero"),
-    ("pnps", "InconsistentInputs"),
-    ("estimate", "MissingDataPresent"),
-    ("estimate", "TooManyDegenerateResamples"),
-    ("scm", "ZeroEvidence"),
-    ("recover", "NotRecoverableError"),
-)
 
-
-def _is_data_error(exc: Exception) -> bool:
-    for mod, name in _DATA_EXCEPTIONS:
-        home = sys.modules.get(f"{__package__}.{mod}")
-        if home is not None and isinstance(exc, getattr(home, name)):
-            return True
-    return False
+class UsageError(ScmkitError, ValueError):
+    """Flags or an input file that no subcommand can act on."""
 
 
 def _fmt(x: float) -> str:
@@ -53,8 +40,11 @@ def _fmt(x: float) -> str:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise UsageError(f"{path}: {_undecodable(path)}") from None
 
 
 # each subcommand's help line and flags in the order --help lists them, as
@@ -187,15 +177,9 @@ def run(argv: list[str], stdout: IO[str] | None = None, stderr: IO[str] | None =
     }[args.command]
     try:
         return handler(args, out, err)
-    except Exception as exc:
-        if _is_data_error(exc):
-            code = EXIT_DATA
-        elif isinstance(exc, (ValueError, OSError)):
-            code = EXIT_USAGE
-        else:
-            raise
+    except (ScmkitError, OSError) as exc:
         print(f"error: {exc}", file=err)
-        return code
+        return getattr(exc, "exit_code", EXIT_USAGE)
 
 
 # one call is too short for a BLAS or OpenMP thread pool to pay for its start
@@ -238,13 +222,11 @@ def _cmd_identify(args, out, err) -> int:
     return EXIT_OK
 
 
-def _require_literal(terms: tuple[QueryTerm, ...]) -> None:
+def _require_literal(terms: tuple[QueryTerm, ...], subject: str, example: str) -> None:
     symbolic = [t.var for t in terms if not t.literal]
     if symbolic:
-        raise ValueError(
-            "estimation needs explicit values for "
-            + ", ".join(sorted(symbolic))
-            + ", e.g. P(Y=1|do(X=0))"
+        raise UsageError(
+            f"{subject} explicit values for {', '.join(sorted(symbolic))}, e.g. {example}"
         )
 
 
@@ -260,7 +242,7 @@ def _cmd_estimate(args, out, err) -> int:
     estimand = _identify(g, q, err)
     if estimand is None:
         return EXIT_FAILURE
-    _require_literal(q.outcome + q.do + q.condition)
+    _require_literal(q.outcome + q.do + q.condition, "estimation needs", "P(Y=1|do(X=0))")
     if args.bootstrap is not None:
         est = bootstrap_interval(
             estimand, d, binding={}, B=args.bootstrap, level=args.level,
@@ -300,6 +282,9 @@ def _cmd_fit(args, out, err) -> int:
     return EXIT_OK
 
 
+_CF_EXAMPLE = "P(Y_{X=1}=1 | X=0)"
+
+
 def _cmd_counterfactual(args, out, err) -> int:
     from .query import parse_query
     from .scm import CounterfactualQuery, counterfactual_query, parse_scm
@@ -307,13 +292,11 @@ def _cmd_counterfactual(args, out, err) -> int:
     m = parse_scm(_read(args.scm))
     q = parse_query(args.query)
     if q.do:
-        raise ValueError(
-            "counterfactual queries take subscripts, e.g. P(Y_{X=1}=1 | X=0)"
-        )
-    _require_literal(q.outcome + q.condition)
+        raise UsageError(f"counterfactual queries take subscripts, e.g. {_CF_EXAMPLE}")
+    _require_literal(q.outcome + q.condition, "counterfactual queries need", _CF_EXAMPLE)
     antecedents = {t.dos for t in q.outcome}
     if len(antecedents) != 1:
-        raise ValueError("all outcome terms must share one antecedent world")
+        raise UsageError("all outcome terms must share one antecedent world")
     cq = CounterfactualQuery(
         target=tuple((t.var, t.token) for t in q.outcome),
         antecedent=next(iter(antecedents)),
@@ -325,21 +308,20 @@ def _cmd_counterfactual(args, out, err) -> int:
 
 
 def _parse_experiment_file(text: str) -> tuple[float, float]:
-    px1 = px0 = None
+    found: dict[str, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.replace("=", " ").split()
-        if len(parts) != 2 or parts[0] not in ("px1", "px0"):
-            raise ValueError(f"experiment file line {lineno}: expected 'px1 = <p>'")
-        if parts[0] == "px1":
-            px1 = float(parts[1])
-        else:
-            px0 = float(parts[1])
-    if px1 is None or px0 is None:
-        raise ValueError("experiment file must set both px1 and px0")
-    return px1, px0
+        with contextlib.suppress(ValueError):  # a value float() cannot read
+            if len(parts) == 2 and parts[0] in ("px1", "px0"):
+                found[parts[0]] = float(parts[1])
+                continue
+        raise UsageError(f"experiment file line {lineno}: expected 'px1 = <p>'")
+    if len(found) != 2:
+        raise UsageError("experiment file must set both px1 and px0")
+    return found["px1"], found["px0"]
 
 
 def _cmd_pnps(args, out, err) -> int:
@@ -359,7 +341,7 @@ def _cmd_pnps(args, out, err) -> int:
         elif args.px1 is not None and args.px0 is not None:
             px1, px0 = args.px1, args.px0
         else:
-            raise ValueError("bounds mode needs --px1/--px0 or --experiment")
+            raise UsageError("bounds mode needs --px1/--px0 or --experiment")
         from .estimate import empirical_joint, load_table
 
         d = load_table(args.data)
@@ -371,7 +353,7 @@ def _cmd_pnps(args, out, err) -> int:
             x1=args.x1, x0=args.x0, y1=args.y1, y0=args.y0,
         )
     else:
-        raise ValueError("pnps needs exactly one of --scm (exact) or --data (bounds)")
+        raise UsageError("pnps needs exactly one of --scm (exact) or --data (bounds)")
     for name in ("pn", "ps", "pns"):
         value = getattr(result, name)
         if value is None:
@@ -407,7 +389,7 @@ def _cmd_mediate(args, out, err) -> int:
             d, g, args.exposure, args.mediator, args.outcome, args.x0, args.x1
         )
     else:
-        raise ValueError("mediate needs --scm, or --graph together with --data")
+        raise UsageError("mediate needs --scm, or --graph together with --data")
     names = ("te", "nde", "nie", "nie_reversed", "mediated_fraction")
     values = [getattr(report, name) for name in names]
     if args.porcelain:
@@ -425,13 +407,13 @@ def _parse_target(text: str) -> dict[str, str]:
         if not part:
             continue
         if "=" not in part:
-            raise ValueError(f"target entry {part!r} must look like VAR=VALUE")
+            raise UsageError(f"target entry {part!r} must look like VAR=VALUE")
         var, value = (t.strip() for t in part.split("=", 1))
         if var in target:
-            raise ValueError(f"target names {var} twice")
+            raise UsageError(f"target names {var} twice")
         target[var] = value
     if not target:
-        raise ValueError("empty target")
+        raise UsageError("empty target")
     return target
 
 
@@ -473,7 +455,7 @@ def _cmd_discover(args, out, err) -> int:
         oracle = DataOracle(d, alpha=args.alpha)
         variables = list(d.columns)
     else:
-        raise ValueError("discover needs exactly one of --graph or --data")
+        raise UsageError("discover needs exactly one of --graph or --data")
     cpdag = discover_cpdag(oracle, variables)
     print(render_cpdag(cpdag), end="", file=out)
     return EXIT_OK

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Iterable, Protocol
 
+from . import ScmkitError
 from .graph import Admg, GraphError, d_separated
 from .record import Record
 
@@ -27,7 +28,7 @@ __all__ = [
 ]
 
 
-class DiscoveryError(ValueError):
+class DiscoveryError(ScmkitError, ValueError):
     """Discovery could not produce a consistent CPDAG."""
 
 

@@ -22,6 +22,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import IO, TYPE_CHECKING, Iterable, Mapping, Sequence
 
+from . import ScmkitError, _undecodable
 from .record import Record
 
 if TYPE_CHECKING:
@@ -50,16 +51,18 @@ BOOTSTRAP_BLOCK = 256
 _BOOTSTRAP_MAX = 1_000_000
 
 
-class DataError(ValueError):
+class DataError(ScmkitError, ValueError):
     """Malformed data file or dataset."""
 
 
 class MissingDataPresent(DataError):
     """The operation needs complete data; route through recoverability first."""
+    exit_code = 3
 
 
-class TooManyDegenerateResamples(ArithmeticError):
+class TooManyDegenerateResamples(ScmkitError, ArithmeticError):
     """Too large a share of bootstrap resamples hit an empty stratum."""
+    exit_code = 3
 
 
 class Dataset(Record, eq=False):
@@ -208,11 +211,15 @@ def _distinct(names: Iterable[str]) -> tuple[str, ...]:
 
 def load_table(source: str | os.PathLike | IO[str]) -> Dataset:
     """Read comma-separated data with a header row; ``NA`` marks missing.
-    A path is read as UTF-8, with or without a byte-order mark."""
+    A path is read as UTF-8, with or without a byte-order mark; a byte that
+    does not decode is refused with its line."""
     if hasattr(source, "read"):
         return _read_csv(source)  # type: ignore[arg-type]
-    with open(source, "r", encoding="utf-8-sig", newline="") as fh:
-        return _read_csv(fh)
+    try:
+        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
+            return _read_csv(fh)
+    except UnicodeDecodeError:  # its position counts from the chunk it decoded
+        raise DataError(_undecodable(source)) from None
 
 
 def _clean(token: str) -> str | None:

@@ -24,6 +24,7 @@ import weakref
 from functools import cached_property
 from typing import Iterable, Mapping, Union
 
+from . import ScmkitError
 from .lexer import NAME_RE, SYM_RE, VALUE_RE, Scanner
 from .record import Record
 
@@ -51,7 +52,7 @@ __all__ = [
 ]
 
 
-class EstimandError(ValueError):
+class EstimandError(ScmkitError, ValueError):
     """Malformed estimand or evaluation request."""
 
 
@@ -63,12 +64,13 @@ class EstimandParseError(EstimandError):
         super().__init__(f"column {pos + 1}: {msg}")
 
 
-class ConditioningOnZero(ArithmeticError):
+class ConditioningOnZero(ScmkitError, ArithmeticError):
     """A conditioning event (or a quotient denominator) has probability zero.
 
     Signals that the estimand is inapplicable to the given distribution,
     e.g. an empty stratum in empirical data.
     """
+    exit_code = 3
 
     def __init__(self, context: str):
         self.context = context

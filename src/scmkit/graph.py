@@ -16,6 +16,7 @@ import itertools
 from functools import cached_property
 from typing import Iterable, Mapping
 
+from . import ScmkitError
 from .lexer import NAME_RE, Scanner
 from .record import Record
 
@@ -33,7 +34,7 @@ __all__ = [
 ]
 
 
-class GraphError(ValueError):
+class GraphError(ScmkitError, ValueError):
     """Malformed graph structure or graph file."""
 
 
@@ -159,11 +160,6 @@ class Admg:
     def children(self, v: str) -> frozenset[str]:
         self._check(v)
         return self._children[v]
-
-    def siblings(self, v: str) -> frozenset[str]:
-        """Nodes joined to ``v`` by a bidirected edge."""
-        self._check(v)
-        return self._siblings[v]
 
     def adjacent(self, u: str, v: str) -> bool:
         """True if any edge (directed either way, or bidirected) joins u, v."""

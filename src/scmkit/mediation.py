@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from . import ScmkitError
 from .record import Record
 
 if TYPE_CHECKING:
@@ -26,7 +27,7 @@ __all__ = [
 ]
 
 
-class ConfoundedMediator(ValueError):
+class ConfoundedMediator(ScmkitError, ValueError):
     """The supplied graph is not the unconfounded mediation triangle."""
 
 

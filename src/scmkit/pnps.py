@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Union
 
+from . import ScmkitError
 from .record import Record
 
 if TYPE_CHECKING:
@@ -23,12 +24,13 @@ __all__ = [
 Bound = tuple[float, float]
 
 
-class BoundsError(ValueError):
+class BoundsError(ScmkitError, ValueError):
     """Invalid inputs to the bounds computation."""
 
 
 class InconsistentInputs(BoundsError):
     """No model yields both the experimental inputs and the observations."""
+    exit_code = 3
 
 
 class PnPsResult(Record):

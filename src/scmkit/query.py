@@ -8,13 +8,14 @@ command both read queries, so this module needs only the lexer.
 
 from __future__ import annotations
 
+from . import ScmkitError
 from .lexer import NAME_RE, VALUE_RE, Scanner
 from .record import Record
 
 __all__ = ["QueryTerm", "CausalQuery", "QueryError", "parse_query", "query_layer"]
 
 
-class QueryError(ValueError):
+class QueryError(ScmkitError, ValueError):
     """Malformed causal query, or a query outside this operation's layer."""
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Mapping, Union
 
+from . import ScmkitError
 from .estimate import DataError, Dataset, Estimate, _grouped
 from .expr import (
     Estimand, JointTable, ProbTerm, Val, eval_estimand, lit, prod_of, sum_over, sym,
@@ -37,8 +38,9 @@ MISSING = "miss"
 _ORDER_SEARCH_LIMIT = 8  # most substantive variables whose orders are searched
 
 
-class NotRecoverableError(ValueError):
+class NotRecoverableError(ScmkitError, ValueError):
     """Estimation was requested without an established recovery route."""
+    exit_code = 3
 
 
 class MGraph(Record):
@@ -97,6 +99,10 @@ def parse_mgraph(text: str) -> MGraph:
             passthrough.append(f"var {MGraph.indicator(name)}")
         else:
             passthrough.append(raw)
+    owner = {MGraph.indicator(v): v for v in partial}
+    for v in partial:
+        if v in owner:
+            raise GraphError(f"missing {v}: {v} is the missingness indicator of {owner[v]}")
     g = parse_graph("\n".join(passthrough))
     for v in partial:
         if v not in g.nodes:

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
+from . import ScmkitError
 from .lexer import NAME, NAME_RE, VALUE
 from .record import Record
 
@@ -55,7 +56,7 @@ DEFAULT_STATE_CAP = 10_000_000
 _Worlds = Sequence[tuple[Mapping[str, str], Mapping[str, str]]]
 
 
-class ScmError(ValueError):
+class ScmError(ScmkitError, ValueError):
     """Malformed model, file, or request."""
 
 
@@ -63,8 +64,9 @@ class StateSpaceOverflow(ScmError):
     """Exact enumeration would exceed the configured state cap."""
 
 
-class ZeroEvidence(ArithmeticError):
+class ZeroEvidence(ScmkitError, ArithmeticError):
     """The conditioning evidence of a counterfactual has probability zero."""
+    exit_code = 3
 
 
 class ExogenousVar(Record):

@@ -7,6 +7,7 @@ the main code paths are checked against genuinely separate logic.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import itertools
 import math
@@ -1170,18 +1171,20 @@ def load_table_by_rows(source):
             raise DataError("empty column name in header")
         if len(set(columns)) != len(columns):
             raise DataError("duplicate header names")
-        records = []
+        records, malformed = [], None
         try:
             records.extend(reader)
         except csv.Error as exc:
-            raise DataError(f"line {reader.line_num}: {exc}") from None
-        finally:
-            # a ragged line is reported before a malformed line below it
-            for i, rec in enumerate(records):
-                if rec and len(rec) != len(columns):
-                    raise DataError(
-                        f"line {i + 2}: row has {len(rec)} cells, expected {len(columns)}"
-                    )
+            malformed = DataError(f"line {reader.line_num}: {exc}")
+        # a ragged line is reported before a malformed line below it; an
+        # undecodable byte has escaped before either
+        for i, rec in enumerate(records):
+            if rec and len(rec) != len(columns):
+                raise DataError(
+                    f"line {i + 2}: row has {len(rec)} cells, expected {len(columns)}"
+                )
+        if malformed is not None:
+            raise malformed
         rows = [rec for rec in records if rec]
         if not rows:
             raise DataError("no data rows")
@@ -1208,8 +1211,21 @@ def load_table_by_rows(source):
 
     if hasattr(source, "read"):
         return read(source)
-    with open(source, "r", encoding="utf-8-sig", newline="") as fh:
-        return read(fh)
+    try:
+        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
+            return read(fh)
+    except UnicodeDecodeError:
+        pass
+    # the first line, split at "\n", "\r\n" or "\r", that does not decode
+    with open(source, "rb") as fh:
+        lines = fh.read().removeprefix(codecs.BOM_UTF8).splitlines(keepends=True)
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"line {lineno}: cannot decode byte 0x{line[exc.start]:02x}"
+                            f" as UTF-8: {exc.reason}") from None
+    raise AssertionError("the file decodes line by line but not whole")
 
 
 def sample_by_rows(m: DiscreteScm, n, seed):

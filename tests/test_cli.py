@@ -1,4 +1,7 @@
+import ast
+import builtins
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -11,6 +14,8 @@ from pathlib import Path
 import pytest
 
 import gen
+import scmkit
+from scmkit import ScmkitError, cli
 from scmkit.cli import _COMMANDS, _PORCELAIN, _build_parser, _parse_plain, run
 from scmkit.estimate import load_table, plug_in
 from scmkit.expr import parse_estimand
@@ -573,6 +578,141 @@ def test_byte_order_mark_is_accepted_in_data_and_graph_files(tmp_path):
                   "--data", str(bom_csv)) == want
     assert invoke("estimate", "--graph", str(bom_graph), *query,
                   "--data", path("d8.csv")) == want
+
+
+# --- error classes and exit codes --------------------------------------------------------
+
+# raises that name no ScmkitError: Python's attribute and call protocols, and
+# identify's internal signal, which identify catches
+PROTOCOL_RAISES = {
+    ("__init__.py", "AttributeError"), ("expr.py", "AttributeError"),
+    ("record.py", "TypeError"), ("record.py", "_frozen"), ("identify.py", "_Hedge"),
+}
+
+
+def test_every_raised_class_is_a_scmkit_error():
+    src = Path(scmkit.__file__).parent
+    allowed = set()
+    for file in sorted(src.glob("*.py")):
+        module = None
+        for node in ast.walk(ast.parse(file.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if not isinstance(raised, ast.Name):
+                continue  # a parser's own error method
+            if module is None:
+                module = importlib.import_module(
+                    "scmkit" if file.stem == "__init__" else f"scmkit.{file.stem}")
+            obj = getattr(module, raised.id, getattr(builtins, raised.id, None))
+            if obj is None:
+                continue  # a local name: a caught exception, or a class passed in
+            if (file.name, raised.id) in PROTOCOL_RAISES:
+                allowed.add((file.name, raised.id))
+            else:
+                assert isinstance(obj, type) and issubclass(obj, ScmkitError), (
+                    f"{file.name} line {node.lineno}: raise {raised.id}")
+    assert allowed == PROTOCOL_RAISES
+
+
+# each error class that is a root or sets its exit code: its builtin base,
+# which library callers catch, and its exit code
+ERROR_CLASSES = {
+    "cli.UsageError": (ValueError, 1),
+    "discover.DiscoveryError": (ValueError, 1),
+    "estimate.DataError": (ValueError, 1),
+    "estimate.MissingDataPresent": (ValueError, 3),
+    "estimate.TooManyDegenerateResamples": (ArithmeticError, 3),
+    "expr.ConditioningOnZero": (ArithmeticError, 3),
+    "expr.EstimandError": (ValueError, 1),
+    "graph.GraphError": (ValueError, 1),
+    "mediation.ConfoundedMediator": (ValueError, 1),
+    "pnps.BoundsError": (ValueError, 1),
+    "pnps.InconsistentInputs": (ValueError, 3),
+    "query.QueryError": (ValueError, 1),
+    "recover.NotRecoverableError": (ValueError, 3),
+    "scm.ScmError": (ValueError, 1),
+    "scm.ZeroEvidence": (ArithmeticError, 3),
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_error_classes_keep_their_builtin_base_and_carry_their_exit_code():
+    classes = {}
+    for name, (base, code) in ERROR_CLASSES.items():
+        module, _, attr = name.partition(".")
+        cls = getattr(importlib.import_module(f"scmkit.{module}"), attr)
+        assert issubclass(cls, ScmkitError) and issubclass(cls, base), name
+        assert cls.exit_code == code, name
+        classes[cls] = code
+    # the six refusals for want of data are the only classes not at exit 1
+    assert sum(code == 3 for code in classes.values()) == 6
+    for cls in _subclasses(ScmkitError):
+        assert cls.exit_code == classes.get(cls, 1), cls
+
+
+@pytest.mark.parametrize("error", [ValueError("a bug"), ZeroDivisionError("a bug")])
+def test_an_error_of_no_scmkit_class_escapes_run(error, monkeypatch):
+    def broken(args, out, err):
+        raise error
+
+    monkeypatch.setattr(cli, "_cmd_identify", broken)
+    with pytest.raises(type(error), match="a bug"):
+        invoke("identify", "--graph", path("backdoor.cg"), "--query", "P(Y|do(X))")
+
+
+_UNDECODABLE_FILES = {
+    "bad.cg": b"var X\r\nvar Y\r\nX -> Y\r\n\xff\n",
+    "bad.scm": b"\xef\xbb\xbf" + Path(path("med.scm")).read_bytes().replace(b"endo M", b"\xfeendo M"),
+    "bad.txt": b"px1 = 1.0\npx0 = \xe2\x28\n",
+    "late.csv": b"X,Y\n" + b"0,1\n" * 5000 + b"\xff\n",
+    "abc.txt": b"# trial\npx1 = abc\npx0 = 0.3\n",
+}
+_PNPS_DATA = ["pnps", "--data", path("d8.csv"), "--experiment"]
+# argv ("{tmp}" is the input folder) and what is printed to stderr
+UNDECODABLE = {
+    "graph file": (
+        ["identify", "--graph", "{tmp}/bad.cg", "--query", "P(Y|do(X))"],
+        "{tmp}/bad.cg: line 4: cannot decode byte 0xff as UTF-8: invalid start byte"),
+    "m-graph file": (
+        ["recover", "--graph", "{tmp}/bad.cg", "--data", path("dmiss.csv"), "--target", "Y=1"],
+        "{tmp}/bad.cg: line 4: cannot decode byte 0xff as UTF-8: invalid start byte"),
+    "model file": (
+        ["counterfactual", "--scm", "{tmp}/bad.scm", "--query", "P(Y=1)"],
+        "{tmp}/bad.scm: line 5: cannot decode byte 0xfe as UTF-8: invalid start byte"),
+    "experiment file": (
+        _PNPS_DATA + ["{tmp}/bad.txt"],
+        "{tmp}/bad.txt: line 2: cannot decode byte 0xe2 as UTF-8: invalid continuation byte"),
+    "data file": (
+        ["fit", "--graph", path("chain.cg"), "--data", "{tmp}/late.csv"],
+        "line 5002: cannot decode byte 0xff as UTF-8: invalid start byte"),
+    "experiment value that is not a number": (
+        _PNPS_DATA + ["{tmp}/abc.txt"], "experiment file line 2: expected 'px1 = <p>'"),
+}
+
+
+@pytest.mark.parametrize("argv, message", UNDECODABLE.values(), ids=UNDECODABLE.keys())
+def test_unreadable_input_files_are_refused_with_their_line(argv, message, tmp_path):
+    for name, data in _UNDECODABLE_FILES.items():
+        (tmp_path / name).write_bytes(data)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert invoke(*argv) == (1, "", f"error: {message.format(tmp=tmp_path)}\n")
+
+
+def test_symbolic_values_are_refused_with_the_subcommands_own_example():
+    assert invoke(
+        "counterfactual", "--scm", path("med.scm"), "--query", "P(Y_{X=1} | M=0)",
+    ) == (1, "", "error: counterfactual queries need explicit values for Y, "
+                 "e.g. P(Y_{X=1}=1 | X=0)\n")
+    assert invoke(
+        "estimate", "--graph", path("backdoor.cg"), "--query", "P(Y|do(X))",
+        "--data", path("d8.csv"),
+    ) == (1, "", "error: estimation needs explicit values for X, Y, e.g. P(Y=1|do(X=0))\n")
 
 
 # --- refusal contract ------------------------------------------------------------------

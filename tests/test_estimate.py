@@ -350,6 +350,12 @@ def _read_outcome(read, source):
     return d.columns, d.domains, d.rows, codes
 
 
+# bytes UTF-8 cannot decode there: a byte that starts no character, a
+# continuation byte with no lead, a lead byte followed by ASCII, a surrogate,
+# a lone lead byte
+UNDECODABLE = (b"\xff", b"\x80", b"\xe2\x28", b"\xed\xa0\x80", b"\xc3")
+
+
 def test_reader_agrees_with_row_by_row_oracle(tmp_path):
     r = gen.rng(91)
     kinds = Counter()
@@ -357,7 +363,11 @@ def test_reader_agrees_with_row_by_row_oracle(tmp_path):
         text = _csv_text(r)
         if i % 2:
             path = tmp_path / f"{i}.csv"
-            path.write_text(text, encoding="utf-8", newline="")
+            data = text.encode("utf-8")
+            if r.random() < 0.15:  # one undecodable run of bytes, anywhere
+                at = int(r.integers(0, len(data) + 1))
+                data = data[:at] + UNDECODABLE[int(r.integers(0, len(UNDECODABLE)))] + data[at:]
+            path.write_bytes(data)
             got = _read_outcome(load_table, path)
             want = _read_outcome(gen.load_table_by_rows, path)
         else:
@@ -371,6 +381,8 @@ def test_reader_agrees_with_row_by_row_oracle(tmp_path):
         "empty file", "empty column name in header", "duplicate header names",
         "no data rows", "row N has an empty cell", "line N: row has N cells, expected N",
         "line N: field larger than field limit (N)",
+        "line N: cannot decode byte Nxff as UTF-N: invalid start byte",
+        "line N: cannot decode byte NxeN as UTF-N: invalid continuation byte",
     } <= set(kinds)
     assert any(k.startswith("line N: new-line character") for k in kinds)
 
@@ -473,17 +485,39 @@ _LATE_BYTE = b"0,1\n" * 5000 + b"\xff\n"
 ], ids=["table", "bad header", "ragged line", "malformed line", "quoted", "quoted malformed",
         "ragged after distinct lines", "malformed after distinct lines"])
 def test_undecodable_byte_is_met_where_the_csv_module_reads_it(head, refusal, tmp_path):
-    # a refusal on the lines above the byte wins; otherwise the decoding error
-    # escapes, also past a ragged line, which is checked after the whole read
+    # a refusal on the lines above the byte wins; otherwise the byte is
+    # refused with its line, also past a ragged line, which is checked after
+    # the whole read
     path = tmp_path / "bad.csv"
     path.write_bytes(head + _LATE_BYTE)
-    if refusal is None:
-        with pytest.raises(UnicodeDecodeError):
-            load_table(path)
-    else:
-        with pytest.raises(DataError) as info:
-            load_table(path)
-        assert str(info.value) == refusal
+    with pytest.raises(DataError) as info:
+        load_table(path)
+    line = head.count(b"\n") + 5001
+    assert str(info.value) == (
+        refusal or f"line {line}: cannot decode byte 0xff as UTF-8: invalid start byte")
+    assert _read_outcome(gen.load_table_by_rows, path) == ("refused", str(info.value))
+
+
+_BAD_START = "cannot decode byte 0xff as UTF-8: invalid start byte"
+
+
+@pytest.mark.parametrize("data, refusal", [
+    (b"X,Y\n0,1\n\xff,1\n", f"line 3: {_BAD_START}"),
+    (b"\xef\xbb\xbfX,Y\r\n0,1\r\n1,\xff\r\n", f"line 3: {_BAD_START}"),
+    (b"X,Y\r0,1\r\r1,0\r\n\xff", f"line 5: {_BAD_START}"),
+    (b"\xef\xbb\xbf\xff,Y\n0,1\n", f"line 1: {_BAD_START}"),
+    (b"X,Y\n" + b"0,1\r\n" * 3000 + b"1,\xff\r\n", f"line 3002: {_BAD_START}"),
+    (b"X,Y\n0,\xe2\x82",
+     "line 2: cannot decode byte 0xe2 as UTF-8: unexpected end of data"),
+], ids=["plain", "byte-order mark and CRLF", "CR endings", "header", "late CRLF",
+        "truncated at the end"])
+def test_undecodable_byte_is_refused_with_its_line(data, refusal, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    with pytest.raises(DataError) as info:
+        load_table(path)
+    assert str(info.value) == refusal
+    assert _read_outcome(gen.load_table_by_rows, path) == ("refused", refusal)
 
 
 def test_load_skips_blank_lines_and_strips_tokens():

@@ -320,9 +320,9 @@ def test_package_exports_resolve_lazily_to_their_home_objects():
     before, homes, listed, graph_name, identify_is_function = json.loads(proc.stdout)
     assert before == []
     assert set(homes.values()) == {
-        "scmkit.graph", "scmkit.expr", "scmkit.scm", "scmkit.query", "scmkit.identify"
+        "scmkit", "scmkit.graph", "scmkit.expr", "scmkit.scm", "scmkit.query", "scmkit.identify"
     }
-    assert len(homes) == 40
+    assert len(homes) == 41 and homes["ScmkitError"] == "scmkit"
     assert set(homes) <= set(listed)
     assert graph_name == "scmkit.graph"
     assert identify_is_function

@@ -75,6 +75,18 @@ def test_missing_declaration_requires_declared_variable():
         parse_mgraph("var X\nmissing Y\n")
 
 
+@pytest.mark.parametrize("text", [
+    "var X\nvar Y\nX -> Y\nmissing Y\nX -> R_Y\nmissing R_Y\n",
+    "var X\nvar Y\nX -> Y\nmissing R_Y\nmissing Y\n",
+], ids=["with an edge into the indicator", "declared before its variable"])
+def test_missing_declaration_may_not_name_an_indicator(text):
+    # without the check the first failed in d-separation and the second when
+    # the estimand read an indicator R_R_Y that no data column gives
+    with pytest.raises(GraphError) as info:
+        parse_mgraph(text)
+    assert str(info.value) == "missing R_Y: R_Y is the missingness indicator of Y"
+
+
 # --- recoverability criteria ------------------------------------------------------
 
 
