@@ -176,6 +176,9 @@ def run(argv: list[str], stdout: IO[str] | None = None, stderr: IO[str] | None =
         "discover": _cmd_discover,
     }[args.command]
     try:
+        for flag in ("graph", "data", "scm", "experiment"):  # no system opens such a path
+            if "\0" in (getattr(args, flag, None) or ""):
+                raise UsageError(f"--{flag}: a path cannot hold a NUL character")
         return handler(args, out, err)
     except (ScmkitError, OSError) as exc:
         print(f"error: {exc}", file=err)

@@ -212,14 +212,17 @@ def _distinct(names: Iterable[str]) -> tuple[str, ...]:
 def load_table(source: str | os.PathLike | IO[str]) -> Dataset:
     """Read comma-separated data with a header row; ``NA`` marks missing.
     A path is read as UTF-8, with or without a byte-order mark; a byte that
-    does not decode is refused with its line."""
-    if hasattr(source, "read"):
-        return _read_csv(source)  # type: ignore[arg-type]
+    does not decode is refused, with its line if the source is a path."""
     try:
+        if hasattr(source, "read"):
+            return _read_csv(source)  # type: ignore[arg-type]
         with open(source, "r", encoding="utf-8-sig", newline="") as fh:
             return _read_csv(fh)
-    except UnicodeDecodeError:  # its position counts from the chunk it decoded
-        raise DataError(_undecodable(source)) from None
+    except UnicodeDecodeError as exc:  # its position counts from the chunk it decoded
+        # a path is read again to find the byte's line; a stream cannot be
+        raise DataError(_undecodable(source) if not hasattr(source, "read") else
+                        f"cannot decode byte 0x{exc.object[exc.start]:02x}"
+                        f" as {exc.encoding}: {exc.reason}") from None
 
 
 def _clean(token: str) -> str | None:
@@ -237,6 +240,17 @@ def _unread(exc: Exception | None) -> Iterable[str]:
 
 # data lines read before the reader decides whether keying them pays
 _SAMPLE = 1024
+
+
+class _Nul(DataError, csv.Error):
+    """A line holding NUL, refused before the csv module reads it, as the
+    module itself refuses it before Python 3.11."""
+
+
+def _refuse_nul(line: str) -> str:
+    if "\0" not in line:
+        return line
+    raise _Nul("line contains NUL")
 
 
 def _read_csv(fh: IO[str]) -> Dataset:
@@ -267,21 +281,21 @@ def _read_csv(fh: IO[str]) -> Dataset:
         line_at = dict(zip(distinct.values(), distinct))
         read = map(line_at.__getitem__, position)
     # the lines in file order: those already read, then the rest of the file
-    reader = csv.reader(itertools.chain(
-        [head] if head else (), read, _unread(unread), lines if in_order else ()))
+    reader = csv.reader(map(_refuse_nul, itertools.chain(
+        [head] if head else (), read, _unread(unread), lines if in_order else ())))
     try:
         header = next(reader)
     except StopIteration:
         raise DataError("empty file") from None
-    except csv.Error as exc:
-        raise DataError(f"line {reader.line_num}: {exc}") from None
+    except csv.Error as exc:  # a refused NUL line is not yet counted
+        raise DataError(f"line {reader.line_num + isinstance(exc, _Nul)}: {exc}") from None
     columns = tuple(h.strip() for h in header)
     if any(not c for c in columns):
         raise DataError("empty column name in header")
     if len(set(columns)) != len(columns):
         raise DataError("duplicate header names")
     starts = list(distinct.values())
-    records = reader if in_order else csv.reader(distinct)
+    records = reader if in_order else csv.reader(map(_refuse_nul, distinct))
     seen: dict[tuple[str, ...], int] = {}
     first: list[int] = []
     malformed = None
@@ -289,7 +303,7 @@ def _read_csv(fh: IO[str]) -> Dataset:
         first.extend(map(seen.setdefault, map(tuple, records),
                          itertools.count() if in_order else starts))
     except csv.Error as exc:
-        line = reader.line_num if in_order else starts[len(first)] + 2
+        line = reader.line_num + isinstance(exc, _Nul) if in_order else starts[len(first)] + 2
         malformed = DataError(f"line {line}: {exc}")
     if not in_order and malformed is None:
         if unread is not None:

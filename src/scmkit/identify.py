@@ -349,7 +349,7 @@ def _witness_via_edge(
     # identification itself loads neither
     import numpy as np
 
-    from .scm import DiscreteScm, EndogenousVar, ExogenousVar, enumerate_worlds
+    from .scm import DiscreteScm, EndogenousVar, ExogenousVar, _sweep
 
     a, b = edge
     rng = np.random.default_rng(
@@ -436,14 +436,14 @@ def _witness_via_edge(
 
     def moments(model: DiscreteScm) -> tuple[np.ndarray, np.ndarray]:
         """Mass of each observable cell, and P(y=1 | do(x)) per x, by type."""
-        weights, (natural, *surgered) = enumerate_worlds(
-            model, [{}] + [{x: xv} for xv in binary]
-        )
-        t = natural[u_edge]
-        obs = np.ravel_multi_index([natural[v] for v in order], (2,) * len(order))
+        masses, _ = _sweep(model, [{}] + [{x: xv} for xv in binary],
+                           [(0, u_edge), (1, y), (2, y)] + [(0, v) for v in order])
+        cells, weights = np.array(list(masses)), np.array(list(masses.values()))
+        t = cells[:, 1]
+        obs = np.ravel_multi_index(cells[:, 4:].T, (2,) * len(order))
         m_obs = np.bincount(obs * total_types + t, weights, n_obs * total_types)
         # binary codes equal their values, so code 1 is y = "1"
-        m_do = [np.bincount(t, weights * (s[y] == 1), total_types) for s in surgered]
+        m_do = [np.bincount(t, weights * (cells[:, col] == 1), total_types) for col in (2, 3)]
         return m_obs.reshape(n_obs, total_types), np.stack(m_do)
 
     # under uniform type weights each state weighs its coin assignment's

@@ -56,16 +56,14 @@ def mediation_effects_scm(
     x0: str,
     x1: str,
 ) -> MediationReport:
-    """Exact effects by enumerating nested counterfactual worlds.
+    """Exact effects from nested counterfactual worlds.
 
     E[Y under do(x1) with the mediator held at its do(x0) value] and its
     three companions decompose the total effect; the identity
     te = nde - nie_reversed holds exactly.  The outcome is coded by its
     index in the model's domain.
     """
-    import numpy as np
-
-    from .scm import ScmError, enumerate_worlds, solve_worlds
+    from .scm import ScmError, _sweep
 
     if len({exposure, mediator, outcome}) < 3:
         raise ScmError("exposure, mediator and outcome must be three different variables")
@@ -75,17 +73,13 @@ def mediation_effects_scm(
     for val in (x0, x1):
         if val not in m.endo_domains[exposure]:
             raise ScmError(f"value {val!r} not in the domain of {exposure}")
-    y_code = np.arange(len(m.endo_domains[outcome]), dtype=float)
-    weights, (world0, world1) = enumerate_worlds(m, [{exposure: x0}, {exposure: x1}])
-    # the same states again, with the mediator pinned per state to its value
-    # in the opposite exposure world; solving recomputes every endogenous code
-    nested10, nested01 = solve_worlds(m, world0, len(weights), [
-        {exposure: x1, mediator: world0[mediator]},
-        {exposure: x0, mediator: world1[mediator]},
-    ])
+    # worlds 2 and 3 pin the mediator to its value in worlds 0 and 1
+    masses, _ = _sweep(m, [
+        {exposure: x0}, {exposure: x1},
+        {exposure: x1, mediator: (0, mediator)}, {exposure: x0, mediator: (1, mediator)},
+    ], [(w, outcome) for w in range(4)])
     e_y_x0, e_y_x1, e_nested_10, e_nested_01 = (
-        float(weights @ y_code[world[outcome]])
-        for world in (world0, world1, nested10, nested01)
+        sum(w * k[i] for k, w in masses.items()) for i in range(1, 5)
     )
     te = e_y_x1 - e_y_x0
     nde = e_nested_10 - e_y_x0

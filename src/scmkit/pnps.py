@@ -73,7 +73,7 @@ def pn_ps_exact(
     for var in (x, y):
         if var not in m.endogenous:
             raise ScmError(f"{var} is not an endogenous variable")
-    pn, ps, pns = _conditional_pass(m, [
+    (pn, ps, pns), _ = _conditional_pass(m, [
         ({x: x1, y: y1}, [({x: x0}, {y: y0})]),
         ({x: x0, y: y0}, [({x: x1}, {y: y1})]),
         ({}, [({x: x1}, {y: y1}), ({x: x0}, {y: y0})]),

@@ -11,15 +11,16 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
-
-import numpy as np
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from . import ScmkitError
 from .lexer import NAME, NAME_RE, VALUE
 from .record import Record
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .expr import JointTable
     from .graph import Admg
 
@@ -126,9 +127,7 @@ class DiscreteScm:
             else:
                 self.endo_domains[v] = inferred
         # per mechanism, its output code at each parent combination
-        dims = [len(self.parent_domain(v)) for v in (*self.exogenous, *self.order)]
-        dtype = np.min_scalar_type(max(dims, default=1) - 1)
-        self._luts: dict[str, np.ndarray] = {v: self._encode(v, dtype) for v in self.order}
+        self._codes: dict[str, tuple[int, ...]] = {v: self._encode(v) for v in self.order}
 
     # --- validation -------------------------------------------------------
 
@@ -174,18 +173,16 @@ class DiscreteScm:
             return self.exogenous[p].domain
         return self.endo_domains[p]
 
-    def _encode(self, v: str, dtype: np.dtype) -> np.ndarray:
-        """The table of ``v`` as a read-only code array over its parents' joint
-        domain; one with a key per combination is total if it holds each."""
+    def _encode(self, v: str) -> tuple[int, ...]:
+        """The table of ``v`` as output codes over its parents' joint domain;
+        one with a key per combination is total if it holds each."""
         table = self.endogenous[v].table
         doms = [self.parent_domain(p) for p in self.endogenous[v].parents]
         if len(table) == math.prod(map(len, doms)):
             out = {val: i for i, val in enumerate(self.endo_domains[v])}
-            codes = [out.get(table.get(key)) for key in itertools.product(*doms)]
+            codes = tuple([out.get(table.get(key)) for key in itertools.product(*doms)])
             if None not in codes:
-                lut = np.array(codes, dtype=dtype)
-                lut.flags.writeable = False
-                return lut
+                return codes
         # the first missing keys in sorted order, and the keys of no combination
         missing = itertools.product(*map(sorted, doms))
         sets = [set(d) for d in doms]
@@ -201,19 +198,8 @@ class DiscreteScm:
 
     # --- enumeration ------------------------------------------------------
 
-    def exo_names(self) -> tuple[str, ...]:
-        return tuple(self.exogenous)
-
     def exo_state_count(self) -> int:
-        count = 1
-        for spec in self.exogenous.values():
-            count *= len(spec.domain)
-        return count
-
-    def __reduce__(self):
-        # rebuilt through the constructor, so a copy's stored code arrays are
-        # read-only like the original's
-        return DiscreteScm, (self.exogenous, self.endogenous, self.endo_domains)
+        return math.prod(len(spec.domain) for spec in self.exogenous.values())
 
     def __repr__(self) -> str:
         return (
@@ -241,31 +227,144 @@ def _check_endo_assignment(m: DiscreteScm, pairs: Iterable[tuple[str, str]], wha
             raise ScmError(f"{what} value {val!r} not in the domain of {var}")
 
 
-def enumerate_worlds(
-    m: DiscreteScm, surgeries: Sequence[Mapping[str, Union[str, np.ndarray]]]
-) -> tuple[np.ndarray, list[dict[str, np.ndarray]]]:
-    """Abduction, action and prediction over all exogenous states at once.
+def _getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    """The items of a tuple at ``positions``, as a tuple."""
+    if len(positions) == 1:
+        return lambda key, i=positions[0]: (key[i],)
+    return itemgetter(*positions) if positions else lambda key: ()
 
-    The exogenous states of nonzero weight are enumerated once, as index
-    arrays, and every surgered world is solved over that one abduction by
-    :func:`solve_worlds`, as in a twin network.  Returns the state weights
-    and, per surgery, one code array per variable.  More states than
-    ``DEFAULT_STATE_CAP``, read at each call, are refused.
+
+def _sweep(
+    m: DiscreteScm,
+    surgeries: Sequence[Mapping[str, Union[str, tuple[int, str]]]],
+    outputs: Sequence[tuple[int, str]],
+    conditions: Sequence[Sequence[tuple[int, str, str]]] = (),
+) -> tuple[dict[tuple[int, ...], float], int]:
+    """Abduction, action and prediction by one elimination sweep over the
+    twin network of the surgered worlds (Balke & Pearl 1994; Dechter 1999).
+
+    Each (world, variable) copy is a slot keyed by its mechanism and its
+    parents' slots, so copies that no surgery reaches are one slot.  The
+    slots that outputs and tests read are computed in a greedy order: an
+    exogenous slot joins at its first reader and each slot is summed out
+    after its last.  A state is ``(mask, *live slot codes)``; bit ``i`` of
+    its mask is set while every ``(world, variable, value)`` test of
+    ``conditions[i]`` holds.  Returns the mass of each ``(mask, *output
+    codes)`` and the most states held; an exogenous output must be read by
+    a computed slot.  More exogenous states than ``DEFAULT_STATE_CAP`` are refused.
     """
     count, cap = m.exo_state_count(), DEFAULT_STATE_CAP
     if count > cap:
         raise StateSpaceOverflow(f"{count} exogenous states exceed the cap of {cap}")
-    names = m.exo_names()
-    dims = [len(m.exogenous[u].domain) for u in names]
-    dtype = np.min_scalar_type(max(dims, default=1) - 1)
-    grid = np.indices(dims, dtype=dtype).reshape(len(names), count)
-    weights = np.ones(count)
-    for u, codes in zip(names, grid):
-        weights *= np.asarray(m.exogenous[u].probs)[codes]
-    keep = weights != 0.0
-    weights = weights[keep]
-    exo = {u: codes[keep] for u, codes in zip(names, grid)}
-    return weights, solve_worlds(m, exo, len(weights), surgeries)
+    # a slot is keyed by an exogenous name or (variable, parent refs); a ref
+    # is a slot's index, or ~code for a constant
+    slots: dict[object, int] = {}
+    worlds: list[dict[str, int]] = []
+    for surgery in surgeries:
+        refs: dict[str, int] = {}
+        for v in m.order:
+            pin = surgery.get(v)
+            if pin is None:
+                ins = tuple(refs[p] if p in refs else slots.setdefault(p, len(slots))
+                            for p in m.endogenous[v].parents)
+                refs[v] = (slots.setdefault((v, ins), len(slots)) if max(ins, default=-1) >= 0
+                           else ~_lookup(m, v, ins, [])[()])
+            else:  # a value, or (world, variable) of an earlier world
+                refs[v] = (~m.endo_domains[v].index(pin) if isinstance(pin, str)
+                           else worlds[pin[0]][pin[1]])
+        worlds.append(refs)
+    out = [worlds[w][v] if v in m.endogenous else slots.setdefault(v, len(slots))
+           for w, v in outputs]
+    keys = list(slots)
+    size = [len(m.parent_domain(k[0] if isinstance(k, tuple) else k)) for k in keys]
+    full = mask = (1 << len(conditions)) - 1
+    bits: dict[int, list[int]] = {}  # per tested slot, the mask bits each code keeps
+    for i, condition in enumerate(conditions):
+        for w, v, val in condition:
+            r, code = worlds[w][v], m.endo_domains[v].index(val)
+            if r >= 0:
+                keep = bits.setdefault(r, [full] * size[r])
+                keep[:] = [b if x == code else b & ~(1 << i) for x, b in enumerate(keep)]
+            elif ~r != code:
+                mask &= ~(1 << i)
+    # the computed slots that outputs and tests read, the distinct slots each
+    # reads, how many of them (and the outputs) read each slot, and which
+    reads: dict[int, tuple[int, ...]] = {}
+    after: dict[int, list[int]] = {}
+    stack = [*bits, *(r for r in out if r >= 0)]
+    while stack:
+        s = stack.pop()
+        if isinstance(keys[s], tuple) and s not in reads:
+            reads[s] = tuple(dict.fromkeys(r for r in keys[s][1] if r >= 0))
+            for r in reads[s]:
+                after.setdefault(r, []).append(s)
+            stack += reads[s]
+    left = [len(after.get(r, ())) + (r in out) for r in range(len(keys))]
+    # an exogenous variable no slot reads weighs in with its total mass
+    scale = math.prod(sum(spec.probs) for u, spec in m.exogenous.items()
+                      if u not in slots or not left[slots[u]])
+    live: list[int] = []
+    states = {(mask,): scale} if mask or not full else {}
+    peak = len(states)
+    waiting = {s: sum(r in reads for r in rs) for s, rs in reads.items()}
+    ready = [s for s, n in waiting.items() if not n]
+    while ready:
+        # the ready slot that widens the states least, in log units
+        s = min(ready, key=lambda s: (
+            sum(math.log(size[r]) for r in reads[s] if r not in live)
+            + math.log(size[s]) * (left[s] > 0)
+            - sum(math.log(size[r]) for r in reads[s] if left[r] == 1), s))
+        ready.remove(s)
+        for t in after.get(s, ()):
+            waiting[t] -= 1
+            if not waiting[t]:
+                ready.append(t)
+        held, joins = [r for r in reads[s] if r in live], [r for r in reads[s] if r not in live]
+        for r in reads[s]:
+            left[r] -= 1
+        kept = [r for r in live if left[r]]
+        # per combination of the exogenous slots joined here: codes, kept codes, mass
+        combos = [((), (), 1.0)]
+        for r in joins:
+            combos = [(codes + (c,), grown + (c,) * (left[r] > 0), q * p)
+                      for codes, grown, q in combos
+                      for c, p in enumerate(m.exogenous[keys[r]].probs) if p != 0.0]
+        table = _lookup(m, keys[s][0], keys[s][1], [(r, size[r]) for r in held + joins])
+        keep = bits.get(s, [full] * size[s])
+        get = _getter([live.index(r) + 1 for r in held])
+        pick = _getter([live.index(r) + 1 for r in kept])
+        new: dict[tuple[int, ...], float] = {}
+        for k, w in states.items():
+            codes, head = get(k), pick(k)
+            for joined, grown, p in combos:
+                x = table[codes + joined]
+                mask = k[0] & keep[x]
+                if mask or not full:  # a state whose conditions all fail is dropped
+                    key = (mask, *head, *grown, x) if left[s] else (mask, *head, *grown)
+                    new[key] = new.get(key, 0.0) + w * p
+        live = kept + [r for r in joins if left[r]] + [s] * (left[s] > 0)
+        states = new
+        peak = max(peak, len(states))
+    # constant outputs are read from codes appended to each state
+    consts = tuple(~r for r in out if r < 0)
+    at = itertools.count(len(live) + 1)
+    pick = _getter([0, *(live.index(r) + 1 if r >= 0 else next(at) for r in out)])
+    return {pick(k + consts): w for k, w in states.items()}, peak
+
+
+def _lookup(m: DiscreteScm, v: str, refs: Sequence[int],
+            axes: Sequence[tuple[int, int]]) -> dict[tuple[int, ...], int]:
+    """The output code of ``v``'s mechanism, whose parents are ``refs`` (a
+    constant is ``~code``), at each combination of the ``(slot, size)`` axes."""
+    parents = m.endogenous[v].parents
+    strides = [math.prod(len(m.parent_domain(p)) for p in parents[i + 1:])
+               for i in range(len(parents))]
+    cells = [sum(st * ~r for st, r in zip(strides, refs) if r < 0)]
+    for s, d in axes:
+        st = sum(st for st, r in zip(strides, refs) if r == s)
+        cells = [i + c * st for i in cells for c in range(d)]
+    codes = m._codes[v]
+    return dict(zip(itertools.product(*(range(d) for _, d in axes)), [codes[i] for i in cells]))
 
 
 def solve_worlds(
@@ -276,12 +375,16 @@ def solve_worlds(
 ) -> list[dict[str, np.ndarray]]:
     """Action and prediction over ``size`` exogenous states, given as one
     domain-code array per exogenous variable.  Each mechanism is read from
-    the code array the model stored for it, indexed by its parents' codes; a
-    surgery value is a domain value or a per-state code array.  Returns, per
+    its stored codes, as an array indexed by its parents' codes; a surgery
+    value is a domain value or a per-state code array.  Returns, per
     surgery, one code array per variable, indexing ``m.endo_domains[v]`` or
     the exogenous domain.
     """
-    dims = {v: len(m.parent_domain(v)) for v in itertools.chain(m.exo_names(), m.order)}
+    import numpy as np
+
+    dims = {v: len(m.parent_domain(v)) for v in itertools.chain(m.exogenous, m.order)}
+    dtype = np.min_scalar_type(max(dims.values(), default=1) - 1)
+    luts = {v: np.array(m._codes[v], dtype) for v in m.order}
     worlds: list[dict[str, np.ndarray]] = []
     for surgery in surgeries:
         codes = dict(exo_codes)
@@ -292,7 +395,7 @@ def solve_worlds(
                 cell = np.ravel_multi_index(
                     [codes[p] for p in parents], [dims[p] for p in parents]
                 )
-                val = m._luts[v][cell]
+                val = luts[v][cell]
             elif isinstance(val, str):
                 val = m.endo_domains[v].index(val)
             # constants become read-only per-state views without copies
@@ -301,38 +404,23 @@ def solve_worlds(
     return worlds
 
 
-def holds(
-    m: DiscreteScm, codes: Mapping[str, np.ndarray], assignment: Mapping[str, str]
-) -> np.ndarray:
-    """Per-state mask of one world of :func:`enumerate_worlds` meeting an
-    endogenous assignment."""
-    mask = np.ones(len(next(iter(codes.values()))), dtype=bool)
-    for v, val in assignment.items():
-        mask &= codes[v] == m.endo_domains[v].index(val)
-    return mask
-
-
 def observational_joint(m: DiscreteScm) -> JointTable:
-    """Exact joint over the endogenous variables, by exogenous enumeration.
-    The states are grouped by their codes read as one mixed-radix number, so
-    the cells come out in lexicographic order of their codes."""
+    """Exact joint over the endogenous variables, its cells in lexicographic
+    order of their codes."""
     from .expr import JointTable
 
     variables = tuple(sorted(m.endogenous))
-    dims = [len(m.endo_domains[v]) for v in variables]
-    joint_size = math.prod(dims)
+    joint_size = math.prod(len(m.endo_domains[v]) for v in variables)
     # refuse before enumerating; an exogenous overflow is reported first, and
-    # a joint too wide for an int64 key is refused under any cap
-    cap = min(DEFAULT_STATE_CAP, np.iinfo(np.intp).max)
+    # a joint wider than an int64 index is refused under any cap
+    cap = min(DEFAULT_STATE_CAP, 2**63 - 1)
     if m.exo_state_count() <= DEFAULT_STATE_CAP and cap < joint_size:
         raise StateSpaceOverflow(f"{joint_size} joint states exceed the cap of {cap}")
-    weights, (codes,) = enumerate_worlds(m, [{}])
-    # with no variables every state has the scalar key 0
-    key = np.broadcast_to(np.ravel_multi_index([codes[v] for v in variables], dims), len(weights))
-    keys, group = np.unique(key, return_inverse=True)
-    cols = tuple(col.tolist() for col in np.unravel_index(keys, dims)) if variables else ()
+    masses, _ = _sweep(m, [{}], [(0, v) for v in variables])
+    cells = sorted((k[1:], w) for k, w in masses.items() if w != 0.0)
+    cols = tuple(map(list, zip(*(codes for codes, _ in cells))))
     domains = {v: m.endo_domains[v] for v in variables}
-    return JointTable._coded(variables, domains, cols, np.bincount(group, weights).tolist())
+    return JointTable._coded(variables, domains, cols, [w for _, w in cells])
 
 
 def intervene(m: DiscreteScm, do: Mapping[str, str]) -> DiscreteScm:
@@ -346,11 +434,12 @@ def intervene(m: DiscreteScm, do: Mapping[str, str]) -> DiscreteScm:
 
 def _conditional_pass(
     m: DiscreteScm, questions: Sequence[tuple[Mapping[str, str], _Worlds]]
-) -> list[float | None]:
+) -> tuple[list[float | None], int]:
     """Each ``(evidence, worlds)`` question answered as by :func:`joint_counterfactual`,
-    or None where its evidence has probability zero, from one enumeration that
-    solves each distinct surgery once, in the order the questions first name it."""
+    or None where its evidence has probability zero, by one sweep over the distinct
+    surgeries in the order first named; with the most states the sweep held."""
     surgeries: list[Mapping[str, str]] = [{}]
+    conditions: list[list[tuple[int, str, str]]] = []
     for evidence, worlds in questions:
         _check_endo_assignment(m, evidence.items(), "evidence")
         for do, targets in worlds:
@@ -358,15 +447,15 @@ def _conditional_pass(
             _check_endo_assignment(m, targets.items(), "target")
             if do not in surgeries:
                 surgeries.append(do)
-    weights, solved = enumerate_worlds(m, surgeries)
-    answers: list[float | None] = []
-    for evidence, worlds in questions:
-        ok = holds(m, solved[0], evidence)
-        den = float(weights[ok].sum())
-        for do, targets in worlds:
-            ok &= holds(m, solved[surgeries.index(do)], targets)
-        answers.append(float(weights[ok].sum()) / den if den != 0.0 else None)
-    return answers
+        # bit 2i: the evidence holds; bit 2i + 1: so do the worlds' targets
+        tests = [(0, v, val) for v, val in evidence.items()]
+        conditions += [tests, tests + [
+            (surgeries.index(do), v, val) for do, targets in worlds for v, val in targets.items()
+        ]]
+    masses, peak = _sweep(m, surgeries, (), conditions)
+    sums = [sum(w for (mask,), w in masses.items() if mask >> i & 1)
+            for i in range(len(conditions))]
+    return [num / den if den != 0.0 else None for den, num in zip(sums[::2], sums[1::2])], peak
 
 
 def joint_counterfactual(
@@ -377,10 +466,10 @@ def joint_counterfactual(
     Each entry of ``worlds`` is a pair ``(do, targets)``: in the model
     surgered by ``do``, all ``targets`` assignments must hold.  Evidence is
     checked in the unsurgered model.  This is the abduction-action-prediction
-    computation, taken over full exogenous assignments.
+    computation, taken by one elimination sweep.
     """
     evidence = dict(evidence or {})
-    (value,) = _conditional_pass(m, [(evidence, worlds)])
+    (value,), _ = _conditional_pass(m, [(evidence, worlds)])
     if value is None:
         raise ZeroEvidence(f"evidence has probability zero: {evidence}")
     return value
@@ -399,6 +488,8 @@ def sample(m: DiscreteScm, n: int, seed: int) -> "Dataset":
     Each drawn code row is keyed to its first occurrence, as the CSV reader
     keys its records, so only the distinct rows are decoded and encoded."""
     from .estimate import Dataset, _encode, _stored
+
+    import numpy as np
 
     if n < 1:
         raise ScmError("sample size must be at least 1")
@@ -426,23 +517,11 @@ def latent_projection(m: DiscreteScm) -> Admg:
     """
     from .graph import Admg
 
-    nodes = set(m.endogenous)
-    directed = {
-        (p, v)
-        for v, spec in m.endogenous.items()
-        for p in spec.parents
-        if p in m.endogenous
-    }
-    children: dict[str, list[str]] = {u: [] for u in m.exogenous}
-    for v, spec in m.endogenous.items():
-        for p in spec.parents:
-            if p in m.exogenous:
-                children[p].append(v)
-    bidirected = set()
-    for u, kids in children.items():
-        for a, b in itertools.combinations(sorted(set(kids)), 2):
-            bidirected.add((a, b))
-    return Admg(nodes, directed, bidirected)
+    directed = {(p, v) for v, spec in m.endogenous.items() for p in spec.parents
+                if p in m.endogenous}
+    bidirected = {pair for u in m.exogenous for pair in itertools.combinations(
+        sorted(v for v, spec in m.endogenous.items() if u in spec.parents), 2)}
+    return Admg(set(m.endogenous), directed, bidirected)
 
 
 # --- file format -------------------------------------------------------------------

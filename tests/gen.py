@@ -227,6 +227,37 @@ def random_scm(r, n_endo=3, n_exo=3, max_parents=2) -> DiscreteScm:
     return DiscreteScm(exogenous, endogenous)
 
 
+def random_ternary_scm(r, n_endo=3, n_exo=3, max_parents=3, p_zero=0.2) -> DiscreteScm:
+    """Free-form small model over ternary exogenous variables, which the
+    endogenous ones share at random.  An exogenous value has probability
+    zero with chance ``p_zero``; a mechanism may read no exogenous variable,
+    or nothing at all, and its domain is the set of values its table gives.
+    """
+    values = ("0", "1", "2")
+    exo_names = [f"U{i}" for i in range(1, n_exo + 1)]
+    exogenous = {}
+    for u in exo_names:
+        w = r.random(3) * (r.random(3) >= p_zero)
+        if not w.any():
+            w[r.integers(0, 3)] = 1.0
+        exogenous[u] = ExogenousVar(values, tuple(float(p) for p in w / w.sum()))
+    domains = {u: values for u in exo_names}
+    endogenous: dict[str, EndogenousVar] = {}
+    for i, v in enumerate(NAMES[:n_endo]):
+        pool = NAMES[:i]
+        k_endo = int(r.integers(0, min(len(pool), max_parents) + 1))
+        k_exo = int(r.integers(0, min(n_exo, max_parents - k_endo) + 1))
+        parents = tuple(map(str, [*sorted(r.choice(pool, size=k_endo, replace=False)),
+                                  *sorted(r.choice(exo_names, size=k_exo, replace=False))]))
+        table = {
+            key: values[int(r.integers(0, 3))]
+            for key in itertools.product(*(domains[p] for p in parents))
+        }
+        endogenous[v] = EndogenousVar(parents, table)
+        domains[v] = tuple(sorted(set(table.values())))
+    return DiscreteScm(exogenous, endogenous)
+
+
 # --- model files split on top-level commas -------------------------------------
 
 _SPLIT_EXO_ENTRY_RE = re.compile(rf"\s*({VALUE})\s*:\s*({_PROB})\s*")
@@ -982,11 +1013,69 @@ def sample_by_arrays(m: DiscreteScm, n, seed):
     return Dataset._coded(out_cols, domains, cols, count, np.array(slot)[group].tolist())
 
 
+def enumerate_worlds(m: DiscreteScm, surgeries):
+    """Abduction, action and prediction over all exogenous states at once, as
+    ``scm`` computed them before its elimination sweep: the states of nonzero
+    weight enumerated once as index arrays, and every surgered world solved
+    over them by ``solve_worlds``.  Returns the state weights and, per
+    surgery, one code array per variable."""
+    from scmkit.scm import solve_worlds
+
+    names = tuple(m.exogenous)
+    dims = [len(m.exogenous[u].domain) for u in names]
+    count = math.prod(dims)
+    grid = np.indices(dims, dtype=np.min_scalar_type(max(dims, default=1) - 1))
+    grid = grid.reshape(len(names), count)
+    weights = np.ones(count)
+    for u, codes in zip(names, grid):
+        weights *= np.asarray(m.exogenous[u].probs)[codes]
+    keep = weights != 0.0
+    weights = weights[keep]
+    exo = {u: codes[keep] for u, codes in zip(names, grid)}
+    return weights, solve_worlds(m, exo, len(weights), surgeries)
+
+
+def holds(m: DiscreteScm, codes, assignment):
+    """Per-state mask of one world of :func:`enumerate_worlds` meeting an
+    endogenous assignment."""
+    mask = np.ones(len(next(iter(codes.values()))), dtype=bool)
+    for v, val in assignment.items():
+        mask &= codes[v] == m.endo_domains[v].index(val)
+    return mask
+
+
+def counterfactual_by_arrays(m: DiscreteScm, worlds, evidence):
+    """``joint_counterfactual`` over :func:`enumerate_worlds`, or None where
+    the evidence has probability zero."""
+    surgeries = [{}] + [dict(do) for do, _ in worlds]
+    weights, (natural, *solved) = enumerate_worlds(m, surgeries)
+    ok = holds(m, natural, evidence)
+    den = float(weights[ok].sum())
+    for codes, (_, targets) in zip(solved, worlds):
+        ok &= holds(m, codes, targets)
+    return float(weights[ok].sum()) / den if den != 0.0 else None
+
+
+def mediation_by_arrays(m: DiscreteScm, exposure, mediator, outcome, x0, x1):
+    """(te, nde, nie, nie_reversed) as ``mediation_effects_scm`` computed
+    them over :func:`enumerate_worlds`: the nested worlds solved again over
+    the same states, the mediator pinned per state by a code array."""
+    from scmkit.scm import solve_worlds
+
+    y_code = np.arange(len(m.endo_domains[outcome]), dtype=float)
+    weights, (world0, world1) = enumerate_worlds(m, [{exposure: x0}, {exposure: x1}])
+    nested10, nested01 = solve_worlds(m, world0, len(weights), [
+        {exposure: x1, mediator: world0[mediator]},
+        {exposure: x0, mediator: world1[mediator]},
+    ])
+    e0, e1, e10, e01 = (float(weights @ y_code[w[outcome]])
+                        for w in (world0, world1, nested10, nested01))
+    return e1 - e0, e10 - e0, e01 - e0, e10 - e1
+
+
 def observational_joint_by_arrays(m: DiscreteScm) -> JointTable:
     """``scm.observational_joint`` as it was: the enumerated states grouped
     by ``group_rows`` over their code rows."""
-    from scmkit.scm import enumerate_worlds
-
     variables = tuple(sorted(m.endogenous))
     weights, (codes,) = enumerate_worlds(m, [{}])
     cells = np.empty((len(weights), len(variables)), dtype=np.intp)
@@ -1158,14 +1247,27 @@ def load_table_by_rows(source):
         token = token.strip()
         return None if token == MISSING_TOKEN else token
 
+    def refusing_nul(fh):
+        # a line holding NUL is malformed on every Python, as the csv module
+        # itself refuses it before 3.11; the error carries the line's number
+        for lineno, line in enumerate(fh, start=1):
+            if "\0" in line:
+                raise csv.Error(lineno)
+            yield line
+
+    def refusal(exc, reader):
+        if isinstance(exc.args[0], int):
+            return DataError(f"line {exc.args[0]}: line contains NUL")
+        return DataError(f"line {reader.line_num}: {exc}")
+
     def read(fh):
-        reader = csv.reader(fh)
+        reader = csv.reader(refusing_nul(fh))
         try:
             header = next(reader)
         except StopIteration:
             raise DataError("empty file") from None
         except csv.Error as exc:
-            raise DataError(f"line {reader.line_num}: {exc}") from None
+            raise refusal(exc, reader) from None
         columns = tuple(h.strip() for h in header)
         if any(not c for c in columns):
             raise DataError("empty column name in header")
@@ -1175,7 +1277,7 @@ def load_table_by_rows(source):
         try:
             records.extend(reader)
         except csv.Error as exc:
-            malformed = DataError(f"line {reader.line_num}: {exc}")
+            malformed = refusal(exc, reader)
         # a ragged line is reported before a malformed line below it; an
         # undecodable byte has escaped before either
         for i, rec in enumerate(records):
@@ -1210,7 +1312,11 @@ def load_table_by_rows(source):
         return SimpleNamespace(columns=columns, domains=domains, rows=decoded, codes=codes)
 
     if hasattr(source, "read"):
-        return read(source)
+        try:
+            return read(source)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"cannot decode byte 0x{exc.object[exc.start]:02x}"
+                            f" as {exc.encoding}: {exc.reason}") from None
     try:
         with open(source, "r", encoding="utf-8-sig", newline="") as fh:
             return read(fh)
@@ -1235,7 +1341,7 @@ def sample_by_rows(m: DiscreteScm, n, seed):
 
     r = np.random.default_rng(seed)
     columns = {}
-    for u in m.exo_names():
+    for u in m.exogenous:
         spec = m.exogenous[u]
         idx = r.choice(len(spec.domain), size=n, p=np.asarray(spec.probs))
         columns[u] = [spec.domain[i] for i in idx]

@@ -666,6 +666,19 @@ def test_an_error_of_no_scmkit_class_escapes_run(error, monkeypatch):
         invoke("identify", "--graph", path("backdoor.cg"), "--query", "P(Y|do(X))")
 
 
+@pytest.mark.parametrize("argv", [
+    ["identify", "--graph", "a\0b", "--query", "P(Y|do(X))"],
+    ["fit", "--graph", path("chain.cg"), "--data", "d\0.csv"],
+    ["counterfactual", "--scm", "\0", "--query", "P(Y_{X=1}=1|X=0)"],
+    ["pnps", "--data", path("d8.csv"), "--experiment", "e\0.txt"],
+    ["mediate", "--scm", path("med.scm\0"), "--exposure", "X", "--mediator", "M",
+     "--outcome", "Y", "--x0", "0", "--x1", "1"],
+], ids=["graph", "data", "scm", "experiment", "after a real path"])
+def test_nul_in_a_path_flag_is_a_usage_error(argv):
+    flag = next(word for word, value in zip(argv, argv[1:]) if "\0" in value)
+    assert invoke(*argv) == (1, "", f"error: {flag}: a path cannot hold a NUL character\n")
+
+
 _UNDECODABLE_FILES = {
     "bad.cg": b"var X\r\nvar Y\r\nX -> Y\r\n\xff\n",
     "bad.scm": b"\xef\xbb\xbf" + Path(path("med.scm")).read_bytes().replace(b"endo M", b"\xfeendo M"),

@@ -4,7 +4,6 @@ import dataclasses
 import io
 import pickle
 import re
-import sys
 from collections import Counter
 
 import numpy as np
@@ -415,9 +414,14 @@ ENDING_CASES = {
         "X,Y\n0,1\r\n0,1\n0,1,1\r0,1\n", "line 4: row has 3 cells, expected 2"),
     "empty cell behind repeated endings": (
         "X,Y\n0,1\r\n\n0,1\n0,\r\n", "row 3 has an empty cell"),
-    "NUL in a repeated line": ("X,Y\n0,\x001\n1,0\r\n0,\x001\n0,\x001\r\n", None),
+    "NUL in a repeated line": (
+        "X,Y\n0,\x001\n1,0\r\n0,\x001\n0,\x001\r\n", "line 2: line contains NUL"),
     "NUL in a repeated ragged line": (
-        "X,Y\n0,1\n\x00,1,1\n0,1\n\x00,1,1\r\n", "line 3: row has 3 cells, expected 2"),
+        "X,Y\n0,1\n\x00,1,1\n0,1\n\x00,1,1\r\n", "line 3: line contains NUL"),
+    "ragged before a NUL line": ("X,Y\n0,1,1\n\x00,1\n0,1\n", "line 2: row has 3 cells, expected 2"),
+    "NUL in the header": ("X\x00,Y\n0,1\n", "line 1: line contains NUL"),
+    "NUL after distinct lines": ("X,Y\n" + _DISTINCT + "0,1\n3,\x00\n", "line 2003: line contains NUL"),
+    "NUL after a quoted line break": ('X,Y\n"0\n1",1\n1,\x00\n', "line 4: line contains NUL"),
     "malformed behind repeats": (
         f"X,Y\n0,1\n0,1\r\n{_WIDE},1\n0,1,1\n", f"line 4: {_LIMIT}"),
     "ragged before malformed": (
@@ -447,8 +451,6 @@ ENDING_CASES = {
 def test_reader_agrees_with_row_by_row_oracle_on_endings_nuls_and_late_quotes(
     text, refusal, tmp_path
 ):
-    if "\x00" in text and sys.version_info < (3, 11):
-        pytest.skip("the csv module refuses NUL before Python 3.11")
     path = tmp_path / "t.csv"
     path.write_text(text, encoding="utf-8", newline="")
     got = _read_outcome(load_table, path)
@@ -518,6 +520,19 @@ def test_undecodable_byte_is_refused_with_its_line(data, refusal, tmp_path):
         load_table(path)
     assert str(info.value) == refusal
     assert _read_outcome(gen.load_table_by_rows, path) == ("refused", refusal)
+
+
+@pytest.mark.parametrize("data, encoding, refusal", [
+    (b"X,Y\n0,1\n\xff,1\n", "utf-8", "cannot decode byte 0xff as utf-8: invalid start byte"),
+    (b"X,Y\n" + b"0,1\n" * 5000 + b"\xe2\x28,1\n", "utf-8",
+     "cannot decode byte 0xe2 as utf-8: invalid continuation byte"),
+    (b"X,Y\n0,1\n\x80,1\n", "ascii", "cannot decode byte 0x80 as ascii: ordinal not in range(128)"),
+], ids=["short", "past the first chunk", "ascii"])
+def test_undecodable_byte_in_a_text_stream_is_refused_without_its_line(data, encoding, refusal):
+    # the stream's bytes cannot be read again to count the lines before it
+    for read in (load_table, gen.load_table_by_rows):
+        stream = io.TextIOWrapper(io.BytesIO(data), encoding, newline="")
+        assert _read_outcome(read, stream) == ("refused", refusal)
 
 
 def test_load_skips_blank_lines_and_strips_tokens():

@@ -1,15 +1,15 @@
 """Which modules each entry point loads, checked in fresh interpreters.
 
 ``import scmkit`` resolves its exports lazily, and each CLI subcommand imports
-only the modules on its path, so symbolic work, ``fit``, ``discover --data``
-and the plug-in answers on data (``estimate`` without ``--bootstrap``,
-``pnps --data``, ``recover``, ``mediate --graph --data``) never load numpy,
-and model work never compiles the estimand algebra or the graph code.  No
-path loads ``dataclasses``, and the paths without numpy load no ``inspect``.
-A call that is answered loads no ``argparse``, which only help and usage
-errors need.
-A check of the source pins where ``expr`` and ``estimate`` import numpy and
-that only the record module imports ``dataclasses``.
+only the modules on its path, so symbolic work, ``fit``, ``discover --data``,
+the plug-in answers on data (``estimate`` without ``--bootstrap``,
+``pnps --data``, ``recover``, ``mediate --graph --data``) and the exact model
+answers (``counterfactual``, ``pnps --scm``, ``mediate --scm``) never load
+numpy, and model work never compiles the estimand algebra or the graph code.
+No path loads ``dataclasses`` or ``inspect``.  A call that is answered loads
+no ``argparse``, which only help and usage errors need.
+A check of the source pins where ``scm``, ``expr`` and ``estimate`` import
+numpy and that only the record module imports ``dataclasses``.
 """
 
 import ast
@@ -117,10 +117,9 @@ def test_no_path_loads_dataclasses_and_paths_without_numpy_load_no_inspect(path)
     code, modules = loaded_after_run(MODULE_SETS[path][0])
     assert code == 0
     assert "dataclasses" not in modules
-    # only the model paths load numpy, which imports inspect itself
-    assert ("numpy" in modules) == (path in MODEL)
-    if path not in MODEL:
-        assert "inspect" not in modules
+    # the model paths answer by the plain-Python sweep, so no path loads
+    # numpy, which imports inspect itself
+    assert not modules & {"numpy", "inspect"}
 
 
 @pytest.mark.parametrize("path", MODULE_SETS)
@@ -171,8 +170,13 @@ def imports_of(target: str, text: str) -> list[str]:
 
 def test_only_the_bootstrap_imports_numpy_in_expr_and_estimate():
     # the detector sees a top-level import and one inside a function
-    assert "<module>" in imports_of("numpy", source("scm"))
-    assert "mediation_effects_scm" in imports_of("numpy", source("mediation"))
+    assert imports_of("numpy", "import numpy as np\n") == ["<module>"]
+    assert imports_of("numpy", source("identify")) == ["_witness_via_edge"]
+    # only sampling runs numpy in the model kernel
+    assert set(imports_of("numpy", source("scm"))) == {
+        "sample", "solve_worlds", "<type checking>",
+    }
+    assert imports_of("numpy", source("mediation")) == []
     assert imports_of("numpy", source("expr")) == []
     assert set(imports_of("numpy", source("estimate"))) == {
         "bootstrap_interval", "_quantiles", "<type checking>",

@@ -9,7 +9,7 @@ from scmkit.mediation import (
     mediation_effects_data,
     mediation_effects_scm,
 )
-from scmkit.scm import StateSpaceOverflow, observational_joint, parse_scm, sample
+from scmkit.scm import StateSpaceOverflow, intervene, observational_joint, parse_scm, sample
 
 TRIANGLE = parse_graph("var X\nvar M\nvar Y\nX -> M\nM -> Y\nX -> Y\n")
 
@@ -77,18 +77,38 @@ def test_exact_effects_match_nested_world_oracle():
         assert got == pytest.approx(want, abs=1e-12)
 
 
+def test_exact_effects_match_the_grid_and_brute_oracles_on_ternary_models():
+    # shared and unread exogenous variables, values of probability zero, and
+    # mediators that the exposure may not reach
+    r = gen.rng(71)
+    for i in range(150):
+        m = gen.random_ternary_scm(r, n_endo=int(r.integers(3, 6)), n_exo=int(r.integers(1, 5)))
+        if i % 3 == 0:
+            v = str(r.choice(sorted(m.endogenous)))
+            m = intervene(m, {v: str(r.choice(m.endo_domains[v]))})
+        exposure, mediator, outcome = (str(v) for v in r.choice(sorted(m.endogenous), 3, replace=False))
+        x0, x1 = (str(r.choice(m.endo_domains[exposure])) for _ in range(2))
+        rep = mediation_effects_scm(m, exposure, mediator, outcome, x0, x1)
+        got = (rep.te, rep.nde, rep.nie, rep.nie_reversed)
+        args = (m, exposure, mediator, outcome, x0, x1)
+        assert got == pytest.approx(gen.mediation_by_arrays(*args), abs=1e-12)
+        assert got == pytest.approx(gen.brute_mediation(*args), abs=1e-12)
+
+
 def test_exact_mode_enumerates_once(monkeypatch):
     calls = []
-    kernel = scm_module.enumerate_worlds
+    kernel = scm_module._sweep
 
     def counting(m, surgeries, *args):
         calls.append(list(surgeries))
         return kernel(m, surgeries, *args)
 
-    monkeypatch.setattr(scm_module, "enumerate_worlds", counting)
+    monkeypatch.setattr(scm_module, "_sweep", counting)
     m = triangle_scm(gen.rng(70))
     rep = mediation_effects_scm(m, "X", "M", "Y", "0", "1")
-    assert calls == [[{"X": "0"}, {"X": "1"}]]
+    # one sweep: the two exposure worlds, then the nested worlds that pin M
+    # to its value in world 0 and in world 1
+    assert calls == [[{"X": "0"}, {"X": "1"}, {"X": "1", "M": (0, "M")}, {"X": "0", "M": (1, "M")}]]
     want = gen.brute_mediation(m, "X", "M", "Y", "0", "1")
     assert (rep.te, rep.nde, rep.nie, rep.nie_reversed) == pytest.approx(want, abs=1e-12)
 

@@ -9,7 +9,7 @@ from scmkit.estimate import empirical_joint, load_table
 from scmkit.expr import JointTable
 import scmkit.scm as scm_module
 from scmkit.pnps import BoundsError, InconsistentInputs, pn_ps_exact, pnps_bounds
-from scmkit.scm import ScmError, intervene, observational_joint, parse_scm
+from scmkit.scm import DiscreteScm, ScmError, intervene, observational_joint, parse_scm
 
 
 def identity_scm():
@@ -77,6 +77,35 @@ def test_exact_matches_enumeration_oracle():
                 assert got == pytest.approx(want, abs=1e-12)
 
 
+def test_exact_matches_the_grid_and_brute_oracles_on_ternary_models():
+    # shared and unread exogenous variables, values of probability zero,
+    # widened domains and evidence of probability zero
+    r = gen.rng(52)
+    undefined = 0
+    for i in range(200):
+        m = gen.random_ternary_scm(r, n_endo=int(r.integers(2, 5)), n_exo=int(r.integers(1, 5)))
+        x, y = (str(v) for v in r.choice(sorted(m.endogenous), 2, replace=False))
+        if i % 3 == 0 and all(y not in e.parents for e in m.endogenous.values()):
+            m = DiscreteScm(m.exogenous, m.endogenous, endo_domains={y: m.endo_domains[y] + ("9",)})
+        x1, x0 = (str(r.choice(m.endo_domains[x])) for _ in range(2))
+        y1, y0 = (str(r.choice(m.endo_domains[y])) for _ in range(2))
+        res = pn_ps_exact(m, x, y, x1, x0, y1, y0)
+        for got, worlds, evidence in (
+            (res.pn, [({x: x0}, {y: y0})], {x: x1, y: y1}),
+            (res.ps, [({x: x1}, {y: y1})], {x: x0, y: y0}),
+            (res.pns, [({x: x1}, {y: y1}), ({x: x0}, {y: y0})], {}),
+        ):
+            want = gen.counterfactual_by_arrays(m, worlds, evidence)
+            brute = gen.brute_counterfactual(m, worlds, evidence)
+            assert (got is None) == (want is None) == (brute is None)
+            if got is None:
+                undefined += 1
+            else:
+                assert got == pytest.approx(want, abs=1e-12)
+                assert got == pytest.approx(brute, abs=1e-12)
+    assert undefined > 20
+
+
 def test_zero_evidence_reported_individually():
     # X is always 1, so the PS evidence (X=0, Y=0) is impossible
     m = parse_scm(
@@ -92,13 +121,13 @@ def test_zero_evidence_reported_individually():
 
 def test_exact_enumerates_once(monkeypatch):
     calls = []
-    kernel = scm_module.enumerate_worlds
+    kernel = scm_module._sweep
 
     def counting(m, surgeries, *args):
         calls.append(list(surgeries))
         return kernel(m, surgeries, *args)
 
-    monkeypatch.setattr(scm_module, "enumerate_worlds", counting)
+    monkeypatch.setattr(scm_module, "_sweep", counting)
     pn_ps_exact(identity_scm(), "X", "Y")
     assert calls == [[{}, {"X": "0"}, {"X": "1"}]]
 

@@ -1,7 +1,10 @@
 import copy
 import itertools
 import math
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -19,6 +22,7 @@ from scmkit.scm import (
     ScmError,
     StateSpaceOverflow,
     ZeroEvidence,
+    _conditional_pass,
     counterfactual_query,
     intervene,
     joint_counterfactual,
@@ -341,11 +345,9 @@ def test_model_copies_keep_stored_codes_read_only(copy_of):
         c = copy_of(m)
         assert (c.order, c.endo_domains) == (m.order, m.endo_domains)
         assert serialize_scm(c) == serialize_scm(m)
-        for v in m.order:
-            assert c._luts[v].dtype == m._luts[v].dtype
-            assert c._luts[v].tolist() == m._luts[v].tolist()
-            with pytest.raises(ValueError):
-                c._luts[v][0] = 0
+        # the stored codes are tuples, which no copy can write through
+        assert c._codes == m._codes
+        assert all(type(codes) is tuple for codes in c._codes.values())
         assert observational_joint(c).mass == observational_joint(m).mass
 
 
@@ -543,6 +545,187 @@ def test_counterfactual_matches_enumeration_oracle():
             assert got == pytest.approx(want, abs=1e-12)
 
 
+def _random_query(r, m):
+    """Evidence and one to three (do, targets) worlds over ``m``'s
+    endogenous variables and domains; a target may be pinned by its world."""
+    names = sorted(m.endogenous)
+
+    def assignment(lo):
+        picked = r.choice(names, size=int(r.integers(lo, len(names) + 1)), replace=False)
+        return {str(v): str(r.choice(m.endo_domains[str(v)])) for v in picked}
+
+    return assignment(0), [(assignment(0), assignment(1)) for _ in range(int(r.integers(1, 4)))]
+
+
+def _oracle_models(r, count):
+    """Binary and ternary models, some intervened, some with a widened
+    domain and an exogenous variable that no mechanism reads."""
+    for i in range(count):
+        n_endo, n_exo = int(r.integers(2, 5)), int(r.integers(1, 4))
+        if i % 4 == 0:
+            m = gen.random_scm(r, n_endo=n_endo, n_exo=n_exo + 1)
+        else:
+            m = gen.random_ternary_scm(r, n_endo=n_endo, n_exo=n_exo)
+        if i % 4 == 2:
+            v = str(r.choice(sorted(m.endogenous)))
+            m = intervene(m, {v: str(r.choice(m.endo_domains[v]))})
+        if i % 4 == 3:
+            # a domain that no mechanism reads may widen
+            v = str(r.choice([v for v in sorted(m.endogenous)
+                              if all(v not in e.parents for e in m.endogenous.values())]))
+            exogenous = {**m.exogenous, "UNREAD": ExogenousVar(("a", "b"), (0.25, 0.75))}
+            m = DiscreteScm(exogenous, m.endogenous,
+                            endo_domains={v: m.endo_domains[v] + ("9",)})
+        yield m
+
+
+def test_sweep_matches_the_grid_and_brute_oracles():
+    r = gen.rng(90)
+    zero = 0
+    for i, m in enumerate(_oracle_models(r, 400)):
+        questions = [_random_query(r, m) for _ in range(1 + 2 * (i % 5 == 0))]
+        wants = []
+        for evidence, worlds in questions:
+            want = gen.counterfactual_by_arrays(m, worlds, evidence)
+            brute = gen.brute_counterfactual(m, worlds, evidence)
+            assert (want is None) == (brute is None)
+            if want is None:
+                zero += 1
+                with pytest.raises(ZeroEvidence):
+                    joint_counterfactual(m, worlds, evidence)
+            else:
+                got = joint_counterfactual(m, worlds, evidence)
+                assert got == pytest.approx(want, abs=1e-12)
+                assert got == pytest.approx(brute, abs=1e-12)
+            wants.append(want)
+        # several questions answered by one sweep
+        answers, _ = _conditional_pass(m, questions)
+        assert [a is None for a in answers] == [w is None for w in wants]
+        assert [a for a in answers if a is not None] == pytest.approx(
+            [w for w in wants if w is not None], abs=1e-12)
+        got, want = observational_joint(m), gen.observational_joint_by_arrays(m)
+        assert (got.variables, got._cols) == (want.variables, want._cols)
+        assert got._weights == pytest.approx(want._weights, abs=1e-12)
+    assert zero > 50
+
+
+def _pairs(k):
+    """k independent pairs U_i -> X_i."""
+    return DiscreteScm(
+        {f"U{i}": ExogenousVar(("0", "1"), (0.5, 0.5)) for i in range(k)},
+        {f"X{i}": EndogenousVar((f"U{i}",), {("0",): "0", ("1",): "1"}) for i in range(k)},
+    )
+
+
+def _ternary_chain(links):
+    """V0 := U0 and V_i := (V_{i-1} + U_i) mod 3."""
+    t = ("0", "1", "2")
+    exogenous = {f"U{i}": ExogenousVar(t, (0.2, 0.3, 0.5)) for i in range(links + 1)}
+    endogenous = {"V0": EndogenousVar(("U0",), {(a,): a for a in t})}
+    for i in range(1, links + 1):
+        endogenous[f"V{i}"] = EndogenousVar(
+            (f"V{i - 1}", f"U{i}"), {(a, b): str((int(a) + int(b)) % 3) for a in t for b in t}
+        )
+    return DiscreteScm(exogenous, endogenous)
+
+
+def _wide_ring(k):
+    """A_i := U_i and B_i := (A_i + U_{i+1 mod k}) mod 3."""
+    t = ("0", "1", "2")
+    endogenous = {}
+    for i in range(k):
+        endogenous[f"A{i}"] = EndogenousVar((f"U{i}",), {(a,): a for a in t})
+        endogenous[f"B{i}"] = EndogenousVar(
+            (f"A{i}", f"U{(i + 1) % k}"),
+            {(a, b): str((int(a) + int(b)) % 3) for a in t for b in t},
+        )
+    return DiscreteScm({f"U{i}": ExogenousVar(t, (0.2, 0.3, 0.5)) for i in range(k)}, endogenous)
+
+
+def test_held_states_stay_small_on_wide_models():
+    # the pairs probe: only X1's pair is read, so 2**20 states hold one
+    (value,), held = _conditional_pass(_pairs(20), [({"X1": "0"}, [({"X0": "1"}, {"X1": "1"})])])
+    assert value == 0.0 and held == 1
+    # a ternary chain and its surgered copy share every noise term, so the
+    # states hold the two copies of one link and its noise; the grid oracle
+    # checks the value on 6 links, where it holds 3**7 states, not 3**14
+    for links in (6, 13):
+        m = _ternary_chain(links)
+        question = ({f"V{links}": "0"}, [({"V0": "1"}, {f"V{links}": "2"})])
+        (value,), held = _conditional_pass(m, [question])
+        if links == 6:
+            assert value == pytest.approx(
+                gen.counterfactual_by_arrays(m, *question[::-1]), abs=1e-12)
+        assert 0.0 < value < 1.0 and held <= 27
+    # the wide ring with every B_i a target: its tests fold into the mask as
+    # each B_i is computed, so the joint of the targets is never held
+    k = 10
+    u = [1, 2, 0, 1, 1, 2, 0, 1, 2, 0]
+    targets = {f"B{i}": str((u[i] + u[(i + 1) % k]) % 3) for i in range(k)}
+    targets["B0"] = str(u[1])  # A0 is pinned to 0 in the surgered world
+    m = _wide_ring(k)
+    question = ({"A0": "1"}, [({"A0": "0"}, targets)])
+    (value,), held = _conditional_pass(m, [question])
+    assert value > 0.0
+    assert value == pytest.approx(gen.counterfactual_by_arrays(m, *question[::-1]), abs=1e-12)
+    assert held <= 9
+    # the cap still counts exogenous states: 2**24 of them are refused
+    with pytest.raises(StateSpaceOverflow, match="^16777216 exogenous states exceed the cap"):
+        joint_counterfactual(_pairs(24), [({"X0": "1"}, {"X1": "1"})], {"X1": "0"})
+
+
+def test_copies_that_no_surgery_reaches_are_computed_once(monkeypatch):
+    import scmkit.scm
+
+    computed = []
+    lookup = scmkit.scm._lookup
+
+    def counting(m, v, *args):
+        computed.append(v)
+        return lookup(m, v, *args)
+
+    monkeypatch.setattr(scmkit.scm, "_lookup", counting)
+    # Y := (V12 + X) mod 3 below the chain: do(X) leaves the chain one slot
+    # in both worlds, and only Y has two copies
+    t = ("0", "1", "2")
+    chain = _ternary_chain(12)
+    m = DiscreteScm({**chain.exogenous, "UX": ExogenousVar(t, (0.2, 0.3, 0.5))}, {
+        **chain.endogenous,
+        "X": EndogenousVar(("UX",), {(a,): a for a in t}),
+        "Y": EndogenousVar(("V12", "X"), {(a, b): str((int(a) + int(b)) % 3) for a in t for b in t}),
+    })
+    joint_counterfactual(m, [({"X": "0"}, {"Y": "1"})], {"Y": "2"})
+    assert sorted(computed) == sorted([f"V{i}" for i in range(13)] + ["X", "Y", "Y"])
+
+
+def test_answers_do_not_depend_on_the_hash_seed():
+    # a ternary model with 3**9 = 19,683 exogenous states, as the benchmark's
+    code = (
+        "import gen\n"
+        "from scmkit.mediation import mediation_effects_scm\n"
+        "from scmkit.pnps import pn_ps_exact\n"
+        "from scmkit.scm import joint_counterfactual, observational_joint\n"
+        "m = gen.random_ternary_scm(gen.rng(91), n_endo=5, n_exo=9, p_zero=0.0)\n"
+        "x, y = 'B', 'E'\n"
+        "vx, vy = m.endo_domains[x], m.endo_domains[y]\n"
+        "print(repr(joint_counterfactual(m, [({x: vx[0]}, {y: vy[-1]})], {x: vx[-1]})))\n"
+        "print(repr(pn_ps_exact(m, x, y, vx[-1], vx[0], vy[-1], vy[0])))\n"
+        "print(repr(mediation_effects_scm(m, 'A', 'C', 'E', '0', '1')))\n"
+        "print(repr(observational_joint(m)._weights))\n"
+    )
+    root = Path(__file__).resolve().parent.parent
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert gen.random_ternary_scm(gen.rng(91), n_endo=5, n_exo=9, p_zero=0.0).exo_state_count() == 3**9
+
+
 def test_zero_evidence_raises():
     m = parse_scm(
         "exo U {0: 1.0, 1: 0.0}\nendo X (U) {(0) -> 0, (1) -> 1}"
@@ -639,7 +822,11 @@ def _stored(d):
 
 def test_sample_and_observational_joint_match_the_numpy_grouping_oracles():
     def cells(t):
-        return t.variables, dict(t.domains), t._cols, t._weights
+        return t.variables, dict(t.domains), t._cols
+
+    def same_joint(got, want):
+        # the sweep sums the masses in another order than the grid
+        return cells(got) == cells(want) and got._weights == pytest.approx(want._weights, abs=1e-12)
 
     r = gen.rng(75)
     models = []
@@ -656,7 +843,7 @@ def test_sample_and_observational_joint_match_the_numpy_grouping_oracles():
     models.append((parse_scm("exo U {0: 0.5, 1: 0.5}"), 5))
     for seed, (m, n) in enumerate(models):
         assert _stored(sample(m, n, seed)) == _stored(gen.sample_by_arrays(m, n, seed))
-        assert cells(observational_joint(m)) == cells(gen.observational_joint_by_arrays(m))
+        assert same_joint(observational_joint(m), gen.observational_joint_by_arrays(m))
     assert observational_joint(models[-2][0]).domains["Y"] == ("1", "9", "0")
     assert observational_joint(models[-1][0])._weights == [1.0]
 
