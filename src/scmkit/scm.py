@@ -2,8 +2,8 @@
 
 All stochasticity lives in exogenous variables; endogenous variables are
 deterministic tables of their parents.  That choice is what makes every
-counterfactual well defined: abduction enumerates full exogenous assignments,
-action replaces mechanisms, prediction reads the modified model off.
+counterfactual well defined: abduction weighs the exogenous assignments a
+query reads, action replaces mechanisms, prediction reads the modified model off.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from .lexer import NAME, NAME_RE, VALUE
 from .record import Record
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .expr import JointTable
     from .graph import Admg
 
@@ -251,11 +249,10 @@ def _sweep(
     its mask is set while every ``(world, variable, value)`` test of
     ``conditions[i]`` holds.  Returns the mass of each ``(mask, *output
     codes)`` and the most states held; an exogenous output must be read by
-    a computed slot.  More exogenous states than ``DEFAULT_STATE_CAP`` are refused.
+    a computed slot.  Every state is a function of the codes of the exogenous
+    variables that slots or outputs read, so a grid of those wider than
+    ``DEFAULT_STATE_CAP`` is refused before any state is built.
     """
-    count, cap = m.exo_state_count(), DEFAULT_STATE_CAP
-    if count > cap:
-        raise StateSpaceOverflow(f"{count} exogenous states exceed the cap of {cap}")
     # a slot is keyed by an exogenous name or (variable, parent refs); a ref
     # is a slot's index, or ~code for a constant
     slots: dict[object, int] = {}
@@ -300,9 +297,12 @@ def _sweep(
                 after.setdefault(r, []).append(s)
             stack += reads[s]
     left = [len(after.get(r, ())) + (r in out) for r in range(len(keys))]
+    read = {u for u in m.exogenous if u in slots and left[slots[u]]}
+    count, cap = math.prod(len(m.exogenous[u].domain) for u in read), DEFAULT_STATE_CAP
+    if count > cap:
+        raise StateSpaceOverflow(f"{count} exogenous states exceed the cap of {cap}")
     # an exogenous variable no slot reads weighs in with its total mass
-    scale = math.prod(sum(spec.probs) for u, spec in m.exogenous.items()
-                      if u not in slots or not left[slots[u]])
+    scale = math.prod(sum(spec.probs) for u, spec in m.exogenous.items() if u not in read)
     live: list[int] = []
     states = {(mask,): scale} if mask or not full else {}
     peak = len(states)
@@ -367,55 +367,12 @@ def _lookup(m: DiscreteScm, v: str, refs: Sequence[int],
     return dict(zip(itertools.product(*(range(d) for _, d in axes)), [codes[i] for i in cells]))
 
 
-def solve_worlds(
-    m: DiscreteScm,
-    exo_codes: Mapping[str, np.ndarray],
-    size: int,
-    surgeries: Sequence[Mapping[str, Union[str, np.ndarray]]],
-) -> list[dict[str, np.ndarray]]:
-    """Action and prediction over ``size`` exogenous states, given as one
-    domain-code array per exogenous variable.  Each mechanism is read from
-    its stored codes, as an array indexed by its parents' codes; a surgery
-    value is a domain value or a per-state code array.  Returns, per
-    surgery, one code array per variable, indexing ``m.endo_domains[v]`` or
-    the exogenous domain.
-    """
-    import numpy as np
-
-    dims = {v: len(m.parent_domain(v)) for v in itertools.chain(m.exogenous, m.order)}
-    dtype = np.min_scalar_type(max(dims.values(), default=1) - 1)
-    luts = {v: np.array(m._codes[v], dtype) for v in m.order}
-    worlds: list[dict[str, np.ndarray]] = []
-    for surgery in surgeries:
-        codes = dict(exo_codes)
-        for v in m.order:
-            parents = m.endogenous[v].parents
-            val = surgery.get(v)
-            if val is None:
-                cell = np.ravel_multi_index(
-                    [codes[p] for p in parents], [dims[p] for p in parents]
-                )
-                val = luts[v][cell]
-            elif isinstance(val, str):
-                val = m.endo_domains[v].index(val)
-            # constants become read-only per-state views without copies
-            codes[v] = np.broadcast_to(val, (size,))
-        worlds.append(codes)
-    return worlds
-
-
 def observational_joint(m: DiscreteScm) -> JointTable:
     """Exact joint over the endogenous variables, its cells in lexicographic
     order of their codes."""
     from .expr import JointTable
 
     variables = tuple(sorted(m.endogenous))
-    joint_size = math.prod(len(m.endo_domains[v]) for v in variables)
-    # refuse before enumerating; an exogenous overflow is reported first, and
-    # a joint wider than an int64 index is refused under any cap
-    cap = min(DEFAULT_STATE_CAP, 2**63 - 1)
-    if m.exo_state_count() <= DEFAULT_STATE_CAP and cap < joint_size:
-        raise StateSpaceOverflow(f"{joint_size} joint states exceed the cap of {cap}")
     masses, _ = _sweep(m, [{}], [(0, v) for v in variables])
     cells = sorted((k[1:], w) for k, w in masses.items() if w != 0.0)
     cols = tuple(map(list, zip(*(codes for codes, _ in cells))))
@@ -494,11 +451,18 @@ def sample(m: DiscreteScm, n: int, seed: int) -> "Dataset":
     if n < 1:
         raise ScmError("sample size must be at least 1")
     rng = np.random.default_rng(seed)
-    exo = {
+    codes = {
         u: rng.choice(len(spec.domain), size=n, p=np.asarray(spec.probs))
         for u, spec in m.exogenous.items()
     }
-    (codes,) = solve_worlds(m, exo, n, [{}])
+    # each mechanism's stored codes as an array, indexed by its parents' codes
+    dims = {v: len(m.parent_domain(v)) for v in itertools.chain(m.exogenous, m.order)}
+    dtype = np.min_scalar_type(max(dims.values(), default=1) - 1)
+    for v in m.order:
+        parents = m.endogenous[v].parents
+        cell = np.ravel_multi_index([codes[p] for p in parents], [dims[p] for p in parents])
+        # a constant becomes a read-only per-row view without a copy
+        codes[v] = np.broadcast_to(np.array(m._codes[v], dtype)[cell], (n,))
     out_cols = tuple(sorted(m.endogenous))
     drawn = zip(*(codes[v].tolist() for v in out_cols)) if out_cols else [()] * n
     seen: dict[tuple[int, ...], int] = {}

@@ -14,8 +14,6 @@ import math
 import re
 from collections import Counter, defaultdict
 
-import numpy as np
-
 from scmkit.evaluate import _resolve, _RowEvaluation
 from scmkit.expr import (
     ONE,
@@ -48,6 +46,8 @@ NAMES = list("ABCDEFGH")
 
 
 def rng(seed):
+    import numpy as np
+
     return np.random.default_rng(seed)
 
 
@@ -448,6 +448,8 @@ def brute_marginal(m: DiscreteScm, assignment):
 def random_mass(r, variables, dom_sizes):
     """Domains of the given sizes and a Dirichlet mass on every full
     assignment, in ``itertools.product`` order."""
+    import numpy as np
+
     domains = {
         v: tuple(str(i) for i in range(k)) for v, k in zip(variables, dom_sizes)
     }
@@ -590,6 +592,8 @@ def _scan(e, table, binding, env):
 
 def eval_rows_by_recursion(e, table: JointTable, weights, binding=None):
     """``evaluate.eval_rows`` with one recursion per node."""
+    import numpy as np
+
     binding = dict(binding or {})
     for var in binding:
         if var not in table.domains:
@@ -896,6 +900,8 @@ def bootstrap_by_replicate(e, d, binding=None, B=1000, level=0.95, seed=0):
     Returns (point, low, high, dropped); the interval is None when more than
     10% of the resamples were dropped.
     """
+    import numpy as np
+
     counts = Counter(d.rows)
     keys = sorted(counts)
     weights = np.array([counts[k] for k in keys], dtype=float)
@@ -946,6 +952,8 @@ def c_components_by_min(g: Admg):
 def augmented_joint_by_arrays(mg, d) -> JointTable:
     """``recover._augmented_joint`` as it was, with numpy: the distinct rows
     of the substantive columns and observed flags, grouped by ``group_rows``."""
+    import numpy as np
+
     from scmkit.estimate import DataError
 
     subs = sorted(mg.substantive)
@@ -965,12 +973,14 @@ def augmented_joint_by_arrays(mg, d) -> JointTable:
     return JointTable._coded(variables, domains, tuple(distinct.T.tolist()), weights.tolist())
 
 
-# --- grouping rows with numpy ------------------------------------------------------
+# --- grouping rows and solving worlds with numpy -----------------------------------
 
 
 def group_rows(codes):
     """Group of every row of an integer matrix, and the distinct rows in
     lexicographic order; group ``g`` is distinct row ``g``."""
+    import numpy as np
+
     order = np.lexsort(codes.T[::-1]) if codes.shape[1] else np.arange(len(codes))
     ranked = codes[order]
     first = np.ones(len(codes), dtype=bool)
@@ -983,6 +993,8 @@ def group_rows(codes):
 def decode_rows(codes, domains) -> list[tuple]:
     """Rows of an integer matrix decoded through each column's domain; -1 or
     a code past the end of a domain decodes to ``None``."""
+    import numpy as np
+
     cols = [
         np.array((*dom, None), dtype=object)[codes[:, j]].tolist()
         for j, dom in enumerate(domains)
@@ -990,11 +1002,44 @@ def decode_rows(codes, domains) -> list[tuple]:
     return list(zip(*cols)) if cols else [()] * len(codes)
 
 
+def solve_worlds(m: DiscreteScm, exo_codes, size, surgeries):
+    """Action and prediction over ``size`` exogenous states, given as one
+    domain-code array per exogenous variable.  Each mechanism is read from
+    its stored codes, as an array indexed by its parents' codes; a surgery
+    value is a domain value or a per-state code array.  Returns, per
+    surgery, one code array per variable, indexing ``m.endo_domains[v]`` or
+    the exogenous domain.
+    """
+    import numpy as np
+
+    dims = {v: len(m.parent_domain(v)) for v in itertools.chain(m.exogenous, m.order)}
+    dtype = np.min_scalar_type(max(dims.values(), default=1) - 1)
+    luts = {v: np.array(m._codes[v], dtype) for v in m.order}
+    worlds = []
+    for surgery in surgeries:
+        codes = dict(exo_codes)
+        for v in m.order:
+            parents = m.endogenous[v].parents
+            val = surgery.get(v)
+            if val is None:
+                cell = np.ravel_multi_index(
+                    [codes[p] for p in parents], [dims[p] for p in parents]
+                )
+                val = luts[v][cell]
+            elif isinstance(val, str):
+                val = m.endo_domains[v].index(val)
+            # constants become read-only per-state views without copies
+            codes[v] = np.broadcast_to(val, (size,))
+        worlds.append(codes)
+    return worlds
+
+
 def sample_by_arrays(m: DiscreteScm, n, seed):
     """``scm.sample`` as it was: the draws grouped by ``group_rows`` in their
     stored code dtype, then only the distinct rows decoded and encoded."""
+    import numpy as np
+
     from scmkit.estimate import Dataset, _encode, _grouped
-    from scmkit.scm import solve_worlds
 
     rng = np.random.default_rng(seed)
     exo = {
@@ -1019,7 +1064,7 @@ def enumerate_worlds(m: DiscreteScm, surgeries):
     weight enumerated once as index arrays, and every surgered world solved
     over them by ``solve_worlds``.  Returns the state weights and, per
     surgery, one code array per variable."""
-    from scmkit.scm import solve_worlds
+    import numpy as np
 
     names = tuple(m.exogenous)
     dims = [len(m.exogenous[u].domain) for u in names]
@@ -1038,6 +1083,8 @@ def enumerate_worlds(m: DiscreteScm, surgeries):
 def holds(m: DiscreteScm, codes, assignment):
     """Per-state mask of one world of :func:`enumerate_worlds` meeting an
     endogenous assignment."""
+    import numpy as np
+
     mask = np.ones(len(next(iter(codes.values()))), dtype=bool)
     for v, val in assignment.items():
         mask &= codes[v] == m.endo_domains[v].index(val)
@@ -1060,7 +1107,7 @@ def mediation_by_arrays(m: DiscreteScm, exposure, mediator, outcome, x0, x1):
     """(te, nde, nie, nie_reversed) as ``mediation_effects_scm`` computed
     them over :func:`enumerate_worlds`: the nested worlds solved again over
     the same states, the mediator pinned per state by a code array."""
-    from scmkit.scm import solve_worlds
+    import numpy as np
 
     y_code = np.arange(len(m.endo_domains[outcome]), dtype=float)
     weights, (world0, world1) = enumerate_worlds(m, [{exposure: x0}, {exposure: x1}])
@@ -1076,6 +1123,8 @@ def mediation_by_arrays(m: DiscreteScm, exposure, mediator, outcome, x0, x1):
 def observational_joint_by_arrays(m: DiscreteScm) -> JointTable:
     """``scm.observational_joint`` as it was: the enumerated states grouped
     by ``group_rows`` over their code rows."""
+    import numpy as np
+
     variables = tuple(sorted(m.endogenous))
     weights, (codes,) = enumerate_worlds(m, [{}])
     cells = np.empty((len(weights), len(variables)), dtype=np.intp)
@@ -1239,6 +1288,8 @@ def load_table_by_rows(source):
     then each column's cells are cleaned and encoded with numpy, one index
     per cell.  Returns the columns, domains, decoded rows and each row's
     codes, or raises the reader's ``DataError``."""
+    import numpy as np
+
     from types import SimpleNamespace
 
     from scmkit.estimate import MISSING_TOKEN, DataError
@@ -1337,6 +1388,8 @@ def load_table_by_rows(source):
 def sample_by_rows(m: DiscreteScm, n, seed):
     """``sample`` with each structural table read as a dict, row by row; the
     exogenous draws are the same ``rng.choice`` calls in the same order."""
+    import numpy as np
+
     from scmkit.estimate import Dataset
 
     r = np.random.default_rng(seed)

@@ -116,9 +116,10 @@ def test_exact_mode_enumerates_once(monkeypatch):
 def test_exact_mode_respects_state_cap(monkeypatch):
     import scmkit.scm
 
-    monkeypatch.setattr(scmkit.scm, "DEFAULT_STATE_CAP", 7)
-    m = triangle_scm(gen.rng(69))  # 8 exogenous states
-    with pytest.raises(StateSpaceOverflow, match="8 exogenous states exceed the cap of 7"):
+    # 8 exogenous states, but every world pins X, so its noise is never read
+    m = triangle_scm(gen.rng(69))
+    monkeypatch.setattr(scmkit.scm, "DEFAULT_STATE_CAP", 3)
+    with pytest.raises(StateSpaceOverflow, match="4 exogenous states exceed the cap of 3"):
         mediation_effects_scm(m, "X", "M", "Y", "0", "1")
 
 

@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -31,7 +32,6 @@ from scmkit.scm import (
     parse_scm,
     sample,
     serialize_scm,
-    solve_worlds,
 )
 
 XOR_SCM_TEXT = """
@@ -326,7 +326,7 @@ def test_stored_codes_match_table_lookup():
             m = intervene(m, {str(r.choice(m.order)): str(int(r.integers(0, 2)))})
         n = 16
         exo = {u: r.integers(0, 2, size=n).astype(np.uint8) for u in m.exogenous}
-        (codes,) = solve_worlds(m, exo, n, [{}])
+        (codes,) = gen.solve_worlds(m, exo, n, [{}])
         for s in range(n):
             want = gen._worklist_solve(m, {u: m.exogenous[u].domain[c[s]] for u, c in exo.items()})
             assert {v: m.endo_domains[v][codes[v][s]] for v in m.order} == {
@@ -410,14 +410,14 @@ def test_state_space_cap(monkeypatch):
     monkeypatch.setattr(scmkit.scm, "DEFAULT_STATE_CAP", 3)
     with pytest.raises(StateSpaceOverflow):
         observational_joint(m)
-    # one exogenous coin drives three endogenous copies: 2 states, 8 cells
+    # one exogenous coin drives three endogenous copies: the cap counts its
+    # 2 states, not the 8 possible cells
     m = parse_scm(
         "exo U {0: 0.5, 1: 0.5}\n"
         + "".join(f"endo {v} (U) {{(0) -> 0, (1) -> 1}}\n" for v in "XYZ")
     )
-    monkeypatch.setattr(scmkit.scm, "DEFAULT_STATE_CAP", 7)
-    with pytest.raises(StateSpaceOverflow, match="8 joint states exceed the cap of 7"):
-        observational_joint(m)
+    monkeypatch.setattr(scmkit.scm, "DEFAULT_STATE_CAP", 2)
+    assert observational_joint(m).mass == {("0",) * 3: 0.5, ("1",) * 3: 0.5}
     monkeypatch.setattr(scmkit.scm, "DEFAULT_STATE_CAP", 1)
     with pytest.raises(StateSpaceOverflow, match="2 exogenous states exceed the cap of 1"):
         observational_joint(m)
@@ -429,6 +429,39 @@ def test_counterfactual_respects_state_cap(monkeypatch):
     monkeypatch.setattr(scmkit.scm, "DEFAULT_STATE_CAP", 3)
     with pytest.raises(StateSpaceOverflow, match="4 exogenous states exceed the cap of 3"):
         joint_counterfactual(xor_scm(), [({"X": "1"}, {"Y": "1"})], {"X": "0"})
+
+
+def test_cap_counts_the_grid_of_the_exogenous_variables_read(monkeypatch):
+    import scmkit.scm
+
+    r = gen.rng(36)
+    narrower = 0
+    for i in range(160):
+        if i % 2:
+            m = gen.random_ternary_scm(r, n_endo=int(r.integers(2, 6)), n_exo=int(r.integers(1, 6)))
+        else:
+            m = gen.random_scm(r, n_endo=int(r.integers(2, 5)), n_exo=int(r.integers(1, 5)))
+        x, y = map(str, r.choice(m.order, 2, replace=False))
+        dx, dy = m.endo_domains[x], m.endo_domains[y]
+        x0, x1, y0, y1 = dx[0], dx[-1], dy[0], dy[-1]
+        # a counterfactual, or PN, PS and PNS as pn_ps_exact asks them
+        questions = [({y: y0}, [({x: x1}, {y: y1})])] if i % 4 < 2 else [
+            ({x: x1, y: y1}, [({x: x0}, {y: y0})]),
+            ({x: x0, y: y0}, [({x: x1}, {y: y1})]),
+            ({}, [({x: x1}, {y: y1}), ({x: x0}, {y: y0})]),
+        ]
+        monkeypatch.setattr(scmkit.scm, "DEFAULT_STATE_CAP", 0)
+        with pytest.raises(StateSpaceOverflow) as refused:
+            _conditional_pass(m, questions)
+        n = int(re.fullmatch(r"(\d+) exogenous states exceed the cap of 0", str(refused.value))[1])
+        monkeypatch.setattr(scmkit.scm, "DEFAULT_STATE_CAP", n - 1)
+        with pytest.raises(StateSpaceOverflow, match=f"^{n} exogenous states exceed the cap of"):
+            _conditional_pass(m, questions)
+        monkeypatch.setattr(scmkit.scm, "DEFAULT_STATE_CAP", n)
+        _, held = _conditional_pass(m, questions)
+        assert held <= n <= m.exo_state_count()
+        narrower += n < m.exo_state_count()
+    assert narrower > 20
 
 
 # --- interventions -------------------------------------------------------------------
@@ -669,9 +702,10 @@ def test_held_states_stay_small_on_wide_models():
     assert value > 0.0
     assert value == pytest.approx(gen.counterfactual_by_arrays(m, *question[::-1]), abs=1e-12)
     assert held <= 9
-    # the cap still counts exogenous states: 2**24 of them are refused
+    # the cap counts the grid of the exogenous variables read: the joint of
+    # all 24 pairs reads 2**24 states and is refused
     with pytest.raises(StateSpaceOverflow, match="^16777216 exogenous states exceed the cap"):
-        joint_counterfactual(_pairs(24), [({"X0": "1"}, {"X1": "1"})], {"X1": "0"})
+        observational_joint(_pairs(24))
 
 
 def test_copies_that_no_surgery_reaches_are_computed_once(monkeypatch):
@@ -856,18 +890,25 @@ def test_sample_is_not_bound_to_an_int64_key():
     assert _stored(d) == _stored(gen.sample_by_arrays(m, 2000, seed=8))
 
 
-def test_joint_too_wide_for_an_int64_key_is_refused_before_enumerating(monkeypatch):
+def test_wide_grids_are_answered_or_refused_by_what_they_read(monkeypatch):
     import scmkit.scm
 
-    m = _binary_chain(70)
-    wide = f"^{2**70} joint states exceed the cap of {2**63 - 1}$"
+    # a query about one of k pairs reads 2 states at any k
+    for k in (24, 60):
+        assert joint_counterfactual(_pairs(k), [({"X0": "1"}, {"X1": "1"})], {"X1": "0"}) == 0.0
     with monkeypatch.context() as patch:
-        patch.setattr(scmkit.scm, "DEFAULT_STATE_CAP", 2**80)
-        with pytest.raises(StateSpaceOverflow, match=wide):
-            observational_joint(m)
-    # under the default cap the exogenous overflow is still reported first
+        patch.setattr(scmkit.scm, "DEFAULT_STATE_CAP", 1)
+        with pytest.raises(StateSpaceOverflow, match="^2 exogenous states exceed the cap of 1$"):
+            joint_counterfactual(_pairs(60), [({"X0": "1"}, {"X1": "1"})], {"X1": "0"})
+    # a chain's joint or its end's counterfactual reads every link's noise,
+    # and is refused before any mechanism is looked up
+    computed = []
+    monkeypatch.setattr(scmkit.scm, "_lookup", lambda *args: computed.append(args))
     with pytest.raises(StateSpaceOverflow, match=f"^{2**70} exogenous states exceed"):
-        observational_joint(m)
+        observational_joint(_binary_chain(70))
+    with pytest.raises(StateSpaceOverflow, match=f"^{3**31} exogenous states exceed"):
+        joint_counterfactual(_ternary_chain(30), [({"V0": "1"}, {"V30": "2"})], {"V30": "0"})
+    assert computed == []
 
 
 def test_sample_size_validated():
