@@ -165,16 +165,7 @@ def run(argv: list[str], stdout: IO[str] | None = None, stderr: IO[str] | None =
                 args = _build_parser().parse_args(argv)
         except SystemExit as exc:
             return EXIT_OK if exc.code == 0 else EXIT_USAGE
-    handler = {
-        "identify": _cmd_identify,
-        "estimate": _cmd_estimate,
-        "fit": _cmd_fit,
-        "counterfactual": _cmd_counterfactual,
-        "pnps": _cmd_pnps,
-        "mediate": _cmd_mediate,
-        "recover": _cmd_recover,
-        "discover": _cmd_discover,
-    }[args.command]
+    handler = globals()[f"_cmd_{args.command}"]
     try:
         for flag in ("graph", "data", "scm", "experiment"):  # no system opens such a path
             if "\0" in (getattr(args, flag, None) or ""):

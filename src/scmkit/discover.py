@@ -128,16 +128,12 @@ def discover_cpdag(oracle: CiOracle, variables: Iterable[str]) -> Cpdag:
                 if len(others) < level:
                     continue
                 any_candidate = True
-                removed = False
                 for cond in itertools.combinations(others, level):
                     if independent(u, v, cond):
                         adj[u].discard(v)
                         adj[v].discard(u)
                         sepset[frozenset((u, v))] = frozenset(cond)
-                        removed = True
                         break
-                if removed:
-                    continue
         if not any_candidate:
             break
         level += 1
@@ -197,10 +193,7 @@ def discover_cpdag(oracle: CiOracle, variables: Iterable[str]) -> Cpdag:
                     changed = True
 
     undirected = {
-        tuple(sorted((u, v)))
-        for u in names
-        for v in adj[u]
-        if (u, v) not in directed and (v, u) not in directed
+        tuple(sorted((u, v))) for u in names for v in adj[u] if is_undirected(u, v)
     }
     return Cpdag(frozenset(names), frozenset(directed), frozenset(undirected))
 

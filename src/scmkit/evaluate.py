@@ -4,7 +4,7 @@ One visit, :meth:`_Evaluation.eval`, walks an estimand and combines values
 only by ``+``, ``*``, ``/`` and ``== 0.0``, so the same visit serves two
 backends:
 
-- :func:`eval_one`, behind :func:`scmkit.expr.eval_estimand` and
+- :class:`_Evaluation`, entered by :func:`scmkit.expr.eval_estimand` and
   :meth:`~scmkit.expr.JointTable.prob`, evaluates the table's own weights
   in plain Python floats and loads no numpy.  Each marginal is summed in
   cell order, as ``np.bincount`` sums it, so its values are those of the
@@ -36,18 +36,7 @@ from .expr import (
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["eval_one", "eval_rows"]
-
-
-def eval_one(
-    e: Estimand, table: JointTable, binding: Mapping[str, str] | None = None
-) -> float:
-    """The value of an estimand on the table's own distribution.
-
-    The first zero conditioning event or quotient denominator raises
-    :class:`ConditioningOnZero` before anything is divided by it.
-    """
-    return _evaluate(_Evaluation(table), e, binding)
+__all__ = ["eval_rows"]
 
 
 def eval_rows(
@@ -65,7 +54,8 @@ def eval_rows(
     :class:`ConditioningOnZero` is raised, with the context of the event that
     marked the last row, as soon as every row is marked.  With one row that
     is the first zero event, so a refusal takes precedence over a later
-    :class:`UnboundSymbol` exactly as in :func:`eval_one`.
+    :class:`UnboundSymbol` exactly as in
+    :func:`~scmkit.expr.eval_estimand`.
     """
     import numpy as np
 

@@ -447,9 +447,9 @@ def eval_estimand(
     parser and renderer load without it; it reads the table's plain-Python
     cells and loads no numpy.
     """
-    from .evaluate import eval_one
+    from .evaluate import _evaluate, _Evaluation
 
-    return eval_one(e, table, binding)
+    return _evaluate(_Evaluation(table), e, binding)
 
 
 # --- walks and symbol facts --------------------------------------------------------

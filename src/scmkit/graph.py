@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from . import ScmkitError
 from .lexer import NAME_RE, Scanner
@@ -425,12 +425,27 @@ def c_components(g: Admg) -> tuple[frozenset[str], ...]:
 # --- testable implications ----------------------------------------------------
 
 
+def _minimal_separators(
+    g: Admg, u: str, v: str, candidates: list[str]
+) -> Iterator[frozenset[str]]:
+    """Each subset of the sorted ``candidates`` that d-separates ``u`` from
+    ``v`` and contains no subset listed before it, smallest first and
+    lexicographic within a size.  A superset of a listed set is skipped
+    without a test."""
+    found: list[frozenset[str]] = []
+    for size in range(len(candidates) + 1):
+        for sub in itertools.combinations(candidates, size):
+            z = frozenset(sub)
+            if not any(prev <= z for prev in found) and d_separated(g, {u}, {v}, z):
+                found.append(z)
+                yield z
+
+
 def testable_implications(g: Admg) -> list[CiStatement]:
     """Pairwise basis of conditional independencies implied by the graph.
 
-    For every nonadjacent pair a separating set is searched among subsets of
-    the pair's ancestors, smallest first and lexicographic within a size; the
-    first set found is emitted.  Within those ancestors separation is vertex
+    For every nonadjacent pair the first minimal separator among the pair's
+    ancestors is emitted.  Within those ancestors separation is vertex
     separation in their moral graph, monotone in the set, so a pair without a
     separator is skipped once all its candidates together fail to separate it.
     """
@@ -441,11 +456,6 @@ def testable_implications(g: Admg) -> list[CiStatement]:
         candidates = sorted((g.ancestors([u]) | g.ancestors([v])) - {u, v})
         if not d_separated(g, {u}, {v}, candidates):
             continue
-        found = next(
-            frozenset(sub)
-            for size in range(len(candidates) + 1)
-            for sub in itertools.combinations(candidates, size)
-            if d_separated(g, {u}, {v}, sub)
-        )
+        found = next(_minimal_separators(g, u, v, candidates))
         out.append(CiStatement(left=frozenset({u}), right=frozenset({v}), given=found))
     return out

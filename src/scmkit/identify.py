@@ -29,7 +29,7 @@ from .expr import (
     sum_over,
     sym,
 )
-from .graph import Admg, UnknownVariable, c_components, d_separated
+from .graph import Admg, UnknownVariable, _minimal_separators, c_components
 from .lexer import SYM_RE
 from .query import CausalQuery, QueryError, QueryTerm, parse_query, query_layer
 from .record import Record
@@ -56,9 +56,7 @@ __all__ = [
 # --- back-door sets -------------------------------------------------------------
 
 
-def backdoor_sets(
-    g: Admg, x: str, y: str, max_size: int | None = None
-) -> list[frozenset[str]]:
+def backdoor_sets(g: Admg, x: str, y: str) -> list[frozenset[str]]:
     """All minimal back-door admissible sets for the effect of x on y.
 
     A set qualifies when none of its members descends from x and it
@@ -69,18 +67,7 @@ def backdoor_sets(
         raise QueryError("x and y must differ")
     g._check(x, y)
     candidates = sorted(g.nodes - {x, y} - g.descendants([x]))
-    if max_size is None:
-        max_size = len(candidates)
-    pruned = g.without_outgoing([x])
-    found: list[frozenset[str]] = []
-    for size in range(min(max_size, len(candidates)) + 1):
-        for sub in itertools.combinations(candidates, size):
-            z = frozenset(sub)
-            if any(prev <= z for prev in found):
-                continue
-            if d_separated(pruned, {x}, {y}, z):
-                found.append(z)
-    return found
+    return list(_minimal_separators(g.without_outgoing([x]), x, y, candidates))
 
 
 # --- identification ---------------------------------------------------------------
@@ -266,10 +253,7 @@ def identify(g: Admg, q: CausalQuery) -> IdentifyResult:
     zs = frozenset(t.var for t in q.condition)
 
     if not xs:
-        internal: Estimand = ProbTerm(
-            tuple(sym(t.var, t.var) for t in sorted(q.outcome, key=lambda t: t.var)),
-            tuple(sym(t.var, t.var) for t in sorted(q.condition, key=lambda t: t.var)),
-        )
+        internal: Estimand = _pt(y, zs)
     else:
         p0 = _Dist(g.topological_order(), _pt(g.nodes))
         try:
@@ -321,7 +305,7 @@ def nonidentifiability_witness(
 
     The search varies the response-type distribution of one bidirected edge
     at a time inside the null space of the observational-moment map; the
-    returned pair is verified by exact enumeration before being reported.
+    returned pair is checked by the exact model sweep before being reported.
     Edges with more than ``_WITNESS_MAX_TYPES`` response types are skipped,
     and the pair must differ on P(y | do(x)) by at least ``_WITNESS_MIN_GAP``.
     """

@@ -1,8 +1,9 @@
 """Probabilities of causation: necessity, sufficiency, and both.
 
-Exact values come from a full model by joint potential-outcome enumeration;
-interval bounds come from an observational joint over (X, Y) combined with
-the two experimental quantities P(Y=y1 | do(X=x1)) and P(Y=y1 | do(X=x0)).
+Exact values come from a full model by one elimination sweep over its
+potential-outcome worlds; interval bounds come from an observational joint
+over (X, Y) combined with the two experimental quantities
+P(Y=y1 | do(X=x1)) and P(Y=y1 | do(X=x0)).
 Convention: x1 is the treated value, y1 the response value; callers relabel.
 """
 

@@ -60,7 +60,7 @@ class ScmError(ScmkitError, ValueError):
 
 
 class StateSpaceOverflow(ScmError):
-    """Exact enumeration would exceed the configured state cap."""
+    """The exogenous variables a query reads span more states than the cap."""
 
 
 class ZeroEvidence(ScmkitError, ArithmeticError):
@@ -194,7 +194,7 @@ class DiscreteScm:
             f" extra {extra[:3]})"
         )
 
-    # --- enumeration ------------------------------------------------------
+    # --- exogenous grid ---------------------------------------------------
 
     def exo_state_count(self) -> int:
         return math.prod(len(spec.domain) for spec in self.exogenous.values())

@@ -1162,6 +1162,21 @@ def testable_implications_by_search(g: Admg):
     return out
 
 
+def backdoor_sets_by_search(g: Admg, x: str, y: str):
+    """The listing ``backdoor_sets`` must agree with: every subset of x's
+    non-descendants (x and y left out) that the path oracle finds separating
+    x from y once x's outgoing edges are cut, and that holds no set kept
+    before it; by size, then lexicographic."""
+    pruned = g.without_outgoing([x])
+    candidates = sorted(g.nodes - {x, y} - g.descendants([x]))
+    kept = []
+    for k in range(len(candidates) + 1):
+        for z in map(frozenset, itertools.combinations(candidates, k)):
+            if not any(prev <= z for prev in kept) and dsep_path_oracle(pruned, {x}, {y}, z):
+                kept.append(z)
+    return sorted(kept, key=lambda z: (len(z), sorted(z)))
+
+
 # --- CPDAG by exhaustive class enumeration ---------------------------------------
 
 

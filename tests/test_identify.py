@@ -105,12 +105,16 @@ def test_backdoor_minimality_and_order():
     assert sets == [frozenset({"A", "B"})]
 
 
-def test_backdoor_max_size():
-    g = parse_graph(
-        "var X\nvar Y\nvar A\nvar B\n"
-        "A -> X\nA -> Y\nB -> X\nB -> Y\nX -> Y"
-    )
-    assert backdoor_sets(g, "X", "Y", max_size=1) == []
+def test_backdoor_sets_match_brute_force_listing():
+    r = gen.rng(36)
+    listed = 0
+    for _ in range(120):
+        g = gen.random_admg(r, int(r.integers(3, 6)))
+        for x, y in itertools.permutations(sorted(g.nodes), 2):
+            sets = backdoor_sets(g, x, y)
+            assert sets == gen.backdoor_sets_by_search(g, x, y), (g, x, y)
+            listed += len(sets) > 1
+    assert listed  # some pair has more than one minimal set
 
 
 # --- identification golden cases -----------------------------------------------------

@@ -702,10 +702,6 @@ def test_held_states_stay_small_on_wide_models():
     assert value > 0.0
     assert value == pytest.approx(gen.counterfactual_by_arrays(m, *question[::-1]), abs=1e-12)
     assert held <= 9
-    # the cap counts the grid of the exogenous variables read: the joint of
-    # all 24 pairs reads 2**24 states and is refused
-    with pytest.raises(StateSpaceOverflow, match="^16777216 exogenous states exceed the cap"):
-        observational_joint(_pairs(24))
 
 
 def test_copies_that_no_surgery_reaches_are_computed_once(monkeypatch):
@@ -900,10 +896,14 @@ def test_wide_grids_are_answered_or_refused_by_what_they_read(monkeypatch):
         patch.setattr(scmkit.scm, "DEFAULT_STATE_CAP", 1)
         with pytest.raises(StateSpaceOverflow, match="^2 exogenous states exceed the cap of 1$"):
             joint_counterfactual(_pairs(60), [({"X0": "1"}, {"X1": "1"})], {"X1": "0"})
-    # a chain's joint or its end's counterfactual reads every link's noise,
-    # and is refused before any mechanism is looked up
+    # the joint of all 24 pairs, a chain's joint and its end's counterfactual
+    # read every noise term, and are refused before any mechanism is looked
+    # up; a sweep that undercounted would fail on the patched lookup at once
+    # instead of holding 2**24 states or more
     computed = []
     monkeypatch.setattr(scmkit.scm, "_lookup", lambda *args: computed.append(args))
+    with pytest.raises(StateSpaceOverflow, match="^16777216 exogenous states exceed the cap"):
+        observational_joint(_pairs(24))
     with pytest.raises(StateSpaceOverflow, match=f"^{2**70} exogenous states exceed"):
         observational_joint(_binary_chain(70))
     with pytest.raises(StateSpaceOverflow, match=f"^{3**31} exogenous states exceed"):
