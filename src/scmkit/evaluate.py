@@ -98,22 +98,13 @@ class _Evaluation:
         if zero:
             raise ConditioningOnZero(context())
 
-    def sums(self, cols: tuple[int, ...]) -> list[float] | dict[int, float]:
-        """Each group's weight on ``cols``, added in cell order: a list over
-        the possible groups, or a dict over the groups present when there
-        are more possible groups than cells."""
-        keys, size = self.table.groups(cols)
-        weights = self.table._weights
-        if size > len(weights):
-            marginal: dict[int, float] = {}
-            get = marginal.get
-            for k, w in zip(keys, weights):
-                marginal[k] = get(k, 0.0) + w
-            return marginal
-        dense = [0.0] * size
-        for k, w in zip(keys, weights):
-            dense[k] += w
-        return dense
+    def sums(self, cols: tuple[int, ...]) -> dict[int, float]:
+        """Each present group's weight on ``cols``, added in cell order."""
+        marginal: dict[int, float] = {}
+        get = marginal.get
+        for k, w in zip(self.table.groups(cols), self.table._weights):
+            marginal[k] = get(k, 0.0) + w
+        return marginal
 
     def prob(self, assignment: list[tuple[int, int | None]]):
         """Probability of (column, code) pairs; a ``None`` code is a value
@@ -201,7 +192,7 @@ class _RowEvaluation(_Evaluation):
         occur."""
         import numpy as np
 
-        keys, _ = self.table.groups(cols)
+        keys = self.table.groups(cols)
         number = {k: g for g, k in enumerate(dict.fromkeys(keys))}
         inverse = np.array(list(map(number.__getitem__, keys)), np.intp)
         rows, count = len(self.weights), len(number)

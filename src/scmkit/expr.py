@@ -397,22 +397,20 @@ class JointTable(Record, eq=False):
         except ValueError:
             raise UnboundSymbol(f"variable {var} not in the joint table") from None
 
-    def groups(self, cols: tuple[int, ...]) -> tuple[list[int], int]:
-        """Every cell's group by its codes on ``cols``, and the number of
-        possible groups.  A group is the codes read as one mixed-radix number
-        (:meth:`group_of`), in which each digit also has room for the code
-        one past the end of its domain."""
-        got = self._grouped.get(cols)
-        if got is None:
-            keys, size = [0] * len(self._weights), 1
+    def groups(self, cols: tuple[int, ...]) -> list[int]:
+        """Every cell's group by its codes on ``cols``.  A group is the codes
+        read as one mixed-radix number (:meth:`group_of`), in which each
+        digit also has room for the code one past the end of its domain."""
+        keys = self._grouped.get(cols)
+        if keys is None:
+            keys = [0] * len(self._weights)
             for i, j in enumerate(cols):
                 digits = len(self.domains[self.variables[j]]) + 1
                 col = self._cols[j]
                 # the first column's codes are its groups already
                 keys = [k * digits + c for k, c in zip(keys, col)] if i else col
-                size *= digits
-            got = self._grouped[cols] = (keys, size)
-        return got
+            self._grouped[cols] = keys
+        return keys
 
     def group_of(self, cols: tuple[int, ...], codes) -> int:
         """The group of the cells whose codes on ``cols`` are ``codes``."""

@@ -193,24 +193,6 @@ class Admg:
 
     # --- derived graphs ---------------------------------------------------
 
-    def induced(self, keep: Iterable[str]) -> "Admg":
-        keep = frozenset(keep)
-        self._check(*keep)
-        return Admg(
-            keep,
-            ((a, b) for a, b in self.directed if a in keep and b in keep),
-            ((a, b) for a, b in self.bidirected if a in keep and b in keep),
-        )
-
-    def without_incoming(self, xs: Iterable[str]) -> "Admg":
-        """Drop every edge with an arrowhead at a member of ``xs``."""
-        xs = frozenset(xs)
-        return Admg(
-            self.nodes,
-            ((a, b) for a, b in self.directed if b not in xs),
-            ((a, b) for a, b in self.bidirected if a not in xs and b not in xs),
-        )
-
     def without_outgoing(self, xs: Iterable[str]) -> "Admg":
         """Drop every directed edge leaving a member of ``xs``."""
         xs = frozenset(xs)
@@ -266,19 +248,26 @@ def _neighbours(
     nodes: frozenset[str], pairs: Iterable[tuple[str, str]]
 ) -> dict[str, frozenset[str]]:
     """Map each node to the second members of the pairs whose first it is."""
-    out: dict[str, set[str]] = {v: set() for v in nodes}
+    found: dict[str, set[str]] = {}
     for a, b in pairs:
-        out[a].add(b)
-    return {v: frozenset(s) for v, s in out.items()}
+        found.setdefault(a, set()).add(b)
+    out = dict.fromkeys(nodes, frozenset())
+    out.update((v, frozenset(s)) for v, s in found.items())
+    return out
 
 
-def _reach(sources: Iterable[str], step: Mapping[str, Iterable[str]]) -> set[str]:
-    """The sources plus every node reachable from them through ``step``."""
+def _reach(
+    sources: Iterable[str],
+    step: Mapping[str, Iterable[str]],
+    within: frozenset[str] | None = None,
+) -> set[str]:
+    """The sources plus every node reachable from them through ``step``,
+    passing only through members of ``within`` when it is given."""
     seen = set(sources)
     frontier = list(seen)
     while frontier:
         for w in step[frontier.pop()]:
-            if w not in seen:
+            if w not in seen and (within is None or w in within):
                 seen.add(w)
                 frontier.append(w)
     return seen
@@ -410,13 +399,18 @@ def d_separated(
 
 
 def c_components(g: Admg) -> tuple[frozenset[str], ...]:
-    """Partition of the nodes into connected components of the bidirected part."""
+    """Components of the bidirected part of ``g``, ordered by smallest node."""
+    return _components(g, g.nodes)
+
+
+def _components(g: Admg, within: frozenset[str]) -> tuple[frozenset[str], ...]:
+    """The c-components of the subgraph of ``g`` induced by ``within``."""
     seen: set[str] = set()
     comps: list[frozenset[str]] = []
-    for v in sorted(g.nodes):
+    for v in sorted(within):
         # each component starts at its smallest node, so they come sorted
         if v not in seen:
-            comp = frozenset(_reach([v], g._siblings))
+            comp = frozenset(_reach([v], g._siblings, within))
             seen |= comp
             comps.append(comp)
     return tuple(comps)

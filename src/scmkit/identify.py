@@ -29,7 +29,7 @@ from .expr import (
     sum_over,
     sym,
 )
-from .graph import Admg, UnknownVariable, _minimal_separators, c_components
+from .graph import Admg, UnknownVariable, _components, _minimal_separators, _reach
 from .lexer import SYM_RE
 from .query import CausalQuery, QueryError, QueryTerm, parse_query, query_layer
 from .record import Record
@@ -147,39 +147,37 @@ class _Dist(Record):
         return Quotient(num, den)
 
 
-def _id(y: frozenset[str], x: frozenset[str], P: _Dist, g: Admg):
-    """A visit for ``_walk``: the estimand of P(y | do(x)) from ``P`` on ``g``."""
-    v = g.nodes
+def _id(y: frozenset[str], x: frozenset[str], P: _Dist, v: frozenset[str], g: Admg):
+    """A visit for ``_walk``: the estimand of P(y | do(x)) from ``P`` on the
+    subgraph of ``g`` induced by ``v``, read off ``g`` by walks kept within
+    node sets, so no graph is built.  Cutting the edges into ``x`` only
+    matters through ``x``, so those ancestors are the ones within ``v - x``."""
     if not x:
         return P.marginal(y).expr
-    anc = g.ancestors(y)
+    anc = frozenset(_reach(y, g._parents, v))
     if v != anc:
-        return (yield y, x & anc, P.marginal(anc), g.induced(anc))
-    w = (v - x) - g.without_incoming(x).ancestors(y)
+        return (yield y, x & anc, P.marginal(anc), anc, g)
+    w = (v - x) - _reach(y, g._parents, v - x)
     if w:
-        return (yield y, x | w, P, g)
-    comps = c_components(g.induced(v - x))
+        return (yield y, x | w, P, v, g)
+    comps = _components(g, v - x)
     if len(comps) > 1:
         factors = []
         for s in comps:
-            factors.append((yield s, v - s, P, g))
+            factors.append((yield s, v - s, P, v, g))
         return sum_over(((u, u) for u in sorted(v - y - x)), prod_of(factors))
     s = comps[0]
-    comps_g = c_components(g)
-    if len(comps_g) == 1:
+    comps_v = _components(g, v)
+    if len(comps_v) == 1:
         raise _Hedge(forest=v, subforest=s)
-    s_prime = next(c for c in comps_g if s <= c)
+    s_prime = next(c for c in comps_v if s <= c)
     pos = {u: i for i, u in enumerate(P.order)}
-    if s == s_prime:
-        ordered = sorted(s, key=pos.__getitem__)
-        factors = [
-            P.conditional(u, tuple(P.order[: pos[u]])) for u in ordered
-        ]
-        return sum_over(((u, u) for u in sorted(s - y)), prod_of(factors))
     ordered = sorted(s_prime, key=pos.__getitem__)
-    factors = [P.conditional(u, tuple(P.order[: pos[u]])) for u in ordered]
+    factors = [P.conditional(u, P.order[: pos[u]]) for u in ordered]
+    if s == s_prime:
+        return sum_over(((u, u) for u in sorted(s - y)), prod_of(factors))
     P2 = _Dist(tuple(ordered), prod_of(factors))
-    return (yield y, x & s_prime, P2, g.induced(s_prime))
+    return (yield y, x & s_prime, P2, s_prime, g)
 
 
 def _fresh(var: str, used: set[str]) -> str:
@@ -257,7 +255,7 @@ def identify(g: Admg, q: CausalQuery) -> IdentifyResult:
     else:
         p0 = _Dist(g.topological_order(), _pt(g.nodes))
         try:
-            num = _walk(_id, y | zs, xs, p0, g)
+            num = _walk(_id, y | zs, xs, p0, g.nodes, g)
         except _Hedge as h:
             return NonIdentifiable(frozenset(h.forest), frozenset(h.subforest))
         if zs:
@@ -437,17 +435,15 @@ def _witness_via_edge(
     m_obs, m_do = (total_types * mat for mat in moments(build(q0)))
 
     a_mat = np.vstack([m_obs, np.ones((1, total_types))])
-    # null space of the observational-moment map (plus normalization)
-    _, sv, vt = np.linalg.svd(a_mat, full_matrices=True)
-    rank = int(np.sum(sv > 1e-10))
-    null = vt[rank:].T
-    if null.shape[1] == 0:
-        return None
-    d = m_do @ null
+    # m_do on the null space of the observational-moment map (plus
+    # normalization); reduced SVDs only, as a full one is T x T for T types
+    _, sv, vt = np.linalg.svd(a_mat, full_matrices=False)
+    row = vt[sv > 1e-10]
+    d = m_do - (m_do @ row.T) @ row
     if np.max(np.abs(d)) < 1e-9:
         return None
-    _, _, dvt = np.linalg.svd(d)
-    w = null @ dvt[0]
+    _, _, dvt = np.linalg.svd(d, full_matrices=False)
+    w = dvt[0]
     w /= np.max(np.abs(w))
     with np.errstate(divide="ignore"):
         t_max = np.min(np.where(np.abs(w) > 1e-12, q0 / np.abs(w), np.inf))

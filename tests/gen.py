@@ -949,6 +949,43 @@ def c_components_by_min(g: Admg):
     return tuple(comps)
 
 
+def id_by_subgraphs(y, x, P, g: Admg):
+    """``identify._id`` as it was: plain recursion that builds each induced
+    subgraph, and each graph with the edges into ``x`` cut, as a new ``Admg``."""
+    from scmkit.expr import prod_of, sum_over
+    from scmkit.identify import _Dist, _Hedge
+
+    def sub(g, keep, cut=frozenset()):
+        return Admg(keep, [(a, b) for a, b in g.directed if {a, b} <= keep and b not in cut],
+                    [(a, b) for a, b in g.bidirected if {a, b} <= keep - cut])
+
+    v = g.nodes
+    if not x:
+        return P.marginal(y).expr
+    anc = g.ancestors(y)
+    if v != anc:
+        return id_by_subgraphs(y, x & anc, P.marginal(anc), sub(g, anc))
+    w = (v - x) - sub(g, v, cut=x).ancestors(y)
+    if w:
+        return id_by_subgraphs(y, x | w, P, g)
+    comps = c_components_by_min(sub(g, v - x))
+    if len(comps) > 1:
+        factors = [id_by_subgraphs(s, v - s, P, g) for s in comps]
+        return sum_over(((u, u) for u in sorted(v - y - x)), prod_of(factors))
+    s = comps[0]
+    comps_g = c_components_by_min(g)
+    if len(comps_g) == 1:
+        raise _Hedge(forest=v, subforest=s)
+    s_prime = next(c for c in comps_g if s <= c)
+    pos = {u: i for i, u in enumerate(P.order)}
+    ordered = sorted(s_prime, key=pos.__getitem__)
+    factors = [P.conditional(u, P.order[: pos[u]]) for u in ordered]
+    if s == s_prime:
+        return sum_over(((u, u) for u in sorted(s - y)), prod_of(factors))
+    return id_by_subgraphs(y, x & s_prime, _Dist(tuple(ordered), prod_of(factors)),
+                           sub(g, s_prime))
+
+
 def augmented_joint_by_arrays(mg, d) -> JointTable:
     """``recover._augmented_joint`` as it was, with numpy: the distinct rows
     of the substantive columns and observed flags, grouped by ``group_rows``."""

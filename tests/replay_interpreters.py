@@ -33,6 +33,11 @@ CALLS = [
     ["identify", "--graph", "{data}/backdoor.cg", "--query", "P(Y|do(X))"],
     ["identify", "--graph", "{data}/bow.cg", "--query", "P(Y|do(X))"],
     ["identify", "--graph", "{data}/backdoor.cg", "--query", "P(Y|do(Q))"],
+    ["identify", "--graph", "{data}/backdoor.cg", "--query", "P(Y|do(X),Z)"],
+    # the front door splits into c-components and fires lines 6 and 7 of ID;
+    # the napkin cuts the edges into X and fires line 3
+    ["identify", "--graph", "{tmp}/frontdoor.cg", "--query", "P(Y|do(X))"],
+    ["identify", "--graph", "{tmp}/napkin.cg", "--query", "P(Y|do(X))"],
     ["estimate", "--graph", "{data}/backdoor.cg", "--data", "{data}/d8.csv",
      "--query", "P(Y=1|do(X=1))"],
     ["estimate", "--graph", "{data}/backdoor.cg", "--data", "{data}/d8.csv",
@@ -71,6 +76,10 @@ CALLS = [
 
 def _write_inputs(tmp: Path) -> None:
     (tmp / "med.cg").write_text("var X\nvar Z\nvar Y\nX -> Z\nZ -> Y\nX -> Y\n")
+    (tmp / "frontdoor.cg").write_text("var X\nvar M\nvar Y\nX -> M\nM -> Y\nX <-> Y\n")
+    (tmp / "napkin.cg").write_text(
+        "var W1\nvar W2\nvar X\nvar Y\nW1 -> W2\nW2 -> X\nX -> Y\nW1 <-> X\nW1 <-> Y\n"
+    )
     (tmp / "stratum.csv").write_text("X,Y,Z\n0,0,0\n1,1,0\n0,1,1\n")
     (tmp / "nul.csv").write_text("X,Y,Z\n0,0,0\n1,\0,1\n1,1,0\n")
 

@@ -319,13 +319,6 @@ def test_ancestors_descendants():
     assert g.ancestors({"X"}) == {"X"}
 
 
-def test_without_incoming_drops_bidirected():
-    g = parse_graph("var X\nvar Y\nvar Z\nZ -> X\nX <-> Y\nX -> Y")
-    pruned = g.without_incoming({"X"})
-    assert pruned.directed == {("X", "Y")}
-    assert not pruned.bidirected
-
-
 def test_without_outgoing_keeps_bidirected():
     g = parse_graph("var X\nvar Y\nX -> Y\nX <-> Y")
     pruned = g.without_outgoing({"X"})

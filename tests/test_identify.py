@@ -5,7 +5,7 @@ import pytest
 
 import gen
 from scmkit.expr import Val, _walk, eval_estimand, free_variables, render, simplify
-from scmkit.graph import UnknownVariable, parse_graph
+from scmkit.graph import Admg, UnknownVariable, parse_graph
 from scmkit.identify import (
     CausalQuery,
     Identified,
@@ -318,6 +318,29 @@ def test_witness_found_for_small_nonidentifiable_graphs():
         cases += 1
 
 
+def test_witness_takes_only_reduced_svds(monkeypatch):
+    # a full SVD of the moment map is T x T for T response types of the
+    # varied edge, which reaches gigabytes well below the type limit
+    import numpy as np
+
+    svd, full = np.linalg.svd, []
+
+    def recording(a, full_matrices=True, **kwargs):
+        full.append(full_matrices)
+        return svd(a, full_matrices=full_matrices, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    nodes = "var A\nvar B\nvar C\nvar D\n"
+    cases = [
+        (BOW, "X", "Y"),
+        (parse_graph(nodes + "A->B\nA->D\nB->C\nC->D\nA<->B\nA<->C\nA<->D"), "A", "B"),
+        (parse_graph(nodes + "A->D\nC->D\nB<->C\nB<->D\nC<->D"), "C", "D"),
+    ]
+    for g, x, y in cases:
+        assert nonidentifiability_witness(g, x, y) is not None
+    assert full and not any(full)
+
+
 def test_identify_matches_the_recursive_walks_on_random_admg_queries(monkeypatch):
     identify_module = sys.modules[identify.__module__]
     r = gen.rng(39)
@@ -342,6 +365,50 @@ def test_identify_matches_the_recursive_walks_on_random_admg_queries(monkeypatch
         assert text == gen.render_by_recursion(gen.simplify_by_recursion(want))
         shown.add(text)
     assert len(shown) > 500
+
+
+def test_id_on_node_sets_matches_the_recursion_that_builds_subgraphs():
+    identify_module = sys.modules[identify.__module__]
+    _Dist, _Hedge, _id = identify_module._Dist, identify_module._Hedge, identify_module._id
+    r = gen.rng(43)
+    hedges = 0
+    for _ in range(2000):
+        g = gen.random_admg(r, int(r.integers(2, 8)))
+        names = sorted(g.nodes)
+        r.shuffle(names)
+        n_y = int(r.integers(1, min(2, len(names) - 1) + 1))
+        n_x = int(r.integers(1, min(3, len(names) - n_y) + 1))
+        y, x = frozenset(names[:n_y]), frozenset(names[n_y:n_y + n_x])
+        p0 = _Dist(g.topological_order(), identify_module._pt(g.nodes))
+        try:
+            want = gen.id_by_subgraphs(y, x, p0, g)
+        except _Hedge as h:
+            with pytest.raises(_Hedge) as got:
+                _walk(_id, y, x, p0, g.nodes, g)
+            assert (got.value.forest, got.value.subforest) == (h.forest, h.subforest)
+            hedges += 1
+        else:
+            assert _walk(_id, y, x, p0, g.nodes, g) is want
+    assert hedges > 200
+
+
+def test_identify_builds_no_graph(monkeypatch):
+    n = 200
+    chain = Admg([f"V{i}" for i in range(n)], [(f"V{i}", f"V{i + 1}") for i in range(n - 1)])
+    built = []
+    init = Admg.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Admg, "__init__", counting)
+    assert isinstance(identify(BOW, parse_query("P(Y|do(X))")), NonIdentifiable)
+    assert isinstance(identify(FRONTDOOR, parse_query("P(Y|do(X))")), Identified)
+    assert isinstance(identify(chain, parse_query(f"P(V{n - 1}|do(V0))")), Identified)
+    assert built == []
+    Admg(["A"])  # the count sees a construction
+    assert len(built) == 1
 
 
 def test_standardize_restores_each_binder_it_shadows():
