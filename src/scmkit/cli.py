@@ -10,6 +10,7 @@ class's ``exit_code``, 1 for an ``OSError``; any other exception is a bug.
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import os
 import sys
@@ -186,6 +187,36 @@ def main() -> None:
     for var in _THREAD_VARS:
         os.environ.setdefault(var, "1")
     sys.exit(run(sys.argv[1:]))
+
+
+def _watched() -> bool:
+    """Whether a profiler or tracer hooks this process; from Python 3.12
+    cProfile registers through ``sys.monitoring``, not ``sys.setprofile``."""
+    monitoring = getattr(sys, "monitoring", None)
+    return bool(sys.getprofile() or sys.gettrace() or (
+        monitoring and any(monitoring.get_tool(i) for i in range(6))))
+
+
+def console_main() -> None:
+    """``main`` as the process's last act, for ``python -m scmkit`` and the
+    ``scmkit`` script.  Interpreter teardown costs more than many answers
+    take once numpy is loaded, so the process ends with ``os._exit`` after
+    the ``atexit`` handlers run and both streams are flushed.  Under a
+    profiler or tracer, or when a flush fails, the exit is the
+    interpreter's own, so its report or its flush error is kept."""
+    try:
+        main()
+    except SystemExit as exc:
+        if _watched():
+            raise
+        atexit._run_exitfuncs()
+        try:
+            for stream in (sys.stdout, sys.stderr):  # None once its descriptor is closed
+                if stream is not None and not stream.closed:
+                    stream.flush()
+        except (OSError, ValueError):
+            raise exc from None
+        os._exit(exc.code)
 
 
 # --- command handlers -----------------------------------------------------------

@@ -147,6 +147,19 @@ class _Dist(Record):
         return Quotient(num, den)
 
 
+def _smaller(sub: tuple, x: frozenset[str], v: frozenset[str]) -> tuple:
+    """``sub``, the arguments of a sub-walk of ``_id`` on ``x`` and ``v``.
+    Every step of ID lowers (|v|, |v - x|) in lexicographic order, which is
+    why the walk ends: lines 2 and 7 shrink v, line 3 grows x and line 4
+    gives each component a smaller v - x.  A step that does not is a bug,
+    raised here rather than walked forever."""
+    before = (len(v), len(v - x))
+    after = (len(sub[3]), len(sub[3] - sub[1]))
+    if after >= before:
+        raise RuntimeError(f"identify: a step of ID took (|v|, |v - x|) from {before} to {after}")
+    return sub
+
+
 def _id(y: frozenset[str], x: frozenset[str], P: _Dist, v: frozenset[str], g: Admg):
     """A visit for ``_walk``: the estimand of P(y | do(x)) from ``P`` on the
     subgraph of ``g`` induced by ``v``, read off ``g`` by walks kept within
@@ -156,15 +169,15 @@ def _id(y: frozenset[str], x: frozenset[str], P: _Dist, v: frozenset[str], g: Ad
         return P.marginal(y).expr
     anc = frozenset(_reach(y, g._parents, v))
     if v != anc:
-        return (yield y, x & anc, P.marginal(anc), anc, g)
+        return (yield _smaller((y, x & anc, P.marginal(anc), anc, g), x, v))
     w = (v - x) - _reach(y, g._parents, v - x)
     if w:
-        return (yield y, x | w, P, v, g)
+        return (yield _smaller((y, x | w, P, v, g), x, v))
     comps = _components(g, v - x)
     if len(comps) > 1:
         factors = []
         for s in comps:
-            factors.append((yield s, v - s, P, v, g))
+            factors.append((yield _smaller((s, v - s, P, v, g), x, v)))
         return sum_over(((u, u) for u in sorted(v - y - x)), prod_of(factors))
     s = comps[0]
     comps_v = _components(g, v)
@@ -177,7 +190,7 @@ def _id(y: frozenset[str], x: frozenset[str], P: _Dist, v: frozenset[str], g: Ad
     if s == s_prime:
         return sum_over(((u, u) for u in sorted(s - y)), prod_of(factors))
     P2 = _Dist(tuple(ordered), prod_of(factors))
-    return (yield y, x & s_prime, P2, s_prime, g)
+    return (yield _smaller((y, x & s_prime, P2, s_prime, g), x, v))
 
 
 def _fresh(var: str, used: set[str]) -> str:

@@ -7,8 +7,10 @@ Usage::
 
 Each call runs as ``<interpreter> -m scmkit ...`` with ``src`` on
 ``PYTHONPATH`` and ``COLUMNS=80``, on the files in ``tests/data`` and a few
-written to a temporary directory.  Only the standard library is needed, so
-the other interpreters need neither numpy nor pytest.  Help and usage calls,
+written to a temporary directory.  The stream calls attach stdout closed,
+on ``/dev/full`` or on a pipe whose reader has gone, buffered and not, so
+they replay how the process flushes and exits.  Only the standard library
+is needed, so the other interpreters need neither numpy nor pytest.  Help and usage calls,
 the argument lists recorded in ``tests/data/cli_usage.json``, are reported
 apart from the rest: their texts are argparse's and follow the interpreter.
 The exit status is 1 when a call outside them differs, else 0.  pytest does
@@ -74,6 +76,17 @@ CALLS = [
 ]
 
 
+# an answer, a refusal and an answer printed without a newline, each with
+# stdout closed, on /dev/full and on a pipe whose reader has gone, and each
+# unbuffered and buffered: a failed final flush is the interpreter's to report
+STREAM_CALLS = [
+    (stdout, buffered, argv)
+    for argv in (CALLS[0], CALLS[1], ["discover", "--graph", "{data}/collider.cg"])
+    for stdout in ("closed", "full", "broken")
+    for buffered in (False, True)
+]
+
+
 def _write_inputs(tmp: Path) -> None:
     (tmp / "med.cg").write_text("var X\nvar Z\nvar Y\nX -> Z\nZ -> Y\nX -> Y\n")
     (tmp / "frontdoor.cg").write_text("var X\nvar M\nvar Y\nX -> M\nM -> Y\nX <-> Y\n")
@@ -84,31 +97,70 @@ def _write_inputs(tmp: Path) -> None:
     (tmp / "nul.csv").write_text("X,Y,Z\n0,0,0\n1,\0,1\n1,1,0\n")
 
 
-def _run(python: str, argv: list[str]) -> tuple[int, str, str]:
+def run_attached(cmd: list[str], env: dict[str, str], stdout: str = "pipe",
+                 **kw) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``cmd``, its stdout "pipe", "closed"
+    (descriptor 1 shut before the program starts), "full" (``/dev/full``) or
+    "broken" (a pipe whose reader has gone)."""
+    kw.update(stderr=subprocess.PIPE, env=env)
+    if stdout == "pipe":
+        done = subprocess.run(cmd, stdout=subprocess.PIPE, **kw)
+    elif stdout == "closed":
+        done = subprocess.run(cmd, preexec_fn=lambda: os.close(1), **kw)
+    elif stdout == "full":
+        with open("/dev/full", "wb") as full:
+            done = subprocess.run(cmd, stdout=full, **kw)
+    else:
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            done = subprocess.run(cmd, stdout=writer, **kw)
+        finally:
+            os.close(writer)
+    return done.returncode, (done.stdout or b"").decode(), done.stderr.decode()
+
+
+def _run(python: str, argv: list[str], stdout: str = "pipe",
+         buffered: bool | None = None) -> tuple[int, str, str]:
+    """One call; ``buffered`` None keeps the caller's ``PYTHONUNBUFFERED``.
+    The first line of the interpreter's report of a failed flush is worded
+    differently across versions, so it is dropped."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), COLUMNS="80",
                PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run([python, "-m", "scmkit", *argv], capture_output=True,
-                          text=True, env=env, cwd=ROOT)
-    return done.returncode, done.stdout, done.stderr
+    if buffered is not None:
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+    code, out, err = run_attached([python, "-m", "scmkit", *argv], env, stdout, cwd=ROOT)
+    err = "".join(line for line in err.splitlines(keepends=True)
+                  if not line.startswith("Exception ignored "))
+    return code, out, err
 
 
 def main(interpreters: list[str]) -> int:
     usage = [case["argv"] for case in json.loads((DATA / "cli_usage.json").read_text())]
     with tempfile.TemporaryDirectory() as tmp:
         _write_inputs(Path(tmp))
-        calls = [[w.replace("{data}", str(DATA)).replace("{tmp}", tmp) for w in argv]
-                 for argv in CALLS]
-        argvs = calls + usage
-        want = [_run(sys.executable, argv) for argv in argvs]
+
+        def fill(argv):
+            return [w.replace("{data}", str(DATA)).replace("{tmp}", tmp) for w in argv]
+
+        calls = [(fill(argv), "pipe", None) for argv in CALLS]
+        calls += [(fill(argv), stdout, buffered) for stdout, buffered, argv in STREAM_CALLS]
+        runs = calls + [(argv, "pipe", None) for argv in usage]
+        want = [_run(sys.executable, *run) for run in runs]
         differs = False
         for python in interpreters:
-            got = [_run(python, argv) for argv in argvs]
+            got = [_run(python, *run) for run in runs]
             for label, lo, hi in (("calls", 0, len(calls)),
-                                  ("help and usage calls", len(calls), len(argvs))):
+                                  ("help and usage calls", len(calls), len(runs))):
                 diff = [i for i in range(lo, hi) if got[i] != want[i]]
                 print(f"{python}: {len(diff)} of {hi - lo} {label} differ")
                 for i in diff:
-                    print("  " + (" ".join(argvs[i]) or "(no arguments)"))
+                    argv, stdout, buffered = runs[i]
+                    attached = "" if stdout == "pipe" else (
+                        f" [stdout {stdout}, {'buffered' if buffered else 'unbuffered'}]")
+                    print("  " + (" ".join(argv) or "(no arguments)") + attached)
                     for name, a, b in zip(("exit", "stdout", "stderr"), want[i], got[i]):
                         if a != b:
                             print(f"    {name}: {a!r} -> {b!r}")

@@ -15,6 +15,7 @@ import pytest
 
 import gen
 import scmkit
+from replay_interpreters import run_attached
 from scmkit import ScmkitError, cli
 from scmkit.cli import _COMMANDS, _PORCELAIN, _build_parser, _parse_plain, run
 from scmkit.estimate import load_table, plug_in
@@ -582,11 +583,13 @@ def test_byte_order_mark_is_accepted_in_data_and_graph_files(tmp_path):
 
 # --- error classes and exit codes --------------------------------------------------------
 
-# raises that name no ScmkitError: Python's attribute and call protocols, and
-# identify's internal signal, which identify catches
+# raises that name no ScmkitError: Python's attribute and call protocols,
+# identify's internal signal, which identify catches, and its guard against a
+# step of ID that does not shrink, which is a bug and no refusal
 PROTOCOL_RAISES = {
     ("__init__.py", "AttributeError"), ("expr.py", "AttributeError"),
     ("record.py", "TypeError"), ("record.py", "_frozen"), ("identify.py", "_Hedge"),
+    ("identify.py", "RuntimeError"),
 }
 
 
@@ -848,6 +851,103 @@ def test_refusal_table_in_a_fresh_interpreter(case, tmp_path):
     )
     assert "Traceback" not in proc.stderr
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+# --- process exit ----------------------------------------------------------------------
+
+ANSWER = ["identify", "--graph", path("backdoor.cg"), "--query", "P(Y|do(X))"]
+REFUSED_2 = ["identify", "--graph", path("bow.cg"), "--query", "P(Y|do(X))"]
+REFUSED_3 = ["recover", "--graph", path("selfmask.cg"), "--data", path("dmiss.csv"),
+             "--target", "Y=1"]
+NO_SPACE = "error: [Errno 28] No space left on device\n"
+BROKEN_PIPE = "error: [Errno 32] Broken pipe\n"
+HEDGE = ("FAILURE: the query is not identifiable from the observational distribution\n"
+         "hedge: F={X, Y} F'={Y}\n")
+
+
+def _scmkit_child(args, stdout="pipe", buffered=False):
+    """Exit code, stdout and stderr of ``python <args>`` with this tree's
+    ``src`` on the path, stdout attached as ``replay_interpreters.run_attached``
+    takes it and written unbuffered unless ``buffered``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return run_attached([sys.executable, *args], env, stdout, timeout=120)
+
+
+# argv, how stdout is attached, and the exit code, stdout and stderr that
+# ``python -m scmkit`` gave before it left by os._exit
+EXIT_PARITY = {
+    "answer": (ANSWER, "pipe", (0, "sum_{z} P(y|x,z) * P(z)\n", "")),
+    "refusal exit 2": (REFUSED_2, "pipe", (2, "", HEDGE)),
+    "refusal exit 3": (REFUSED_3, "pipe", (
+        3, "", "NOT RECOVERABLE: no implemented criterion applies\n")),
+    "stdout closed": (ANSWER, "closed", (0, "", "")),
+    "refusal with stdout closed": (REFUSED_2, "closed", (2, "", HEDGE)),
+    "stdout on /dev/full": (ANSWER, "full", (1, "", NO_SPACE)),
+    "reader closed at once": (ANSWER, "broken", (1, "", BROKEN_PIPE)),
+    "discover, reader closed at once": (
+        ["discover", "--graph", path("collider.cg")], "broken", (1, "", BROKEN_PIPE)),
+}
+
+
+@pytest.mark.parametrize("case", EXIT_PARITY.values(), ids=EXIT_PARITY.keys())
+def test_process_exit_keeps_codes_and_streams(case):
+    argv, stdout, want = case
+    assert _scmkit_child(["-m", "scmkit", *argv], stdout) == want
+
+
+@pytest.mark.parametrize("stdout, error", [("full", "OSError: [Errno 28] No space left on device"),
+                                           ("broken", "BrokenPipeError: [Errno 32] Broken pipe")])
+def test_a_failed_final_flush_ends_in_the_interpreters_own_exit(stdout, error):
+    # buffered, the answer is still held when main returns; the interpreter
+    # then reports the flush it could not make and exits 120, as before
+    code, out, err = _scmkit_child(["-m", "scmkit", *ANSWER], stdout, buffered=True)
+    assert (code, out) == (120, "")
+    assert err.startswith("Exception ignored ") and err.endswith(f"\n{error}\n")
+
+
+RUN_AS_MAIN = "runpy.run_module('scmkit', run_name='__main__')"
+
+
+def _script(*lines):
+    """``-c`` arguments that set ``sys.argv`` to the back-door answer's and
+    run ``lines``."""
+    return ["-c", "\n".join([
+        "import atexit, os, runpy, sys", f"sys.argv = ['scmkit', *{ANSWER!r}]", *lines])]
+
+
+def test_process_exit_runs_the_atexit_handlers():
+    args = _script("atexit.register(print, 'atexit handler ran')", RUN_AS_MAIN)
+    assert _scmkit_child(args, buffered=True) == (
+        0, "sum_{z} P(y|x,z) * P(z)\natexit handler ran\n", "")
+
+
+def test_process_exit_skips_interpreter_teardown():
+    args = _script(
+        "class Marker:",
+        "    def __del__(self):",
+        "        os.write(1, b'torn down\\n')",
+        "marker = Marker()",
+        RUN_AS_MAIN,
+    )
+    assert _scmkit_child(args) == (0, "sum_{z} P(y|x,z) * P(z)\n", "")
+
+
+@pytest.mark.parametrize("hook", ["sys.setprofile", "sys.settrace"])
+def test_process_exit_is_the_normal_one_under_a_profiler_or_tracer(hook):
+    args = _script(f"{hook}(lambda *args: None)", "try:", f"    {RUN_AS_MAIN}",
+                   "except SystemExit as exc:", "    print('SystemExit', exc.code)")
+    assert _scmkit_child(args) == (0, "sum_{z} P(y|x,z) * P(z)\nSystemExit 0\n", "")
+
+
+def test_cprofile_prints_its_report():
+    code, out, err = _scmkit_child(["-m", "cProfile", "-m", "scmkit", *ANSWER])
+    assert (code, err) == (0, "")
+    assert out.startswith("sum_{z} P(y|x,z) * P(z)\n") and "function calls" in out
 
 
 # --- argument handling -----------------------------------------------------------------

@@ -411,6 +411,22 @@ def test_identify_builds_no_graph(monkeypatch):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("slip", ["ancestors past v", "components of the whole graph"])
+def test_a_step_that_does_not_shrink_raises_instead_of_recursing(monkeypatch, slip):
+    # either slip makes some step of ID fail to lower (|v|, |v - x|), and
+    # without the guard the walk on the front door never ends
+    from scmkit.graph import _components, _reach
+
+    module = sys.modules["scmkit.identify"]
+    if slip == "ancestors past v":
+        monkeypatch.setattr(module, "_reach", lambda sources, step, within=None:
+                            _reach(sources, step))
+    else:
+        monkeypatch.setattr(module, "_components", lambda g, within: _components(g, g.nodes))
+    with pytest.raises(RuntimeError, match=r"a step of ID took \(\|v\|, \|v - x\|\)"):
+        identify(FRONTDOOR, parse_query("P(Y|do(X))"))
+
+
 def test_standardize_restores_each_binder_it_shadows():
     # every sum rebinds a variable that is free outside it, and a later
     # sibling must see the free symbol again
