@@ -201,22 +201,28 @@ def console_main() -> None:
     """``main`` as the process's last act, for ``python -m scmkit`` and the
     ``scmkit`` script.  Interpreter teardown costs more than many answers
     take once numpy is loaded, so the process ends with ``os._exit`` after
-    the ``atexit`` handlers run and both streams are flushed.  Under a
-    profiler or tracer, or when a flush fails, the exit is the
-    interpreter's own, so its report or its flush error is kept."""
+    the ``atexit`` handlers run and both streams are flushed.  A flush that
+    fails ends as a write that fails at once does in ``run``: ``error:`` on
+    stderr and exit 1.  Under a profiler or tracer the exit is the
+    interpreter's own, so its report is kept."""
     try:
         main()
     except SystemExit as exc:
         if _watched():
             raise
         atexit._run_exitfuncs()
+        code = exc.code
         try:
             for stream in (sys.stdout, sys.stderr):  # None once its descriptor is closed
                 if stream is not None and not stream.closed:
-                    stream.flush()
-        except (OSError, ValueError):
-            raise exc from None
-        os._exit(exc.code)
+                    try:
+                        stream.flush()
+                    except OSError as failed:
+                        code = EXIT_USAGE
+                        print(f"error: {failed}", file=sys.stderr)
+        except OSError:  # stderr fails too, so nothing more can be said
+            code = EXIT_USAGE
+        os._exit(code)
 
 
 # --- command handlers -----------------------------------------------------------

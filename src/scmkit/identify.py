@@ -4,15 +4,14 @@ Given an ADMG and a query (see :mod:`scmkit.query`), this module searches
 for back-door adjustment sets and runs the complete c-component
 identification algorithm.  The result is either a symbolic estimand over the
 observational distribution or a refusal carrying the pair of nested
-confounded node sets (the "hedge") that blocks identification.  A companion
-search constructs two explicit models that agree observationally but disagree
-interventionally, certifying each refusal.
+confounded node sets (the "hedge") that blocks identification.  From the
+hedge, ``nonidentifiability_witness`` builds two explicit binary models that
+agree observationally but disagree interventionally, certifying each refusal.
 """
 
 from __future__ import annotations
 
 import itertools
-import zlib
 from typing import TYPE_CHECKING, Iterable, Union
 
 from .expr import (
@@ -303,176 +302,168 @@ class WitnessPair(Record):
 
 
 _WITNESS_MIN_GAP = 1e-3
-_WITNESS_MAX_TYPES = 70_000
 
 
-def nonidentifiability_witness(
-    g: Admg,
-    x: str,
-    y: str,
-) -> WitnessPair | None:
-    """Search for two SCMs compatible with ``g`` (latent projection a subgraph
-    of it) that share an observational joint but differ on P(y | do(x)).
-
-    The search varies the response-type distribution of one bidirected edge
-    at a time inside the null space of the observational-moment map; the
-    returned pair is checked by the exact model sweep before being reported.
-    Edges with more than ``_WITNESS_MAX_TYPES`` response types are skipped,
-    and the pair must differ on P(y | do(x)) by at least ``_WITNESS_MIN_GAP``.
-    """
-    g._check(x, y)
-    for edge in sorted(g.bidirected):
-        for attempt in range(6):
-            pair = _witness_via_edge(g, x, y, edge, attempt)
-            if pair is not None:
-                return pair
+def _hedge(g: Admg, x: str, y: str) -> _Hedge | None:
+    """The hedge on which ID refuses P(y | do(x)) in ``g``, or None."""
+    try:
+        _walk(_id, frozenset([y]), frozenset([x]), _Dist(g.topological_order(), _pt(g.nodes)),
+              g.nodes, g)
+    except _Hedge as h:
+        return h
     return None
 
 
-def _stable_seed(*parts: str) -> int:
-    return zlib.crc32("|".join(parts).encode())
+def _toward(
+    targets: Iterable[str], step: dict[str, frozenset[str]], within: frozenset[str]
+) -> dict[str, str | None]:
+    """Each node of ``within`` that ``step`` leads to from ``targets`` inside
+    ``within``, mapped to the node it was reached from first, breadth-first;
+    ``targets`` map to None.  Over parents, that is its child on a shortest
+    directed path into ``targets``; over siblings, a spanning tree."""
+    found: dict[str, str | None] = dict.fromkeys(sorted(targets))
+    frontier = list(found)
+    for v in frontier:
+        for w in sorted(step[v] & within):
+            if w not in found:
+                found[w] = v
+                frontier.append(w)
+    return found
 
 
-def _witness_via_edge(
-    g: Admg,
-    x: str,
-    y: str,
-    edge: tuple[str, str],
-    attempt: int,
-) -> WitnessPair | None:
-    # numpy and the model kernel serve only the witness search, so
-    # identification itself loads neither
-    import numpy as np
+def nonidentifiability_witness(g: Admg, x: str, y: str) -> WitnessPair | None:
+    """Two SCMs compatible with ``g`` (latent projection a subgraph of it)
+    that share a positive observational joint but differ on P(y | do(x)),
+    or None when ``identify`` answers the query.
 
+    The pair is built from a hedge, as in the completeness proof of ID
+    (Shpitser & Pearl 2006).  ``g`` is first cut to a minimal subgraph on
+    which ID still refuses, and the hedge F ⊋ F' it raises there is narrowed
+    so that F' reaches y around F - F' and every node of F - F' reaches F'
+    inside F.  Every variable is binary.  In model a each node of F is the
+    parity of its coins (one fair coin per bidirected edge of a spanning
+    tree of F that spans F' too) and of the nodes that step to it on
+    shortest directed paths, toward F' within F and toward y from F'.
+    Model b is model a with F' blind to F - F' and to the coins that touch
+    it.  The node of F' nearest y and the path on to y add private noise,
+    and every other node is a private fair coin.  The exact sweep checks
+    the pair before it is returned.
+    """
+    if x == y:
+        raise QueryError("x and y must differ")
+    g._check(x, y)
+    hedge = _hedge(g, x, y)
+    if hedge is None:
+        return None
+    # a refusal on a subgraph is a refusal on g, so one pass leaves a
+    # subgraph from which no node or edge can go
+    h = g
+    cuts = [("node", v) for v in sorted(g.nodes - {x, y})]
+    cuts += [("directed", e) for e in sorted(g.directed)]
+    cuts += [("bidirected", e) for e in sorted(g.bidirected)]
+    for kind, cut in cuts:
+        if kind == "node":
+            sub = Admg(h.nodes - {cut}, [e for e in h.directed if cut not in e],
+                       [e for e in h.bidirected if cut not in e])
+        elif kind == "directed":
+            sub = Admg(h.nodes, h.directed - {cut}, h.bidirected)
+        else:
+            sub = Admg(h.nodes, h.directed, h.bidirected - {cut})
+        found = _hedge(sub, x, y)
+        if found is not None:
+            h, hedge = sub, found
+    # F' may reach y only through F - F'; keep the c-component of what does
+    # not that holds the node nearest y, and of F what reaches it, until
+    # neither changes
+    f, fp = hedge.forest, hedge.subforest
+    while True:
+        reach_y = [v for v in _toward([y], h._parents, h.nodes - (f - fp)) if v in fp]
+        fp_next = frozenset(_reach(reach_y[:1], h._siblings, frozenset(reach_y)))
+        reach_fp = frozenset(_reach(fp_next, h._parents, f))
+        f_next = frozenset(_reach(fp_next, h._siblings, reach_fp))
+        if (f_next, fp_next) == (f, fp):
+            break
+        f, fp = f_next, fp_next
+    if not fp or x not in f - fp or y in f - fp:
+        raise RuntimeError(f"nonidentifiability_witness: no hedge through {x} for {y}")
+    return _parity_pair(g, h, x, y, f, fp)
+
+
+def _parity_pair(
+    g: Admg, h: Admg, x: str, y: str, f: frozenset[str], fp: frozenset[str]
+) -> WitnessPair:
+    """The pair of ``nonidentifiability_witness`` from the hedge ``f`` ⊋
+    ``fp`` of the subgraph ``h`` of ``g``, checked by the sweep on the nodes
+    it builds; the rest are fair coins of their own."""
     from .scm import DiscreteScm, EndogenousVar, ExogenousVar, _sweep
 
-    a, b = edge
-    rng = np.random.default_rng(
-        _stable_seed("witness", ",".join(sorted(g.nodes)), x, y, a, b, str(attempt))
-    )
+    to_y = _toward([y], h._parents, h.nodes - (f - fp))
+    path: set[str] = set()
+    for v in fp:
+        while v is not None and v not in path:
+            path.add(v)
+            v = to_y[v]
+    noisy = {next(v for v in to_y if v in fp)} | (path - fp)
+    used = set(g.nodes)
+
+    def fresh(name: str) -> str:
+        k, out = 1, name
+        while out in used:
+            k += 1
+            out = f"{name}_{k}"
+        used.add(out)
+        return out
+
     binary = ("0", "1")
-    pa = {v: tuple(sorted(g.parents(v))) for v in g.nodes}
-
-    # every other bidirected edge stays active as an independent fair coin,
-    # so confounding paths through several edges remain expressible
     exogenous: dict[str, ExogenousVar] = {}
-    incident: dict[str, list[str]] = {v: [] for v in g.nodes}
-    for other in sorted(g.bidirected):
-        if other == tuple(sorted(edge)):
-            continue
-        u = f"U_{other[0]}_{other[1]}"
-        exogenous[u] = ExogenousVar(binary, (0.5, 0.5))
-        incident[other[0]].append(u)
-        incident[other[1]].append(u)
-
-    # the varied edge's endpoints respond to their directed parents plus
-    # their incident coins; a type fixes the response at every such input
-    inputs = {v: pa[v] + tuple(sorted(incident[v])) for v in (a, b)}
-    assign = {
-        v: list(itertools.product(binary, repeat=len(inputs[v]))) for v in (a, b)
-    }
-    total_types = 2 ** len(assign[a]) * 2 ** len(assign[b])
-    if total_types > _WITNESS_MAX_TYPES:
-        return None
-    types = {
-        v: list(itertools.product(binary, repeat=len(assign[v]))) for v in (a, b)
-    }
-
-    fixed_tables: dict[str, dict[tuple[str, ...], str]] = {}
-    fixed_parents: dict[str, tuple[str, ...]] = {}
-    for v in sorted(g.nodes):
-        if v in (a, b):
-            continue
-        parents = pa[v] + tuple(sorted(incident[v]))
-        if not parents:
-            u = f"U_{v}"
+    inputs: dict[str, list[str]] = {v: [] for v in g.nodes}
+    # a spanning tree of F' grown to one of F, a coin per edge; F' does not
+    # read F - F' in model b, nor a coin that touches it
+    unread = set(f - fp)
+    tree = itertools.chain(_toward([min(fp)], h._siblings, fp).items(),
+                           _toward(fp, h._siblings, f).items())
+    for a, b in tree:
+        if b is not None:
+            u = fresh(f"U_{min(a, b)}_{max(a, b)}")
             exogenous[u] = ExogenousVar(binary, (0.5, 0.5))
-            fixed_parents[v] = (u,)
-            fixed_tables[v] = {("0",): "0", ("1",): "1"}
-            continue
-        fixed_parents[v] = parents
-        table = {
-            key: binary[rng.integers(0, 2)]
-            for key in itertools.product(binary, repeat=len(parents))
-        }
-        if len(set(table.values())) == 1:
-            # a constant mechanism would mute every channel through v
-            last = sorted(table)[-1]
-            table[last] = "1" if table[last] == "0" else "0"
-        fixed_tables[v] = table
-
-    order = g.topological_order()
-    if total_types * 2 ** len(exogenous) > 600_000:
-        return None
-    u_edge = f"U_{a}_{b}"
-
-    def build(q: np.ndarray) -> DiscreteScm:
-        q = np.clip(q, 0.0, None)
-        q = q / q.sum()
-        exo = dict(exogenous)
-        exo[u_edge] = ExogenousVar(
-            tuple(f"t{i}" for i in range(total_types)), tuple(float(p) for p in q)
-        )
-        endogenous: dict[str, EndogenousVar] = {}
-        pair_types = list(itertools.product(types[a], types[b]))
-        for v in order:
-            if v in (a, b):
-                parents = inputs[v] + (u_edge,)
-                table: dict[tuple[str, ...], str] = {}
-                for k, key in enumerate(assign[v]):
-                    for i, (ta, tb) in enumerate(pair_types):
-                        table[key + (f"t{i}",)] = (ta if v == a else tb)[k]
-                endogenous[v] = EndogenousVar(parents, table)
-            else:
-                endogenous[v] = EndogenousVar(fixed_parents[v], fixed_tables[v])
-        return DiscreteScm(exo, endogenous, endo_domains={v: binary for v in order})
-
-    n_obs = 2 ** len(order)
-
-    def moments(model: DiscreteScm) -> tuple[np.ndarray, np.ndarray]:
-        """Mass of each observable cell, and P(y=1 | do(x)) per x, by type."""
-        masses, _ = _sweep(model, [{}] + [{x: xv} for xv in binary],
-                           [(0, u_edge), (1, y), (2, y)] + [(0, v) for v in order])
-        cells, weights = np.array(list(masses)), np.array(list(masses.values()))
-        t = cells[:, 1]
-        obs = np.ravel_multi_index(cells[:, 4:].T, (2,) * len(order))
-        m_obs = np.bincount(obs * total_types + t, weights, n_obs * total_types)
+            inputs[a].append(u)
+            inputs[b].append(u)
+            if a not in fp:
+                unread.add(u)
+    eps = 1 / (4 * len(noisy))
+    for v in sorted(g.nodes - f - path | noisy):
+        u = fresh(f"U_{v}")
+        exogenous[u] = ExogenousVar(binary, (1 - eps, eps) if v in noisy else (0.5, 0.5))
+        inputs[v].append(u)
+    steps = itertools.chain(_toward(fp, h._parents, f).items(), ((u, to_y[u]) for u in path))
+    for u, v in steps:
+        if v is not None:
+            inputs[v].append(u)
+    models = []
+    for blind in (False, True):
+        endogenous = {}
+        for v in sorted(g.nodes):
+            parents = tuple(u for u in inputs[v] if not (blind and v in fp and u in unread))
+            table = {key: binary[key.count("1") % 2]
+                     for key in itertools.product(binary, repeat=len(parents))}
+            endogenous[v] = EndogenousVar(parents, table)
+        models.append(DiscreteScm(exogenous, endogenous, dict.fromkeys(g.nodes, binary)))
+    built = sorted(f | path)
+    measured = []
+    for m in models:
+        masses, _ = _sweep(m, [{}, {x: "0"}, {x: "1"}], [(1, y), (2, y)] + [(0, v) for v in built])
+        obs: dict[tuple[int, ...], float] = {}
+        for key, w in masses.items():
+            obs[key[3:]] = obs.get(key[3:], 0.0) + w
         # binary codes equal their values, so code 1 is y = "1"
-        m_do = [np.bincount(t, weights * (cells[:, col] == 1), total_types) for col in (2, 3)]
-        return m_obs.reshape(n_obs, total_types), np.stack(m_do)
-
-    # under uniform type weights each state weighs its coin assignment's
-    # weight over total_types; all factors are powers of two, so scaling back
-    # by total_types is exact
-    q0 = np.full(total_types, 1.0 / total_types)
-    m_obs, m_do = (total_types * mat for mat in moments(build(q0)))
-
-    a_mat = np.vstack([m_obs, np.ones((1, total_types))])
-    # m_do on the null space of the observational-moment map (plus
-    # normalization); reduced SVDs only, as a full one is T x T for T types
-    _, sv, vt = np.linalg.svd(a_mat, full_matrices=False)
-    row = vt[sv > 1e-10]
-    d = m_do - (m_do @ row.T) @ row
-    if np.max(np.abs(d)) < 1e-9:
-        return None
-    _, _, dvt = np.linalg.svd(d, full_matrices=False)
-    w = dvt[0]
-    w /= np.max(np.abs(w))
-    with np.errstate(divide="ignore"):
-        t_max = np.min(np.where(np.abs(w) > 1e-12, q0 / np.abs(w), np.inf))
-    step = 0.9 * t_max
-    q_hi = q0 + step * w
-    q_lo = q0 - step * w
-    if np.max(np.abs(m_do @ (q_hi - q_lo))) < _WITNESS_MIN_GAP:
-        return None
-
-    model_a = build(q_hi)
-    model_b = build(q_lo)
-    (obs_a, do_a), (obs_b, do_b) = moments(model_a), moments(model_b)
-    obs_gap = float(np.max(np.abs(obs_a.sum(axis=1) - obs_b.sum(axis=1))))
-    if obs_gap > 1e-9:
-        return None
-    do_gap = float(np.max(np.abs(do_a.sum(axis=1) - do_b.sum(axis=1))))
-    if do_gap < _WITNESS_MIN_GAP:
-        return None
-    return WitnessPair(model_a, model_b, obs_gap, do_gap)
+        measured.append((obs, [sum(w for key, w in masses.items() if key[i]) for i in (1, 2)]))
+    (obs_a, do_a), (obs_b, do_b) = measured
+    # the sweep keeps no cell of zero mass
+    positive = len(obs_a) == len(obs_b) == 2 ** len(built)
+    obs_gap = max(abs(w - obs_b.get(c, 0.0)) for c, w in obs_a.items())
+    do_gap = max(abs(a - b) for a, b in zip(do_a, do_b))
+    if not positive or obs_gap > 1e-9 or do_gap < _WITNESS_MIN_GAP:
+        raise RuntimeError(
+            f"nonidentifiability_witness: the pair for P({y} | do({x})) has an observational"
+            f" gap of {obs_gap}, an interventional gap of {do_gap} and positive={positive}")
+    return WitnessPair(models[0], models[1], obs_gap, do_gap)

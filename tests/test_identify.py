@@ -1,5 +1,6 @@
 import itertools
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,7 @@ from scmkit.scm import intervene, observational_joint
 
 BACKDOOR = parse_graph("var X\nvar Y\nvar Z\nZ -> X\nZ -> Y\nX -> Y\n")
 BOW = parse_graph("var X\nvar Y\nX -> Y\nX <-> Y\n")
+BACKDOOR_CG = Path(__file__).resolve().parent / "data" / "backdoor.cg"
 FRONTDOOR = parse_graph("var X\nvar M\nvar Y\nX -> M\nM -> Y\nX <-> Y\n")
 
 
@@ -318,27 +320,74 @@ def test_witness_found_for_small_nonidentifiable_graphs():
         cases += 1
 
 
-def test_witness_takes_only_reduced_svds(monkeypatch):
-    # a full SVD of the moment map is T x T for T response types of the
-    # varied edge, which reaches gigabytes well below the type limit
-    import numpy as np
+def _assert_checked_witness(g, x, y):
+    """The witness for a refused P(y | do(x)), checked by independent
+    enumeration: equal and positive on every cell, apart under do(x)."""
+    w = nonidentifiability_witness(g, x, y)
+    assert w is not None, f"no witness for {g!r}, do({x}) -> {y}"
+    assert w.observational_gap <= 1e-9
+    # the private noise flips y's parity with probability at most 1/4
+    assert w.interventional_gap >= 0.25 - 1e-9
+    names = sorted(g.nodes)
+    for values in itertools.product(("0", "1"), repeat=len(names)):
+        cell = dict(zip(names, values))
+        a, b = gen.brute_marginal(w.model_a, cell), gen.brute_marginal(w.model_b, cell)
+        assert a > 0 and a == pytest.approx(b, abs=1e-9), cell
+    gap = max(
+        abs(gen.brute_counterfactual(w.model_a, [({x: xv}, {y: "1"})], {})
+            - gen.brute_counterfactual(w.model_b, [({x: xv}, {y: "1"})], {}))
+        for xv in ("0", "1")
+    )
+    assert gap == pytest.approx(w.interventional_gap, abs=1e-9)
 
-    svd, full = np.linalg.svd, []
 
-    def recording(a, full_matrices=True, **kwargs):
-        full.append(full_matrices)
-        return svd(a, full_matrices=full_matrices, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", recording)
+def test_witness_for_every_refusal_on_three_nodes_and_on_listed_graphs():
+    graphs = [
+        Admg("ABC", dag.directed, bi)
+        for dag in gen.all_dags("ABC")
+        for k in range(4)
+        for bi in itertools.combinations([("A", "B"), ("A", "C"), ("B", "C")], k)
+    ]
+    refused = [
+        (g, x, y)
+        for g in graphs
+        for x, y in itertools.permutations("ABC", 2)
+        if isinstance(identify(g, parse_query(f"P({y}|do({x}))")), NonIdentifiable)
+    ]
+    assert (len(graphs), len(refused)) == (200, 252)
+    # graphs with many response types per bidirected edge
     nodes = "var A\nvar B\nvar C\nvar D\n"
-    cases = [
+    refused += [
         (BOW, "X", "Y"),
         (parse_graph(nodes + "A->B\nA->D\nB->C\nC->D\nA<->B\nA<->C\nA<->D"), "A", "B"),
         (parse_graph(nodes + "A->D\nC->D\nB<->C\nB<->D\nC<->D"), "C", "D"),
     ]
-    for g, x, y in cases:
-        assert nonidentifiability_witness(g, x, y) is not None
-    assert full and not any(full)
+    # ID's hedge has F' = {C, F}, and C reaches F only through F - F', so
+    # the hedge is narrowed to F' = {F}
+    narrowed = parse_graph(nodes + "var E\nvar F\nA->D\nC->E\nD->E\nE->F\n"
+                           "A<->C\nA<->E\nC<->F\nD<->F")
+    assert identify(narrowed, parse_query("P(F|do(D))")) == NonIdentifiable(
+        frozenset("ACDEF"), frozenset("CF"))
+    refused.append((narrowed, "D", "F"))
+    for g, x, y in refused:
+        _assert_checked_witness(g, x, y)
+
+
+@pytest.mark.parametrize("g", [FRONTDOOR, parse_graph(BACKDOOR_CG.read_text()),
+                               parse_graph("var X\nvar Y\nX -> Y\n")])
+def test_no_witness_for_an_identified_query(g):
+    assert isinstance(identify(g, parse_query("P(Y|do(X))")), Identified)
+    assert nonidentifiability_witness(g, "X", "Y") is None
+
+
+def test_witness_refuses_x_equal_to_y():
+    with pytest.raises(QueryError, match="x and y must differ"):
+        nonidentifiability_witness(BOW, "X", "X")
+
+
+def test_witness_names_its_coins_apart_from_the_graphs_nodes():
+    g = parse_graph("var X\nvar Y\nvar U_X_Y\nX -> Y\nX <-> Y\nU_X_Y -> Y\n")
+    _assert_checked_witness(g, "X", "Y")
 
 
 def test_identify_matches_the_recursive_walks_on_random_admg_queries(monkeypatch):

@@ -169,10 +169,11 @@ def imports_of(target: str, text: str) -> list[str]:
 
 
 def test_only_the_bootstrap_imports_numpy_in_expr_and_estimate():
-    # the detector sees a top-level import and one inside a function
+    # the detector sees a top-level import
     assert imports_of("numpy", "import numpy as np\n") == ["<module>"]
-    assert imports_of("numpy", source("identify")) == ["_witness_via_edge"]
-    # only sampling runs numpy in the model kernel
+    # the witness is built from the hedge, without numpy
+    assert imports_of("numpy", source("identify")) == []
+    # only sampling runs numpy in the model kernel, from inside a function
     assert imports_of("numpy", source("scm")) == ["sample"]
     assert imports_of("numpy", source("mediation")) == []
     assert imports_of("numpy", source("expr")) == []
