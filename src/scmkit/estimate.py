@@ -384,8 +384,6 @@ def bootstrap_interval(
     as weight rows over the distinct rows of the data.  Resamples that hit an
     empty stratum are dropped; more than 10% of them dropped is an error.
     """
-    import numpy as np
-
     from .evaluate import eval_rows
     from .expr import ConditioningOnZero, EstimandError, eval_estimand
 
@@ -400,6 +398,9 @@ def bootstrap_interval(
     n = d.n
     joint = empirical_joint(d)
     point = eval_estimand(e, joint, binding)
+    # after every check and the point estimate, so a refusal loads no numpy
+    import numpy as np
+
     pvals = np.array(joint._weights)
 
     values: list[np.ndarray] = []

@@ -139,20 +139,6 @@ class Admg:
                     heapq.heappush(ready, c)
         return tuple(order)
 
-    @cached_property
-    def _augmented(self) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]]:
-        """Parent/child maps with one hidden root per bidirected edge."""
-        # tuples: every d_separated call on this graph shares the maps
-        parents = {v: tuple(sorted(self._parents[v])) for v in self.nodes}
-        children = {v: tuple(sorted(self._children[v])) for v in self.nodes}
-        for i, (a, b) in enumerate(sorted(self.bidirected)):
-            h = f"\x00h{i}"  # not a legal identifier, cannot clash with node names
-            parents[h] = ()
-            children[h] = (a, b)
-            parents[a] += (h,)
-            parents[b] += (h,)
-        return parents, children
-
     def parents(self, v: str) -> frozenset[str]:
         self._check(v)
         return self._parents[v]
@@ -358,9 +344,12 @@ def d_separated(
 ) -> bool:
     """Decide whether node sets ``a`` and ``b`` are d-separated by ``z``.
 
-    Runs the linear-time ball-style reachability over the graph with each
-    bidirected edge expanded into a hidden common cause.  The exponential
-    path-enumeration oracle lives in the test suite only.
+    Runs Shachter's (1998) linear-time Bayes-ball over the graph's own
+    parent, child and sibling maps; a ball that falls onto a member of z
+    bounces back up.  A bidirected edge is a hidden common parent that is
+    never conditioned on, so wherever the ball moves up to the parents it
+    also steps across each bidirected edge, down to the sibling.  The
+    exponential path-enumeration oracle lives in the test suite only.
     """
     a, b, z = frozenset(a), frozenset(b), frozenset(z)
     g._check(*a, *b, *z)
@@ -369,10 +358,7 @@ def d_separated(
     if not a or not b:
         return True
 
-    parents, children = g._augmented
-
-    anz = _reach(z, parents)  # ancestors of z (z included), hidden roots too
-
+    parents, children, siblings = g._parents, g._children, g._siblings
     # (node, direction) traversal: "up" entered from a child, "down" from a parent
     visited: set[tuple[str, bool]] = set()
     stack: list[tuple[str, bool]] = [(s, True) for s in a]
@@ -383,15 +369,13 @@ def d_separated(
         visited.add((node, up))
         if node in b:
             return False
-        if up:
-            if node not in z:
-                stack.extend((p, True) for p in parents[node])
-                stack.extend((c, False) for c in children[node])
-        else:
-            if node not in z:
-                stack.extend((c, False) for c in children[node])
-            if node in anz:
-                stack.extend((p, True) for p in parents[node])
+        if node not in z:
+            stack.extend((c, False) for c in children[node])
+        # up from a child passes on unless conditioned on; down from a
+        # parent bounces back up only off a member of z
+        if (node in z) != up:
+            stack.extend((p, True) for p in parents[node])
+            stack.extend((s, False) for s in siblings[node])
     return True
 
 

@@ -31,6 +31,12 @@ class QueryTerm(Record):
     literal: bool = False
     dos: tuple[tuple[str, str], ...] = ()
 
+    def __post_init__(self):
+        named = [v for v, _ in self.dos]
+        for v in named:
+            if named.count(v) > 1:
+                raise QueryError(f"variable {v} repeated in the subscript of {self.var}")
+
 
 class CausalQuery(Record):
     outcome: tuple[QueryTerm, ...]
@@ -120,6 +126,7 @@ class _QueryParser(Scanner):
 
     def qterm(self, allow_subscript: bool = True) -> QueryTerm:
         self.skip_ws()
+        start = self.pos
         name = self.match_re(NAME_RE, "a variable name")
         dos: list[tuple[str, str]] = []
         if name.endswith("_") and self.text.startswith("{", self.pos):
@@ -143,10 +150,14 @@ class _QueryParser(Scanner):
                 self.expect("}")
                 break
         self.skip_ws()
-        if self.literal("="):
+        literal = self.literal("=")
+        if literal:
             self.skip_ws()
-            value = self.match_re(VALUE_RE, "a value token")
-            return QueryTerm(name, value, literal=True, dos=tuple(dos))
-        if name == name.lower():
-            return QueryTerm(name.upper(), name, literal=False, dos=tuple(dos))
-        return QueryTerm(name, name.lower(), literal=False, dos=tuple(dos))
+            var, token = name, self.match_re(VALUE_RE, "a value token")
+        else:
+            var, token = (name.upper(), name) if name == name.lower() else (name, name.lower())
+        try:
+            return QueryTerm(var, token, literal, tuple(dos))
+        except QueryError as exc:
+            self.pos = start
+            raise self.error(str(exc)) from None

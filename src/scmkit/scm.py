@@ -247,10 +247,10 @@ def _sweep(
     exogenous slot joins at its first reader and each slot is summed out
     after its last.  A state is ``(mask, *live slot codes)``; bit ``i`` of
     its mask is set while every ``(world, variable, value)`` test of
-    ``conditions[i]`` holds.  Returns the mass of each ``(mask, *output
-    codes)`` and the most states held; an exogenous output must be read by
-    a computed slot.  Every state is a function of the codes of the exogenous
-    variables that slots or outputs read, so a grid of those wider than
+    ``conditions[i]`` holds.  Each output is an endogenous ``(world,
+    variable)``.  Returns the mass of each ``(mask, *output codes)`` and the
+    most states held.  Every state is a function of the codes of the exogenous
+    variables that the slots read, so a grid of those wider than
     ``DEFAULT_STATE_CAP`` is refused before any state is built.
     """
     # a slot is keyed by an exogenous name or (variable, parent refs); a ref
@@ -270,8 +270,7 @@ def _sweep(
                 refs[v] = (~m.endo_domains[v].index(pin) if isinstance(pin, str)
                            else worlds[pin[0]][pin[1]])
         worlds.append(refs)
-    out = [worlds[w][v] if v in m.endogenous else slots.setdefault(v, len(slots))
-           for w, v in outputs]
+    out = [worlds[w][v] for w, v in outputs]
     keys = list(slots)
     size = [len(m.parent_domain(k[0] if isinstance(k, tuple) else k)) for k in keys]
     full = mask = (1 << len(conditions)) - 1

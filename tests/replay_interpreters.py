@@ -54,6 +54,7 @@ CALLS = [
     ["fit", "--graph", "{data}/chain.cg", "--data", "{data}/dmiss.csv"],
     ["counterfactual", "--scm", "{data}/med.scm", "--query", "P(Y_{X=1}=1 | X=0)"],
     ["counterfactual", "--scm", "{data}/xor.scm", "--query", "P(Y_{X=1}=1 | X=2)"],
+    ["counterfactual", "--scm", "{data}/xor.scm", "--query", "P(Y_{X=0,X=1}=1)"],
     ["counterfactual", "--scm", "{data}/med.scm", "--query", "P(Y|do(X=1))"],
     ["pnps", "--scm", "{data}/med.scm", "--exposure", "X", "--outcome", "Y"],
     ["pnps", "--scm", "{data}/med.scm", "--exposure", "X", "--outcome", "Q"],
@@ -70,6 +71,9 @@ CALLS = [
     ["recover", "--graph", "{data}/selfmask.cg", "--data", "{data}/dmiss.csv",
      "--target", "Y=1"],
     ["discover", "--graph", "{data}/collider.cg"],
+    # d-separation steps across the bidirected edge X <-> Z
+    ["discover", "--graph", "{tmp}/bidirected.cg"],
+    ["fit", "--graph", "{tmp}/bidirected.cg", "--data", "{data}/d8.csv"],
     ["discover", "--data", "{data}/d8.csv", "--alpha", "0.5"],
     ["discover", "--data", "{tmp}/nul.csv"],
     ["fit", "--graph", "{data}/chain.cg", "--data", "{tmp}/nul.csv"],
@@ -89,6 +93,7 @@ STREAM_CALLS = [
 
 def _write_inputs(tmp: Path) -> None:
     (tmp / "med.cg").write_text("var X\nvar Z\nvar Y\nX -> Z\nZ -> Y\nX -> Y\n")
+    (tmp / "bidirected.cg").write_text("var X\nvar Z\nvar Y\nX <-> Z\nZ -> Y\n")
     (tmp / "frontdoor.cg").write_text("var X\nvar M\nvar Y\nX -> M\nM -> Y\nX <-> Y\n")
     (tmp / "napkin.cg").write_text(
         "var W1\nvar W2\nvar X\nvar Y\nW1 -> W2\nW2 -> X\nX -> Y\nW1 <-> X\nW1 <-> Y\n"

@@ -257,6 +257,14 @@ def test_counterfactual_porcelain():
     assert out == "1.000000\n"
 
 
+def test_counterfactual_refuses_a_variable_named_twice_in_a_subscript():
+    code, out, err = invoke(
+        "counterfactual", "--scm", path("xor.scm"), "--query", "P(Y_{X=0,X=1}=1)",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: column 3: variable X repeated in the subscript of Y\n"
+
+
 def test_counterfactual_zero_evidence_exit_3(tmp_path):
     scm = tmp_path / "deg.scm"
     scm.write_text(

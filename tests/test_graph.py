@@ -108,17 +108,6 @@ def test_roundtrip_random_graphs():
 # --- d-separation --------------------------------------------------------------
 
 
-def test_augmented_graph_is_built_once_and_shared_read_only():
-    g = parse_graph("var X\nvar Y\nvar Z\nX -> Y\nX <-> Z\n")
-    assert d_separated(g, {"Y"}, {"Z"}, {"X"})
-    parents, children = g._augmented
-    assert g._augmented is g._augmented
-    assert parents == {"X": ("\x00h0",), "Y": ("X",), "Z": ("\x00h0",), "\x00h0": ()}
-    assert children == {"X": ("Y",), "Y": (), "Z": (), "\x00h0": ("X", "Z")}
-    assert not d_separated(g, {"Y"}, {"Z"}, set())
-    assert g._augmented == (parents, children)
-
-
 def test_chain_blocked_by_middle():
     g = parse_graph("var X\nvar Y\nvar Z\nX -> Z\nZ -> Y")
     assert d_separated(g, {"X"}, {"Y"}, {"Z"})
@@ -138,6 +127,9 @@ def test_direct_edge_connects():
 def test_bidirected_acts_as_hidden_cause():
     g = parse_graph("var X\nvar Y\nX <-> Y")
     assert not d_separated(g, {"X"}, {"Y"}, set())
+    g = parse_graph("var X\nvar Y\nvar Z\nX -> Y\nX <-> Z\n")
+    assert d_separated(g, {"Y"}, {"Z"}, {"X"})
+    assert not d_separated(g, {"Y"}, {"Z"}, set())
 
 
 def test_collider_descendant_opens_path():
@@ -163,6 +155,28 @@ def test_dsep_matches_path_oracle_quick():
         rest = names[2:]
         z = {v for v in rest if r.random() < 0.4}
         assert d_separated(g, a, b, z) == gen.dsep_path_oracle(g, a, b, z)
+
+
+def test_dsep_matches_path_oracle_on_every_triple_of_dense_bidirected_graphs():
+    # a bidirected edge into a conditioned collider, or into an ancestor of
+    # z, opens the path that it blocks unconditioned
+    g = parse_graph("var X\nvar Y\nvar C\nvar D\nX -> C\nC <-> Y\nC -> D\n")
+    assert d_separated(g, {"X"}, {"Y"})
+    assert not d_separated(g, {"X"}, {"Y"}, {"C"})
+    assert not d_separated(g, {"X"}, {"Y"}, {"D"})
+    graphs = [g, parse_graph("var X\nvar Y\nvar C\nX <-> C\nC <-> Y\n")]
+    r = gen.rng(2801)
+    graphs += [
+        gen.random_admg(r, int(r.integers(3, 7)), p_dir=0.3, p_bi=0.7, max_bi=8)
+        for _ in range(40)
+    ]
+    for g in graphs:
+        names = sorted(g.nodes)
+        # each node is left out (0) or goes to a (1), b (2) or z (3)
+        for roles in itertools.product(range(4), repeat=len(names)):
+            a, b, z = ({v for v, k in zip(names, roles) if k == i} for i in (1, 2, 3))
+            if a and b:
+                assert d_separated(g, a, b, z) == gen.dsep_path_oracle(g, a, b, z)
 
 
 # --- c-components ----------------------------------------------------------------

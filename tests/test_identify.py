@@ -70,6 +70,17 @@ def test_query_rejects_repeated_variables():
         parse_query("P(y, Y=1)")
 
 
+def test_query_rejects_a_subscript_that_names_a_variable_twice():
+    with pytest.raises(QueryError) as exc:
+        parse_query("P(Y_{X=0,X=1}=1)")
+    assert str(exc.value) == "column 3: variable X repeated in the subscript of Y"
+    with pytest.raises(QueryError) as exc:
+        parse_query("P(W=0, y_{ Z=1, X=0, Z=1 })")
+    assert str(exc.value) == "column 8: variable Z repeated in the subscript of Y"
+    with pytest.raises(QueryError, match="^variable X repeated in the subscript of Y$"):
+        QueryTerm("Y", "1", literal=True, dos=(("X", "0"), ("X", "0")))
+
+
 def test_query_parse_explicit_values():
     q = parse_query("P(Y=1 | do(X=0), Z)")
     assert q.outcome == (QueryTerm("Y", "1", literal=True),)

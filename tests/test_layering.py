@@ -258,6 +258,25 @@ def test_plug_in_answers_on_data_load_no_numpy(path):
     assert "numpy" not in modules
 
 
+@pytest.mark.parametrize("query, B, exit_code, message", [
+    ("P(Y=1|do(X=1))", "50", 1, "B=50 is too small; need at least 100 resamples"),
+    ("P(Y=1|do(X=9))", "100", 3, "conditioning on a zero-probability event: X=9,Z=0"),
+])
+def test_bootstrap_refusals_load_no_numpy(query, B, exit_code, message):
+    # a bad B, and a zero stratum in the full data, are refused before numpy loads
+    argv = ["estimate", "--graph", data("backdoor.cg"), "--data", data("d8.csv"),
+            "--query", query, "--bootstrap", B]
+    proc = fresh(
+        "import io, json, sys\n"
+        "import scmkit.cli\n"
+        "out, err = io.StringIO(), io.StringIO()\n"
+        f"code = scmkit.cli.run({argv!r}, out, err)\n"
+        "print(json.dumps([code, out.getvalue(), err.getvalue(), 'numpy' in sys.modules]))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [exit_code, "", f"error: {message}\n", False]
+
+
 def test_bootstrap_interval_is_unchanged_on_a_fixed_seed(tmp_path):
     # 10, 13, ..., 31 copies of the 8 binary rows in order; the pinned lines
     # are those printed when the point estimate ran on the numpy evaluator
