@@ -384,8 +384,7 @@ def bootstrap_interval(
     as weight rows over the distinct rows of the data.  Resamples that hit an
     empty stratum are dropped; more than 10% of them dropped is an error.
     """
-    from .evaluate import eval_rows
-    from .expr import ConditioningOnZero, EstimandError, eval_estimand
+    from .expr import ConditioningOnZero, EstimandError, eval_estimand, eval_rows
 
     if B < 100:
         raise DataError(f"B={B} is too small; need at least 100 resamples")

@@ -15,6 +15,11 @@ A lowercase symbol such as ``y`` names a value of the same-named uppercase
 variable ``Y``.  The explicit form ``VAR=token`` covers everything else: the
 token is a bound symbol when an enclosing ``sum_{...}`` binds it, otherwise a
 literal domain value.
+
+Estimands are evaluated on the coded cells of a :class:`JointTable` by one
+visit, :meth:`_Evaluation.eval`, in plain floats for one distribution
+(:func:`eval_estimand`) and, importing numpy only there, on the bootstrap's
+rows of weights (:func:`eval_rows`).
 """
 
 from __future__ import annotations
@@ -22,11 +27,14 @@ from __future__ import annotations
 import threading
 import weakref
 from functools import cached_property
-from typing import Iterable, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
 from . import ScmkitError
 from .lexer import NAME_RE, SYM_RE, VALUE_RE, Scanner
 from .record import Record
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Val",
@@ -43,6 +51,7 @@ __all__ = [
     "ConditioningOnZero",
     "UnboundSymbol",
     "eval_estimand",
+    "eval_rows",
     "simplify",
     "render",
     "parse_estimand",
@@ -422,8 +431,6 @@ class JointTable(Record, eq=False):
     def prob(self, assignment: Mapping[str, str]) -> float:
         """Marginal probability of a partial assignment; a value outside a
         variable's domain has probability zero."""
-        from .evaluate import _Evaluation
-
         pairs = [(self.index(v), self.value_codes[v].get(x)) for v, x in assignment.items()]
         return _Evaluation(self).prob(pairs)
 
@@ -441,13 +448,168 @@ def eval_estimand(
     ``binding`` maps variable names to values for the estimand's free symbols.
     Raises :class:`ConditioningOnZero` when a conditioning event or quotient
     denominator has zero probability, and :class:`UnboundSymbol` when a free
-    symbol has no binding.  The evaluator is imported here, so the algebra,
-    parser and renderer load without it; it reads the table's plain-Python
-    cells and loads no numpy.
+    symbol has no binding.
     """
-    from .evaluate import _evaluate, _Evaluation
-
     return _evaluate(_Evaluation(table), e, binding)
+
+
+def eval_rows(
+    e: Estimand,
+    table: JointTable,
+    weights: np.ndarray,
+    binding: Mapping[str, str] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate an estimand on each row of an ``(R, K)`` weight matrix.
+
+    Row ``r`` is the distribution putting ``weights[r, k]`` on cell ``k`` of
+    ``table``.  Returns the ``R`` values and the rows marked by a zero
+    conditioning event or quotient denominator; a marked row's value is
+    meaningless.  Nodes are visited in one fixed order for all rows, and
+    :class:`ConditioningOnZero` is raised, with the context of the event that
+    marked the last row, as soon as every row is marked.  With one row that
+    is the first zero event, so a refusal takes precedence over a later
+    :class:`UnboundSymbol` exactly as in :func:`eval_estimand`.
+    """
+    import numpy as np
+
+    ev = _RowEvaluation(table, weights)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = _evaluate(ev, e, binding)
+    return values, ev.marked
+
+
+def _evaluate(ev: _Evaluation, e: Estimand, binding: Mapping[str, str] | None):
+    binding = dict(binding or {})
+    for var in binding:
+        if var not in ev.table.domains:
+            raise UnboundSymbol(f"variable {var} not in the joint table")
+    return _walk(ev.eval, e, binding, {})
+
+
+def _resolve(val: Val, binding: Mapping[str, str], env: Mapping[str, str]) -> str:
+    if val.literal:
+        return val.token
+    if val.token in env:
+        return env[val.token]
+    if val.var in binding:
+        return binding[val.var]
+    raise UnboundSymbol(f"no value bound for symbol {val.token!r} (variable {val.var})")
+
+
+class _Evaluation:
+    """State of one evaluation of the table's own weights, in plain floats:
+    the marginals computed so far, each indexed by the groups of
+    :meth:`JointTable.groups` on its columns."""
+
+    zero = 0.0
+
+    def __init__(self, table: JointTable):
+        self.table = table
+        self.marginals: dict[tuple[int, ...], object] = {}
+
+    def mark(self, zero: bool, context) -> None:
+        if zero:
+            raise ConditioningOnZero(context())
+
+    def sums(self, cols: tuple[int, ...]) -> dict[int, float]:
+        """Each present group's weight on ``cols``, added in cell order as
+        ``np.bincount`` adds it, so both backends agree bit for bit."""
+        marginal: dict[int, float] = {}
+        get = marginal.get
+        for k, w in zip(self.table.groups(cols), self.table._weights):
+            marginal[k] = get(k, 0.0) + w
+        return marginal
+
+    def prob(self, assignment: list[tuple[int, int | None]]):
+        """Probability of (column, code) pairs; a ``None`` code is a value
+        outside the domain and carries zero mass."""
+        assignment = sorted(assignment)
+        cols = tuple(c for c, _ in assignment)
+        codes = [code for _, code in assignment]
+        if None in codes:
+            return self.zero
+        marginal = self.marginals.get(cols)
+        if marginal is None:
+            marginal = self.marginals[cols] = self.sums(cols)
+        # a group that no cell holds carries zero mass
+        return marginal.get(self.table.group_of(cols, codes), self.zero)
+
+    def eval(self, e: Estimand, binding: Mapping[str, str], env: dict[str, str]):
+        """A visit for ``_walk``: the value of ``e``."""
+        if isinstance(e, One):
+            return self.zero + 1.0
+        if isinstance(e, ProbTerm):
+            # values outside a column's observed domain simply carry zero mass;
+            # a zero-mass conditioning event marks the distribution
+            assignment = []
+            for val in e.joint + e.given:
+                col = self.table.index(val.var)
+                token = _resolve(val, binding, env)
+                assignment.append((col, self.table.value_codes[val.var].get(token)))
+            p_all = self.prob(assignment)
+            if not e.given:
+                return p_all
+            p_given = self.prob(assignment[len(e.joint):])
+            self.mark(p_given == 0.0, lambda: ",".join(
+                f"{v.var}={_resolve(v, binding, env)}" for v in e.given
+            ))
+            return p_all / p_given
+        if isinstance(e, Sum):
+            if e.token in env:
+                raise EstimandError(f"symbol {e.token!r} bound twice along one path")
+            if e.var not in self.table.domains:
+                raise UnboundSymbol(f"variable {e.var} not in the joint table")
+            if not self.table.domains[e.var]:
+                raise ConditioningOnZero(f"no observed value of {e.var}")
+            total = self.zero
+            for value in self.table.domains[e.var]:
+                env[e.token] = value
+                total = total + (yield e.body, binding, env)
+            del env[e.token]
+            return total
+        if isinstance(e, Product):
+            out = self.zero + 1.0
+            for f in e.factors:
+                out = out * (yield f, binding, env)
+            return out
+        if isinstance(e, Quotient):
+            den = yield e.den, binding, env
+            self.mark(den == 0.0, lambda: "quotient denominator is zero")
+            return (yield e.num, binding, env) / den
+        raise EstimandError(f"not an estimand node: {e!r}")
+
+
+class _RowEvaluation(_Evaluation):
+    """State of one :func:`eval_rows` pass: the marked rows, and marginals
+    that map each group present to its row of values."""
+
+    def __init__(self, table: JointTable, weights: np.ndarray):
+        import numpy as np
+
+        super().__init__(table)
+        self.weights = weights
+        self.marked = np.zeros(len(weights), dtype=bool)
+        self.zero = np.zeros(len(weights))
+
+    def mark(self, zero: np.ndarray, context) -> None:
+        if zero.any():
+            self.marked |= zero
+            if self.marked.all():
+                raise ConditioningOnZero(context())
+
+    def sums(self, cols: tuple[int, ...]) -> dict[int, np.ndarray]:
+        """Each present group's row of weights on ``cols``, added in cell
+        order by ``np.bincount`` over the groups numbered as they first
+        occur."""
+        import numpy as np
+
+        keys = self.table.groups(cols)
+        number = {k: g for g, k in enumerate(dict.fromkeys(keys))}
+        inverse = np.array(list(map(number.__getitem__, keys)), np.intp)
+        rows, count = len(self.weights), len(number)
+        flat = (np.arange(rows)[:, None] * count + inverse).ravel()
+        marginal = np.bincount(flat, weights=self.weights.ravel(), minlength=rows * count)
+        return dict(zip(number, marginal.reshape(rows, count).T))
 
 
 # --- walks and symbol facts --------------------------------------------------------

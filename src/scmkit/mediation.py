@@ -63,16 +63,15 @@ def mediation_effects_scm(
     te = nde - nie_reversed holds exactly.  The outcome is coded by its
     index in the model's domain.
     """
-    from .scm import ScmError, _sweep
+    from .scm import ScmError, _check_endo_assignment, _sweep
 
     if len({exposure, mediator, outcome}) < 3:
         raise ScmError("exposure, mediator and outcome must be three different variables")
     for var in (exposure, mediator, outcome):
         if var not in m.endogenous:
             raise ScmError(f"{var} is not an endogenous variable")
-    for val in (x0, x1):
-        if val not in m.endo_domains[exposure]:
-            raise ScmError(f"value {val!r} not in the domain of {exposure}")
+    for label, val in (("x0", x0), ("x1", x1)):
+        _check_endo_assignment(m, [(exposure, val)], label)
     # worlds 2 and 3 pin the mediator to its value in worlds 0 and 1
     masses, _ = _sweep(m, [
         {exposure: x0}, {exposure: x1},

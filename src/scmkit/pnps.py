@@ -68,12 +68,14 @@ def pn_ps_exact(
     PS  = P(Y would be y1 under do(x1) | X=x0, Y=y0)
     PNS = P(Y is y1 under do(x1) and y0 under do(x0))
     """
-    from .scm import ScmError, _conditional_pass
+    from .scm import ScmError, _check_endo_assignment, _conditional_pass
 
     _check_roles(x, y, ScmError)
     for var in (x, y):
         if var not in m.endogenous:
             raise ScmError(f"{var} is not an endogenous variable")
+    for label, var, value in (("x1", x, x1), ("x0", x, x0), ("y1", y, y1), ("y0", y, y0)):
+        _check_endo_assignment(m, [(var, value)], label)
     (pn, ps, pns), _ = _conditional_pass(m, [
         ({x: x1, y: y1}, [({x: x0}, {y: y0})]),
         ({x: x0, y: y0}, [({x: x1}, {y: y1})]),

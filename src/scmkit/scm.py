@@ -213,6 +213,13 @@ class CounterfactualQuery(Record):
     antecedent: tuple[tuple[str, str], ...] = ()
     evidence: tuple[tuple[str, str], ...] = ()
 
+    def __post_init__(self):
+        for part in ("target", "antecedent", "evidence"):
+            named = [v for v, _ in getattr(self, part)]
+            for v in named:
+                if named.count(v) > 1:
+                    raise ScmError(f"variable {v} repeated in the {part}")
+
 
 # --- operations ------------------------------------------------------------------
 

@@ -14,7 +14,6 @@ import math
 import re
 from collections import Counter, defaultdict
 
-from scmkit.evaluate import _resolve, _RowEvaluation
 from scmkit.expr import (
     ONE,
     ConditioningOnZero,
@@ -28,6 +27,8 @@ from scmkit.expr import (
     UnboundSymbol,
     Val,
     _Parser,
+    _resolve,
+    _RowEvaluation,
     prod_of,
 )
 from scmkit.graph import Admg, CiStatement, GraphError, _reach, d_separated
@@ -591,7 +592,7 @@ def _scan(e, table, binding, env):
 
 
 def eval_rows_by_recursion(e, table: JointTable, weights, binding=None):
-    """``evaluate.eval_rows`` with one recursion per node."""
+    """``expr.eval_rows`` with one recursion per node."""
     import numpy as np
 
     binding = dict(binding or {})

@@ -44,6 +44,9 @@ CALLS = [
      "--query", "P(Y=1|do(X=1))"],
     ["estimate", "--graph", "{data}/backdoor.cg", "--data", "{data}/d8.csv",
      "--query", "P(Y=1|do(X=1))", "--porcelain"],
+    # a conditional query evaluates the identified estimand's quotient
+    ["estimate", "--graph", "{data}/backdoor.cg", "--data", "{data}/d8.csv",
+     "--query", "P(Y=1|do(X=1),Z=0)"],
     ["estimate", "--graph", "{data}/backdoor.cg", "--data", "{tmp}/stratum.csv",
      "--query", "P(Y=1|do(X=1))"],
     ["estimate", "--graph", "{data}/backdoor.cg", "--data", "{data}/obs_identity.csv",
@@ -58,6 +61,7 @@ CALLS = [
     ["counterfactual", "--scm", "{data}/med.scm", "--query", "P(Y|do(X=1))"],
     ["pnps", "--scm", "{data}/med.scm", "--exposure", "X", "--outcome", "Y"],
     ["pnps", "--scm", "{data}/med.scm", "--exposure", "X", "--outcome", "Q"],
+    ["pnps", "--scm", "{data}/xor.scm", "--x1", "7"],
     ["pnps", "--data", "{data}/d8.csv", "--experiment", "{data}/experiment.txt"],
     ["pnps", "--data", "{data}/d8.csv", "--px1", "0.6", "--px0", "0.3", "--porcelain"],
     ["pnps", "--data", "{data}/d8.csv", "--px1", "0.6", "--px0", "0.3", "--x0", "1"],

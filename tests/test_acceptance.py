@@ -15,7 +15,7 @@ import pytest
 import gen
 from scmkit.cli import run
 from scmkit.discover import discover_cpdag
-from scmkit.expr import eval_estimand
+from scmkit.expr import ConditioningOnZero, eval_estimand
 from scmkit.fitcheck import fit_indices
 from scmkit.graph import d_separated, parse_graph
 from scmkit.identify import (
@@ -103,6 +103,50 @@ def test_c02_identification_soundness_sweep():
     print(
         f"\n[criterion 2] PASS: {identified}/{total} identified estimands match "
         f"the truncated product within 1e-9 ({elapsed:.1f}s)"
+    )
+
+
+def test_c02_conditional_identification_soundness_sweep():
+    # P(y|do(x),z) against P(y,z)/P(z) of the surgered model; the value "2"
+    # of z has no mass in either world, so its denominator is zero
+    t0 = time.monotonic()
+    r = gen.rng(2025)
+    densities = [(0.2, 0.1), (0.35, 0.2), (0.5, 0.3), (0.65, 0.45)]
+    total = identified = checked = refused = 0
+    while total < 1000:
+        p_dir, p_bi = densities[total % len(densities)]
+        n = int(r.integers(3, 7))
+        g = gen.random_admg(r, n, p_dir=p_dir, p_bi=p_bi, max_bi=4)
+        names = sorted(g.nodes)
+        x, y, z = (names[i] for i in r.choice(n, size=3, replace=False))
+        total += 1
+        result = identify(g, parse_query(f"P({y}|do({x}),{z})"))
+        if isinstance(result, NonIdentifiable):
+            continue
+        identified += 1
+        m = gen.scm_for_admg(g, r)
+        joint = observational_joint(m)
+        for xv in ("0", "1"):
+            surgered = observational_joint(intervene(m, {x: xv}))
+            for yv, zv in itertools.product(("0", "1"), ("0", "1", "2")):
+                binding = {x: xv, y: yv, z: zv}
+                den = surgered.prob({z: zv})
+                if den == 0.0:
+                    with pytest.raises(ConditioningOnZero):
+                        eval_estimand(result.estimand, joint, binding)
+                    refused += 1
+                    continue
+                got = eval_estimand(result.estimand, joint, binding)
+                want = surgered.prob({y: yv, z: zv}) / den
+                assert got == pytest.approx(want, abs=1e-9), (g, x, y, z, binding)
+                checked += 1
+    elapsed = time.monotonic() - t0
+    assert elapsed < 300
+    assert identified >= 300 and checked == 8 * identified and refused == 4 * identified
+    print(
+        f"\n[criterion 2, conditional] PASS: {identified}/{total} identified estimands "
+        f"match P(y,z)/P(z) after surgery on {checked} bindings within 1e-9 and "
+        f"refuse {refused} zero strata ({elapsed:.1f}s)"
     )
 
 

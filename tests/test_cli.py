@@ -317,13 +317,22 @@ def test_pnps_bounds_inconsistent_inputs_exit_3(tmp_path):
 
 
 def test_pnps_bounds_value_outside_data_exit_1():
-    for flag, var, px1 in (("--x1", "X", "0.5"), ("--y1", "Y", "0.6")):
-        code, out, err = invoke(
-            "pnps", "--data", path("d8.csv"), flag, "7", "--px1", px1, "--px0", "0.5",
-        )
+    xor = ("--scm", path("xor.scm"))
+    cases = [
+        ("--x1", "X", ("--data", path("d8.csv"), "--px1", "0.5", "--px0", "0.5")),
+        ("--y1", "Y", ("--data", path("d8.csv"), "--px1", "0.6", "--px0", "0.5")),
+        ("--x1", "X", xor), ("--x0", "X", xor), ("--y1", "Y", xor), ("--y0", "Y", xor),
+    ]
+    for flag, var, inputs in cases:
+        code, out, err = invoke("pnps", *inputs, flag, "7")
         assert code == 1
         assert out == ""
         assert err == f"error: {flag[2:]} value '7' not in the domain of {var}\n"
+    code, out, err = invoke(
+        "mediate", "--scm", path("med.scm"), "--exposure", "X", "--mediator", "M",
+        "--outcome", "Y", "--x0", "0", "--x1", "7",
+    )
+    assert (code, out, err) == (1, "", "error: x1 value '7' not in the domain of X\n")
 
 
 def test_pnps_experiment_file():

@@ -23,12 +23,12 @@ from scmkit.expr import (
     UnboundSymbol,
     Val,
     eval_estimand,
+    eval_rows,
     free_variables,
     parse_estimand,
     render,
     simplify,
 )
-from scmkit.evaluate import eval_rows
 
 ADJUSTMENT_TEXT = "sum_{z} P(y|x,z) * P(z)"
 

@@ -89,16 +89,16 @@ MODULE_SETS = {
     "pnps --scm": (MODEL["pnps --scm"], {"pnps", "scm"}),
     "mediate --scm": (MODEL["mediate --scm"], {"mediation", "scm"}),
     "estimate": (DATA_ONLY["estimate"],
-                 {"query", "expr", "graph", "identify", "estimate", "evaluate"}),
+                 {"query", "expr", "graph", "identify", "estimate"}),
     "fit": (DATA_ONLY["fit"], {"graph", "estimate", "fitcheck"}),
     "discover --data": (["discover", "--data", data("d8.csv")],
                         {"graph", "discover", "estimate", "fitcheck"}),
-    "pnps --data": (DATA_ONLY["pnps --data"], {"pnps", "estimate", "expr", "evaluate"}),
+    "pnps --data": (DATA_ONLY["pnps --data"], {"pnps", "estimate", "expr"}),
     "mediate --graph --data": (DATA_ONLY["mediate --data"],
-                               {"mediation", "graph", "estimate", "expr", "evaluate"}),
+                               {"mediation", "graph", "estimate", "expr"}),
     "recover": (["recover", "--graph", data("mar.cg"), "--data", data("dmiss.csv"),
                  "--target", "Y=1"],
-                {"graph", "expr", "estimate", "evaluate", "recover"}),
+                {"graph", "expr", "estimate", "recover"}),
 }
 
 
@@ -110,6 +110,18 @@ def test_each_path_loads_exactly_its_modules(argv, expected):
     assert code == 0
     loaded = {m for m in modules if m.startswith("scmkit.")}
     assert loaded == {f"scmkit.{m}" for m in expected | EVERY_PATH}
+
+
+def test_readme_table_lists_the_modules_each_path_loads():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    common, table = re.search(
+        r"Beyond ([^.]*?)the paths load:\n\n(.*?)\n\n", readme, flags=re.S
+    ).groups()
+    rows = [re.findall(r"`([^`]+)`", line) for line in table.splitlines()[2:]]
+    assert set(re.findall(r"`(\w+)`", common)) == EVERY_PATH
+    assert {path: set(mods) for path, *mods in rows} == {
+        path: mods for path, (_, mods) in MODULE_SETS.items()
+    }
 
 
 @pytest.mark.parametrize("path", MODULE_SETS)
@@ -176,7 +188,10 @@ def test_only_the_bootstrap_imports_numpy_in_expr_and_estimate():
     # only sampling runs numpy in the model kernel, from inside a function
     assert imports_of("numpy", source("scm")) == ["sample"]
     assert imports_of("numpy", source("mediation")) == []
-    assert imports_of("numpy", source("expr")) == []
+    # the batch evaluator imports numpy inside its functions only
+    assert set(imports_of("numpy", source("expr"))) == {
+        "eval_rows", "_RowEvaluation.__init__", "_RowEvaluation.sums", "<type checking>",
+    }
     assert set(imports_of("numpy", source("estimate"))) == {
         "bootstrap_interval", "_quantiles", "<type checking>",
     }
@@ -313,7 +328,7 @@ def test_model_subcommands_load_no_data_tests_or_recovery(argv):
 def test_model_subcommands_load_no_data_reader(argv):
     code, modules = loaded_after_run(argv)
     assert code == 0
-    assert not modules & {"scmkit.estimate", "scmkit.evaluate"}
+    assert not modules & {"scmkit.estimate", "scmkit.expr"}
 
 
 @pytest.mark.parametrize("argv", DATA_ONLY.values(), ids=DATA_ONLY.keys())

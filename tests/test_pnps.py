@@ -135,11 +135,11 @@ def test_exact_enumerates_once(monkeypatch):
 def test_exact_refuses_unknown_values_in_check_order():
     m = identity_scm()
     cases = [
-        ({"x1": "7"}, "evidence value '7' not in the domain of X"),
-        ({"y1": "7"}, "evidence value '7' not in the domain of Y"),
-        ({"x0": "7"}, "antecedent value '7' not in the domain of X"),
-        ({"y0": "7"}, "target value '7' not in the domain of Y"),
-        ({"x0": "7", "y1": "8"}, "evidence value '8' not in the domain of Y"),
+        ({"x1": "7"}, "x1 value '7' not in the domain of X"),
+        ({"y1": "7"}, "y1 value '7' not in the domain of Y"),
+        ({"x0": "7"}, "x0 value '7' not in the domain of X"),
+        ({"y0": "7"}, "y0 value '7' not in the domain of Y"),
+        ({"x0": "7", "y1": "8"}, "x0 value '7' not in the domain of X"),
     ]
     for kwargs, message in cases:
         with pytest.raises(ScmError) as info:

@@ -1,9 +1,9 @@
 """Estimand code runs in constant stack depth.
 
-``expr``, ``identify`` and ``evaluate`` walk estimands through ``expr._walk``,
+``expr`` and ``identify`` walk estimands through ``expr._walk``,
 which keeps its frames on an explicit stack, so the depth of an estimand
 never meets the interpreter's recursion limit.  One test runs deep estimands
-under a tiny limit; another reads the source of the three modules and checks
+under a tiny limit; another reads the source of the two modules and checks
 that no function reaches itself through calls, so recursion cannot come back
 unnoticed.
 """
@@ -177,13 +177,13 @@ def on_cycles(edges: dict[str, set[str]]) -> set[str]:
     return found
 
 
-def test_no_function_in_expr_identify_or_evaluate_lies_on_a_call_cycle():
+def test_no_function_in_expr_or_identify_lies_on_a_call_cycle():
     sources = {m: (SRC / f"{m}.py").read_text(encoding="utf-8")
-               for m in ("expr", "identify", "evaluate")}
+               for m in ("expr", "identify")}
     edges = call_graph(sources)
     assert {"expr._walk", "expr.simplify", "expr.render", "expr._Parser.parse",
             "expr._Parser.expr", "identify._standardize", "identify._id",
-            "evaluate._Evaluation.eval"} <= set(edges)
+            "expr._Evaluation.eval"} <= set(edges)
     assert on_cycles(edges) == set()
 
 

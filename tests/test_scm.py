@@ -558,6 +558,18 @@ def test_deterministic_counterfactual():
     assert counterfactual_query(m, q) == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("part, pairs", [
+    ("antecedent", (("X", "0"), ("X", "1"))),
+    ("target", (("Y", "1"), ("Y", "0"))),
+    ("evidence", (("X", "0"), ("X", "1"))),
+])
+def test_counterfactual_query_refuses_a_variable_named_twice_in_one_part(part, pairs):
+    # the dicts the query becomes would keep only the last value
+    fields = {"target": (("Y", "1"),), "antecedent": (("X", "1"),), part: pairs}
+    with pytest.raises(ScmError, match=f"^variable {pairs[0][0]} repeated in the {part}$"):
+        CounterfactualQuery(**fields)
+
+
 def test_counterfactual_matches_enumeration_oracle():
     # the 1,000-model sweep runs in the acceptance suite
     r = gen.rng(25)
